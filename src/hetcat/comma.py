@@ -31,11 +31,18 @@ class CommaCategory:
     objects_data: dict[str, tuple[str, str, str]]
     morphisms_data: dict[str, tuple[str, str]]
 
-    def object_id(self, left: str, right: str, datum: str) -> str:
+    def __post_init__(self):
+        oid_of: dict[tuple[str, str, str], str] = {}
         for oid, triple in self.objects_data.items():
-            if triple == (left, right, datum):
-                return oid
-        raise StructuralError(f"comma category has no object ({left}, {right}, {datum})")
+            oid_of.setdefault(triple, oid)
+        object.__setattr__(self, "_oid_of", oid_of)
+
+    def object_id(self, left: str, right: str, datum: str) -> str:
+        try:
+            return self._oid_of[(left, right, datum)]
+        except KeyError:
+            raise StructuralError(
+                f"comma category has no object ({left}, {right}, {datum})") from None
 
 
 def _build_comma(name: str, left_cat: FinCategory, right_cat: FinCategory,

@@ -35,8 +35,9 @@ class HetBifunctor:
 
     def __post_init__(self):
         cell_of: dict[str, tuple[str, str]] = {}
+        x_objs, a_objs = set(self.x_cat.objects), set(self.a_cat.objects)
         for (x, a), elems in self.cells.items():
-            if x not in set(self.x_cat.objects) or a not in set(self.a_cat.objects):
+            if x not in x_objs or a not in a_objs:
                 raise StructuralError(f"{self.name}: cell indexed by unknown objects ({x}, {a})")
             for c in elems:
                 if c in cell_of:
@@ -260,6 +261,18 @@ class NonRepresentabilityWitness:
         return "\n".join(lines)
 
 
+def _first_preimages(tables: dict[tuple[str, str], dict[str, str]]
+                     ) -> dict[tuple[str, str], dict[str, str]]:
+    """Invert each cell's table; where two keys share an image, the first wins."""
+    inverse = {}
+    for cell, table in tables.items():
+        inv: dict[str, str] = {}
+        for key, image in table.items():
+            inv.setdefault(image, key)
+        inverse[cell] = inv
+    return inverse
+
+
 @dataclass(frozen=True, eq=False)
 class LeftRepresentation:
     """F: X -> A with universal elements h_x and bijections psi: Hom(Fx, a) ~ Het(x, a)."""
@@ -270,11 +283,14 @@ class LeftRepresentation:
     psi: dict[tuple[str, str], dict[str, str]]      # (x, a) -> {g: Fx -> a  ->  het}
     equivalent_universals: dict[str, tuple[tuple[str, str], ...]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_psi_inv", _first_preimages(self.psi))
+
     def psi_inv(self, x: str, a: str, c: str) -> str:
-        for g, image in self.psi[(x, a)].items():
-            if image == c:
-                return g
-        raise StructuralError(f"psi not surjective at ({x}, {a}): {c!r} has no preimage")
+        g = self._psi_inv[(x, a)].get(c)
+        if g is None:
+            raise StructuralError(f"psi not surjective at ({x}, {a}): {c!r} has no preimage")
+        return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,11 +303,14 @@ class RightRepresentation:
     phi: dict[tuple[str, str], dict[str, str]]      # (x, a) -> {het  ->  f: x -> Ga}
     equivalent_universals: dict[str, tuple[tuple[str, str], ...]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_phi_inv", _first_preimages(self.phi))
+
     def phi_inv(self, x: str, a: str, f: str) -> str:
-        for c, image in self.phi[(x, a)].items():
-            if image == f:
-                return c
-        raise StructuralError(f"phi not surjective at ({x}, {a}): {f!r} has no preimage")
+        c = self._phi_inv[(x, a)].get(f)
+        if c is None:
+            raise StructuralError(f"phi not surjective at ({x}, {a}): {f!r} has no preimage")
+        return c
 
 
 class KernelInvariantError(AssertionError):

@@ -4,6 +4,8 @@ derived constructions (opposite, product, functor category)."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, NatTrans,
                     StructuralError, check_category, check_functor,
@@ -11,6 +13,8 @@ from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, NatTrans,
                     identity_functor, identity_nat_trans, opposite,
                     product_category, product_projections)
 from hetcat.instances import diagram_shape, finset_skeleton
+from hetcat.instances.galois import powerset_poset
+from hetcat.report import LawReport
 
 
 def test_terminal_category_passes(terminal_cat):
@@ -22,6 +26,84 @@ def test_powerset_poset_passes(powerset2):
     assert powerset2.n_objects == 4
     assert powerset2.n_morphisms == 9
     assert check_category(powerset2).ok
+
+
+# -- associativity witnesses against the triple-by-triple reference ---------
+
+def _reference_check_category(cat: FinCategory) -> LawReport:
+    """The category laws checked one composable triple at a time."""
+    rep = LawReport(f"category {cat.name}")
+    for x in cat.objects:
+        i = cat.identity.get(x)
+        if i is None:
+            rep.add("identity-totality", (x,), "object has no identity morphism")
+            continue
+        m = cat.morphism(i)
+        if m.dom != x or m.cod != x:
+            rep.add("identity-shape", (x, i), f"identity has type {m.dom} -> {m.cod}")
+    mor_ids = [m.id for m in cat.morphisms]
+    for (f, g), h in cat.comp.items():
+        mf, mg, mh = cat.morphism(f), cat.morphism(g), cat.morphism(h)
+        if mf.cod != mg.dom:
+            rep.add("composition-domain", (f, g), "entry for a non-composable pair")
+            continue
+        if mh.dom != mf.dom or mh.cod != mg.cod:
+            rep.add("composition-shape", (f, g, h),
+                    f"composite has type {mh.dom} -> {mh.cod}, expected {mf.dom} -> {mg.cod}")
+    out: dict[str, list[str]] = {}
+    for m in cat.morphisms:
+        out.setdefault(m.dom, []).append(m.id)
+    for f in mor_ids:
+        for g in out.get(cat.cod(f), ()):
+            if (f, g) not in cat.comp:
+                rep.add("composition-totality", (f, g), "composable pair missing from the table")
+    for m in cat.morphisms:
+        li = cat.identity.get(m.dom)
+        ri = cat.identity.get(m.cod)
+        if li is not None and (li, m.id) in cat.comp and cat.comp[(li, m.id)] != m.id:
+            rep.add("left-identity", (m.id,), f"id then {m.id} = {cat.comp[(li, m.id)]}")
+        if ri is not None and (m.id, ri) in cat.comp and cat.comp[(m.id, ri)] != m.id:
+            rep.add("right-identity", (m.id,), f"{m.id} then id = {cat.comp[(m.id, ri)]}")
+    for f in mor_ids:
+        for g in out.get(cat.cod(f), ()):
+            fg = cat.comp.get((f, g))
+            for h in out.get(cat.cod(g), ()):
+                gh = cat.comp.get((g, h))
+                if fg is None or gh is None:
+                    continue
+                left = cat.comp.get((fg, h))
+                right = cat.comp.get((f, gh))
+                if left != right or left is None:
+                    rep.add("associativity", (f, g, h),
+                            f"(f.g).h = {left}, f.(g.h) = {right}")
+    return rep.normalize()
+
+
+MUTATION_BASES = {
+    "skeleton2": finset_skeleton(2),
+    "P2": powerset_poset("P2", ("0", "1")),
+    "span-over-1": functor_category(diagram_shape("span"), finset_skeleton(1)),
+}
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MUTATION_BASES)), st.data())
+def test_associativity_witnesses_match_triple_reference(base, data):
+    cat = MUTATION_BASES[base]
+    ids = [m.id for m in cat.morphisms]
+    comp = dict(cat.comp)
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(("rewire", "drop", "add")))
+        if kind == "rewire":
+            comp[data.draw(st.sampled_from(sorted(comp)))] = data.draw(st.sampled_from(ids))
+        elif kind == "drop":
+            del comp[data.draw(st.sampled_from(sorted(comp)))]
+        else:
+            stray = sorted((f, g) for f in ids for g in ids
+                           if cat.cod(f) != cat.dom(g))
+            comp[data.draw(st.sampled_from(stray))] = data.draw(st.sampled_from(ids))
+    mutant = FinCategory("mutant", cat.objects, cat.morphisms, dict(cat.identity), comp)
+    assert check_category(mutant).violations == _reference_check_category(mutant).violations
 
 
 def test_wrong_codomain_composite_is_detected(skeleton2):
@@ -36,6 +118,10 @@ def test_wrong_codomain_composite_is_detected(skeleton2):
     assert not report.ok
     assert any(v.law == "composition-shape" and v.witness[:2] == pair
                for v in report.violations)
+    # fg and g end in different objects, so the (f, g) row is rebuilt from fg
+    assert any(v.law == "associativity" and v.witness[:2] == pair
+               for v in report.violations)
+    assert report.violations == _reference_check_category(broken).violations
 
 
 def test_missing_identity_and_missing_composite_detected(chain2):
