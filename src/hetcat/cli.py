@@ -1,7 +1,8 @@
 """Batch front door: parse documents, run checks and constructions, report.
 
 Exit codes: 0 all checks pass, 1 a law or expectation fails (the report lists
-witnesses), 2 parse/structural errors, unknown names, or exceeded guards.
+witnesses), 2 parse/structural errors, unknown names, exceeded guards, or a
+failed kernel invariant.
 Reports are deterministic; --json emits a machine-readable form.
 """
 
@@ -22,9 +23,9 @@ from .documents import (DocumentError, bundle_to_payload, dumps_document,
                         loads_document, make_document, parse_document)
 from .errors import GuardExceeded, StructuralError
 from .fincat import check_category, check_functor, check_nat_trans
-from .het import (LeftRepresentation, NonRepresentabilityWitness,
-                  RightRepresentation, check_bifunctor,
-                  compare_left_representation)
+from .het import (KernelInvariantError, LeftRepresentation,
+                  NonRepresentabilityWitness, RightRepresentation,
+                  check_bifunctor, compare_left_representation)
 from .report import LawReport
 
 
@@ -585,7 +586,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, StructuralError, GuardExceeded) as exc:
+    except (DocumentError, StructuralError, GuardExceeded, KernelInvariantError) as exc:
         payload = {"command": args.command, "error": str(exc), "exit": 2}
         if getattr(args, "json", False):
             print(json.dumps(payload, indent=2, sort_keys=True))

@@ -49,7 +49,7 @@ def category_from_payload(payload: Any) -> FinCategory:
         identity = dict(payload["identity"])
         comp = {(f, g): h for f, g, h in payload["composition"]}
         name = payload.get("name", "category")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed category payload: {exc}") from exc
     return FinCategory(name, objects, morphisms, identity, comp, labels)
 
@@ -73,7 +73,7 @@ def functor_from_payload(payload: Any) -> FinFunctor:
             dict(payload["object_map"]),
             dict(payload["morphism_map"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed functor payload: {exc}") from exc
 
 
@@ -104,7 +104,7 @@ def nat_trans_from_payload(payload: Any) -> NatTrans:
                                   dict(spec["morphism_map"])))
         return NatTrans(payload.get("name", "nattrans"), fns[0], fns[1],
                         dict(payload["components"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed nattrans payload: {exc}") from exc
 
 
@@ -130,7 +130,7 @@ def bifunctor_from_payload(payload: Any) -> HetBifunctor:
         act_left = {e["morphism"]: dict(e["mapping"]) for e in payload["act_left"]}
         act_right = {e["morphism"]: dict(e["mapping"]) for e in payload["act_right"]}
         name = payload.get("name", "bifunctor")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed bifunctor payload: {exc}") from exc
     return HetBifunctor(name, x_cat, a_cat, cells, act_left, act_right)
 
@@ -153,7 +153,7 @@ def bundle_from_payload(payload: Any) -> tuple[HetBifunctor, dict]:
     try:
         het = bifunctor_from_payload(payload["bifunctor"])
         expected = payload.get("expected", {})
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed adjunction bundle: {exc}") from exc
     return het, expected
 
@@ -193,6 +193,8 @@ def loads_document(text: str) -> dict:
         raise DocumentError(f"unknown document kind {kind!r}")
     if "payload" not in doc:
         raise DocumentError("document has no payload")
+    if not isinstance(doc.get("meta"), dict):
+        raise DocumentError("document meta is missing or not a JSON object")
     return doc
 
 

@@ -532,19 +532,16 @@ def find_left_representation(
     equivalents: dict[str, tuple[tuple[str, str], ...]] = {}
     for x in het.x_cat.objects:
         winners: list[tuple[str, str]] = []
+        failures: list[CandidateFailure] = []
         for b in het.a_cat.objects:
             for u in het.cell(x, b):
-                ok, _ = universal_element_check(het, x, b, u)
+                ok, info = universal_element_check(het, x, b, u)
                 if ok:
                     winners.append((b, u))
+                else:
+                    failures.append(CandidateFailure(b, u, *info))
         if not winners:
             degenerate = all(not het.cell(x, a) for a in het.a_cat.objects)
-            failures = []
-            for b in het.a_cat.objects:
-                for u in het.cell(x, b):
-                    ok, info = universal_element_check(het, x, b, u)
-                    assert not ok and info is not None
-                    failures.append(CandidateFailure(b, u, info[0], info[1], info[2]))
             return NonRepresentabilityWitness("left", x, degenerate, tuple(failures))
         for other in winners[1:]:
             _verify_universal_pair_iso(het, x, winners[0], other, "left")
@@ -583,19 +580,16 @@ def find_right_representation(
     equivalents: dict[str, tuple[tuple[str, str], ...]] = {}
     for a in het.a_cat.objects:
         winners: list[tuple[str, str]] = []
+        failures: list[CandidateFailure] = []
         for b in het.x_cat.objects:
             for u in het.cell(b, a):
-                ok, _ = co_universal_element_check(het, a, b, u)
+                ok, info = co_universal_element_check(het, a, b, u)
                 if ok:
                     winners.append((b, u))
+                else:
+                    failures.append(CandidateFailure(b, u, *info))
         if not winners:
             degenerate = all(not het.cell(x, a) for x in het.x_cat.objects)
-            failures = []
-            for b in het.x_cat.objects:
-                for u in het.cell(b, a):
-                    ok, info = co_universal_element_check(het, a, b, u)
-                    assert not ok and info is not None
-                    failures.append(CandidateFailure(b, u, info[0], info[1], info[2]))
             return NonRepresentabilityWitness("right", a, degenerate, tuple(failures))
         for other in winners[1:]:
             _verify_universal_pair_iso(het, a, winners[0], other, "right")

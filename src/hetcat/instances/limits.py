@@ -88,6 +88,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
 
     cells: dict[tuple[str, str], tuple[str, ...]] = {}
     legs_of: dict[str, tuple[str, str, Legs]] = {}
+    id_of: dict[tuple[str, str, Legs], str] = {}
     for wobj in skel.objects:
         w = skeleton_card(wobj)
         for did in fcat.objects:
@@ -96,6 +97,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
                 cid = _cone_id(wobj, did, legs)
                 ids.append(cid)
                 legs_of[cid] = (wobj, did, legs)
+                id_of[(wobj, did, legs)] = cid
             cells[(wobj, did)] = tuple(ids)
 
     act_left: dict[str, dict[str, str]] = {}
@@ -106,7 +108,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
             for cid in cells[(h.cod, did)]:
                 _, _, legs = legs_of[cid]
                 new = tuple(tuple(leg[i] for i in hi) for leg in legs)
-                table[cid] = _cone_id(h.dom, did, new)
+                table[cid] = id_of[(h.dom, did, new)]
         act_left[h.id] = table
     act_right: dict[str, dict[str, str]] = {}
     for t in fcat.morphisms:
@@ -117,7 +119,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
                 _, _, legs = legs_of[cid]
                 new = tuple(tuple(comps[i][v] for v in leg)
                             for i, leg in enumerate(legs))
-                table[cid] = _cone_id(wobj, t.cod, new)
+                table[cid] = id_of[(wobj, t.cod, new)]
         act_right[t.id] = table
     het = HetBifunctor(f"cones[{shape_name},n={n}]", skel, fcat,
                        cells, act_left, act_right)
@@ -225,6 +227,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
 
     cells: dict[tuple[str, str], tuple[str, ...]] = {}
     legs_of: dict[str, tuple[str, str, Legs]] = {}
+    id_of: dict[tuple[str, str, Legs], str] = {}
     for did in fcat.objects:
         for zobj in skel.objects:
             ids = []
@@ -232,6 +235,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
                 cid = _cocone_id(did, zobj, legs)
                 ids.append(cid)
                 legs_of[cid] = (did, zobj, legs)
+                id_of[(did, zobj, legs)] = cid
             cells[(did, zobj)] = tuple(ids)
 
     act_left: dict[str, dict[str, str]] = {}
@@ -244,7 +248,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
                 _, _, legs = legs_of[cid]
                 new = tuple(tuple(legs[i][comps[i][e]] for e in range(cards[i]))
                             for i in range(len(order)))
-                table[cid] = _cocone_id(t.dom, zobj, new)
+                table[cid] = id_of[(t.dom, zobj, new)]
         act_left[t.id] = table
     act_right: dict[str, dict[str, str]] = {}
     for h in skel.morphisms:
@@ -254,7 +258,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
             for cid in cells[(did, h.dom)]:
                 _, _, legs = legs_of[cid]
                 new = tuple(tuple(hi[v] for v in leg) for leg in legs)
-                table[cid] = _cocone_id(did, h.cod, new)
+                table[cid] = id_of[(did, h.cod, new)]
         act_right[h.id] = table
     het = HetBifunctor(f"cocones[{shape_name},n={n}]", fcat, skel,
                        cells, act_left, act_right)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import hetcat.cli
 from hetcat.cli import main
 from hetcat.documents import (category_to_payload, dumps_document, loads_document,
                               make_document)
+from hetcat.het import KernelInvariantError
 
 
 def run(capsys, *argv):
@@ -60,6 +62,38 @@ def test_check_malformed_exits_two(capsys, tmp_path):
 def test_check_missing_file_exits_two(capsys):
     code, _ = run(capsys, "check", "/no/such/file.json")
     assert code == 2
+
+
+def test_check_document_without_meta_exits_two(capsys, tmp_path, category_doc):
+    doc = loads_document(open(category_doc).read())
+    del doc["meta"]
+    path = tmp_path / "no-meta.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "meta" in out
+
+
+def test_check_short_composition_triple_exits_two(capsys, tmp_path, category_doc):
+    doc = loads_document(open(category_doc).read())
+    doc["payload"]["composition"][0] = doc["payload"]["composition"][0][:2]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "malformed category payload" in out
+
+
+def test_kernel_invariant_failure_exits_two(capsys, monkeypatch, galois_bundle):
+    def broken(het):
+        raise KernelInvariantError("morphism fill-in for f is not unique (2 candidates)")
+
+    monkeypatch.setattr(hetcat.cli, "build_adjunction", broken)
+    code, out = run(capsys, "adjoint", galois_bundle, "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "adjoint", "exit": 2,
+        "error": "morphism fill-in for f is not unique (2 candidates)"}
 
 
 def test_demo_unknown_name_exits_two(capsys):
