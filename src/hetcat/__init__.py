@@ -27,7 +27,7 @@ from .het import (CandidateFailure, HetBifunctor, KernelInvariantError,
                   RightRepresentation, build_het, check_bifunctor,
                   check_left_representation, check_right_representation,
                   co_universal_element_check, compare_left_representation,
-                  compare_right_representation, find_left_representation,
+                  compare_right_representation, dual, find_left_representation,
                   find_right_representation, hom_bifunctor,
                   universal_element_check)
 from .report import LawReport, Violation

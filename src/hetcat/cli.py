@@ -481,17 +481,20 @@ def cmd_factorize(args) -> int:
         het, _ = value
     else:
         raise DocumentError(f"factorize expects a bifunctor or bundle, got {kind!r}")
+    checks = [_check_entry("bifunctor laws", check_bifunctor(het))]
+    if not checks[0]["ok"]:
+        _emit({"command": "factorize", "subject": het.name, "checks": checks,
+               "exit": 1}, args.json)
+        return 1
     result = build_adjunction(het)
     if not isinstance(result, Adjunction):
-        out = {"command": "factorize", "subject": het.name,
-               "checks": [_note_entry("birepresentability", False,
-                                      _witness_notes(result))],
-               "exit": 1}
-        _emit(out, args.json)
+        checks.append(_note_entry("birepresentability", False, _witness_notes(result)))
+        _emit({"command": "factorize", "subject": het.name, "checks": checks,
+               "exit": 1}, args.json)
         return 1
     adj = result
     target = args.id
-    out = {"command": "factorize", "subject": f"{het.name}::{target}", "checks": []}
+    out = {"command": "factorize", "subject": f"{het.name}::{target}", "checks": checks}
     if target in het.elements:
         x, a = het.cell_of(target)
         zz = zig_zag_factorize(adj, target)

@@ -122,11 +122,18 @@ def bifunctor_to_payload(het: HetBifunctor) -> dict:
     }
 
 
+def _string_tuple(value: Any) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DocumentError(f"malformed bifunctor payload: cell elements must be "
+                            f"a JSON array of strings, got {type(value).__name__}")
+    return tuple(value)
+
+
 def bifunctor_from_payload(payload: Any) -> HetBifunctor:
     try:
         x_cat = category_from_payload(payload["x_category"])
         a_cat = category_from_payload(payload["a_category"])
-        cells = {(c["x"], c["a"]): tuple(c["elements"]) for c in payload["cells"]}
+        cells = {(c["x"], c["a"]): _string_tuple(c["elements"]) for c in payload["cells"]}
         act_left = {e["morphism"]: dict(e["mapping"]) for e in payload["act_left"]}
         act_right = {e["morphism"]: dict(e["mapping"]) for e in payload["act_right"]}
         name = payload.get("name", "bifunctor")
@@ -183,6 +190,8 @@ def loads_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document is not a JSON object")
     if doc.get("format") != FORMAT:

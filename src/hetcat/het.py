@@ -9,18 +9,21 @@ bimodule law (k.c).h = k.(c.h).
 Representability on the left means each Het(x, -) has a universal element
 (Fx, h_x); the assignment x -> Fx then extends to a functor by a unique
 fill-in and the cells become naturally isomorphic to hom-sets out of Fx.
-Dually on the right. The searches below decide representability exhaustively
-and either return the representation, fully verified, or a concrete witness
-that no candidate works.
+Representability on the right is the left one of dual(het), the same cells
+over (A^op, X^op) with the two actions swapped (the duality principle, Mac
+Lane CWM II.1), so every right-hand routine is its left twin run on the dual
+and relabelled. The searches decide representability exhaustively and either
+return the representation, fully verified, or a concrete witness that no
+candidate works.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .errors import StructuralError
-from .fincat import FinCategory, FinFunctor, check_functor
+from .fincat import FinCategory, FinFunctor, check_functor, opposite
 from .report import LawReport
 
 
@@ -46,6 +49,12 @@ class HetBifunctor:
         for pair in ((x, a) for x in self.x_cat.objects for a in self.a_cat.objects):
             if pair not in self.cells:
                 raise StructuralError(f"{self.name}: missing cell {pair}")
+        for side, table, cat in (("left", self.act_left, self.x_cat),
+                                 ("right", self.act_right, self.a_cat)):
+            for m in table:
+                if not cat.has_morphism(m):
+                    raise StructuralError(
+                        f"{self.name}: {side} action table for unknown morphism {m!r}")
         object.__setattr__(self, "_cell_of", cell_of)
 
     def cell(self, x: str, a: str) -> tuple[str, ...]:
@@ -106,6 +115,18 @@ def build_het(name: str, x_cat: FinCategory, a_cat: FinCategory,
         for k in a_cat.morphisms
     }
     return HetBifunctor(name, x_cat, a_cat, cells, act_left, act_right)
+
+
+def dual(het: HetBifunctor) -> HetBifunctor:
+    """The same heteromorphisms over (A^op, X^op): cell (a, x) is het's (x, a).
+
+    Postcomposition in het is precomposition in the dual and vice versa, so
+    the two action tables swap places; they are shared, not copied. A left
+    representation of the dual is a right representation of het.
+    """
+    return HetBifunctor(het.name + "^op", opposite(het.a_cat), opposite(het.x_cat),
+                        {(a, x): elems for (x, a), elems in het.cells.items()},
+                        het.act_right, het.act_left)
 
 
 def hom_bifunctor(cat: FinCategory) -> HetBifunctor:
@@ -216,16 +237,10 @@ def co_universal_element_check(het: HetBifunctor, a: str, b: str,
     """Dual check: is (b, u) universal for Het(-, a)?
 
     True iff every c in every cell (x, a) factors as c = u.f for exactly one
-    f: x -> b in the sending category.
+    f: x -> b in the sending category; this is universal_element_check on
+    dual(het).
     """
-    if het.cell_of(u) != (b, a):
-        raise StructuralError(f"{het.name}: {u!r} is not in cell ({b}, {a})")
-    for x in het.x_cat.objects:
-        for c in het.cell(x, a):
-            n = sum(1 for f in het.x_cat.hom(x, b) if het.act_l(f, u) == c)
-            if n != 1:
-                return False, (x, c, n)
-    return True, None
+    return universal_element_check(dual(het), a, b, u)
 
 
 @dataclass(frozen=True)
@@ -303,46 +318,36 @@ class RightRepresentation:
     phi: dict[tuple[str, str], dict[str, str]]      # (x, a) -> {het  ->  f: x -> Ga}
     equivalent_universals: dict[str, tuple[tuple[str, str], ...]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_phi_inv", _first_preimages(self.phi))
-
-    def phi_inv(self, x: str, a: str, f: str) -> str:
-        c = self._phi_inv[(x, a)].get(f)
-        if c is None:
-            raise StructuralError(f"phi not surjective at ({x}, {a}): {f!r} has no preimage")
-        return c
-
 
 class KernelInvariantError(AssertionError):
     """An internal consistency check failed; indicates a bug or bad input."""
 
 
 def _verify_universal_pair_iso(het: HetBifunctor, x: str, first: tuple[str, str],
-                               other: tuple[str, str], side: str) -> None:
+                               other: tuple[str, str]) -> None:
     """Two universal elements for the same index must have isomorphic carriers."""
     (b0, u0), (b1, u1) = first, other
-    if side == "left":
-        homs01 = [g for g in het.a_cat.hom(b0, b1) if het.act_r(g, u0) == u1]
-        homs10 = [g for g in het.a_cat.hom(b1, b0) if het.act_r(g, u1) == u0]
-        cat = het.a_cat
-    else:
-        homs01 = [f for f in het.x_cat.hom(b1, b0) if het.act_l(f, u0) == u1]
-        homs10 = [f for f in het.x_cat.hom(b0, b1) if het.act_l(f, u1) == u0]
-        cat = het.x_cat
+    cat = het.a_cat
+    homs01 = [g for g in cat.hom(b0, b1) if het.act_r(g, u0) == u1]
+    homs10 = [g for g in cat.hom(b1, b0) if het.act_r(g, u1) == u0]
     if len(homs01) != 1 or len(homs10) != 1:
         raise KernelInvariantError(
             f"universal elements at {x} lack unique mutual factor maps")
-    g01, g10 = homs01[0], homs10[0]
-    if side == "left":
-        back = cat.compose(g01, g10)
-        forth = cat.compose(g10, g01)
-    else:
-        back = cat.compose(g10, g01)
-        forth = cat.compose(g01, g10)
+    back, forth = cat.compose(homs01[0], homs10[0]), cat.compose(homs10[0], homs01[0])
     if back != cat.id_of(b0) or forth != cat.id_of(b1):
         raise KernelInvariantError(
             f"factor maps between universal carriers {b0}, {b1} at {x} "
             f"do not compose to identities")
+
+
+def _as_dual_left(rep: RightRepresentation) -> LeftRepresentation:
+    """A right representation read as a left representation of dual(rep.het)."""
+    d, fun = dual(rep.het), rep.functor
+    return LeftRepresentation(
+        d, FinFunctor(fun.name, d.x_cat, d.a_cat, fun.obj_map, fun.mor_map),
+        rep.universal,
+        {(a, x): {f: c for c, f in table.items()} for (x, a), table in rep.phi.items()},
+        rep.equivalent_universals)
 
 
 def check_left_representation(rep: LeftRepresentation) -> LawReport:
@@ -393,47 +398,18 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
 
 
 def check_right_representation(rep: RightRepresentation) -> LawReport:
+    """The left check of the dual representation, after phi-domain.
+
+    phi-domain is tested here because inverting a phi defined off its cell
+    can drop entries, so the dual check alone could miss it.
+    """
     het = rep.het
     out = LawReport(f"right representation of {het.name}")
-    out.extend(check_functor(rep.functor))
-    fun = rep.functor
-    for a in het.a_cat.objects:
-        ea = rep.universal[a]
-        if het.cell_of(ea) != (fun.on_obj(a), a):
-            out.add("universal-placement", (a, ea), "e_a not in cell (Ga, a)")
     for x in het.x_cat.objects:
         for a in het.a_cat.objects:
-            table = rep.phi[(x, a)]
-            if set(table) != set(het.cell(x, a)):
+            if set(rep.phi[(x, a)]) != set(het.cell(x, a)):
                 out.add("phi-domain", (x, a), "phi not defined on exactly the cell")
-                continue
-            images = list(table.values())
-            if sorted(images) != sorted(het.x_cat.hom(x, fun.on_obj(a))):
-                out.add("phi-bijective", (x, a),
-                        f"phi image {sorted(images)} != Hom(x, Ga)")
-            for c, f in table.items():
-                if het.act_l(f, rep.universal[a]) != c:
-                    out.add("phi-formula", (x, a, c), "phi^-1(f) != e.f")
-    # naturality of phi in x: phi(c.h) = h then phi(c) for h: x' -> x
-    for h in het.x_cat.morphisms:
-        x2, x = h.dom, h.cod
-        for a in het.a_cat.objects:
-            for c, f in rep.phi[(x, a)].items():
-                lhs = rep.phi[(x2, a)].get(het.act_l(h.id, c))
-                rhs = het.x_cat.compose(h.id, f)
-                if lhs != rhs:
-                    out.add("phi-naturality-left", (h.id, a, c),
-                            f"phi(c.h) = {lhs}, h;phi(c) = {rhs}")
-    # naturality of phi in a: phi(k.c) = phi(c) then Gk for k: a -> a'
-    for k in het.a_cat.morphisms:
-        a, a2 = k.dom, k.cod
-        for x in het.x_cat.objects:
-            for c, f in rep.phi[(x, a)].items():
-                lhs = rep.phi[(x, a2)].get(het.act_r(k.id, c))
-                rhs = het.x_cat.compose(f, fun.on_mor(k.id))
-                if lhs != rhs:
-                    out.add("phi-naturality-right", (k.id, x, c),
-                            f"phi(k.c) = {lhs}, phi(c);Gk = {rhs}")
+    out.extend(check_left_representation(_as_dual_left(rep)))
     return out.normalize()
 
 
@@ -483,39 +459,13 @@ def compare_left_representation(rep: LeftRepresentation, functor: FinFunctor,
 
 def compare_right_representation(rep: RightRepresentation, functor: FinFunctor,
                                  universals: dict[str, str]) -> LawReport:
-    """Dual comparison for right representations."""
-    het = rep.het
-    out = LawReport(f"right representation of {het.name} vs {functor.name}")
-    mediators: dict[str, str] = {}
-    for a in het.a_cat.objects:
-        b_rec, u_rec = rep.functor.on_obj(a), rep.universal[a]
-        b_exp, u_exp = functor.on_obj(a), universals[a]
-        if het.cell_of(u_exp) != (b_exp, a):
-            out.add("expected-universal-placement", (a, u_exp),
-                    "expected universal not in cell (Ga, a)")
-            continue
-        forward = [f for f in het.x_cat.hom(b_exp, b_rec)
-                   if het.act_l(f, u_rec) == u_exp]
-        backward = [f for f in het.x_cat.hom(b_rec, b_exp)
-                    if het.act_l(f, u_exp) == u_rec]
-        if len(forward) != 1 or len(backward) != 1:
-            out.add("comparison-mediator", (a,),
-                    f"{len(forward)} forward and {len(backward)} backward mediators")
-            continue
-        if het.x_cat.compose(forward[0], backward[0]) != het.x_cat.id_of(b_exp) or \
-                het.x_cat.compose(backward[0], forward[0]) != het.x_cat.id_of(b_rec):
-            out.add("comparison-iso", (a,), "mediators do not compose to identities")
-            continue
-        mediators[a] = forward[0]
-    if not out.ok:
-        return out.normalize()
-    for k in het.a_cat.morphisms:
-        lhs = het.x_cat.compose(mediators[k.dom], rep.functor.on_mor(k.id))
-        rhs = het.x_cat.compose(functor.on_mor(k.id), mediators[k.cod])
-        if lhs != rhs:
-            out.add("comparison-naturality", (k.id,),
-                    f"mediator;recovered = {lhs}, expected;mediator = {rhs}")
-    return out.normalize()
+    """Dual comparison: compare_left_representation on dual(rep.het).
+
+    The expected functor stands for its opposite, whose tables are its own.
+    """
+    out = compare_left_representation(_as_dual_left(rep), functor, universals)
+    out.subject = f"right representation of {rep.het.name} vs {functor.name}"
+    return out
 
 
 def find_left_representation(
@@ -544,7 +494,7 @@ def find_left_representation(
             degenerate = all(not het.cell(x, a) for a in het.a_cat.objects)
             return NonRepresentabilityWitness("left", x, degenerate, tuple(failures))
         for other in winners[1:]:
-            _verify_universal_pair_iso(het, x, winners[0], other, "left")
+            _verify_universal_pair_iso(het, x, winners[0], other)
         chosen[x] = winners[0]
         equivalents[x] = tuple(winners)
     # unique fill-in for the morphism part: Fj is the unique g with h_x . g = j . h_x'
@@ -575,49 +525,16 @@ def find_left_representation(
 
 def find_right_representation(
         het: HetBifunctor) -> Union[RightRepresentation, NonRepresentabilityWitness]:
-    """Dual search; the universal element e_a satisfies phi^-1(1_Ga) = e_a."""
-    chosen: dict[str, tuple[str, str]] = {}
-    equivalents: dict[str, tuple[tuple[str, str], ...]] = {}
-    for a in het.a_cat.objects:
-        winners: list[tuple[str, str]] = []
-        failures: list[CandidateFailure] = []
-        for b in het.x_cat.objects:
-            for u in het.cell(b, a):
-                ok, info = co_universal_element_check(het, a, b, u)
-                if ok:
-                    winners.append((b, u))
-                else:
-                    failures.append(CandidateFailure(b, u, *info))
-        if not winners:
-            degenerate = all(not het.cell(x, a) for x in het.x_cat.objects)
-            return NonRepresentabilityWitness("right", a, degenerate, tuple(failures))
-        for other in winners[1:]:
-            _verify_universal_pair_iso(het, a, winners[0], other, "right")
-        chosen[a] = winners[0]
-        equivalents[a] = tuple(winners)
-    obj_map = {a: chosen[a][0] for a in het.a_cat.objects}
-    mor_map: dict[str, str] = {}
-    # Gk is the unique f with e_a . f = k . e_a' for k: a' -> a
-    for k in het.a_cat.morphisms:
-        a2, a = k.dom, k.cod
-        target = het.act_r(k.id, chosen[a2][1])
-        fs = [f for f in het.x_cat.hom(obj_map[a2], obj_map[a])
-              if het.act_l(f, chosen[a][1]) == target]
-        if len(fs) != 1:
-            raise KernelInvariantError(
-                f"morphism fill-in for {k.id} is not unique ({len(fs)} candidates)")
-        mor_map[k.id] = fs[0]
-    fun = FinFunctor(f"G[{het.name}]", het.a_cat, het.x_cat, obj_map, mor_map)
-    phi: dict[tuple[str, str], dict[str, str]] = {}
-    for x in het.x_cat.objects:
-        for a in het.a_cat.objects:
-            inverse = {f: het.act_l(f, chosen[a][1])
-                       for f in het.x_cat.hom(x, obj_map[a])}
-            phi[(x, a)] = {c: f for f, c in inverse.items()}
-    rep = RightRepresentation(het, fun, {a: u for a, (_, u) in chosen.items()},
-                              phi, equivalents)
-    problems = check_right_representation(rep)
-    if not problems.ok:
-        raise KernelInvariantError(
-            f"constructed right representation fails its own laws:\n{problems.summary()}")
-    return rep
+    """The left search on dual(het), relabelled.
+
+    e_a is universal for Het(-, a) exactly when it is universal for the
+    dual's Het(a, -); G is the dual's F, and phi is the inverse of its psi.
+    """
+    found = find_left_representation(dual(het))
+    if isinstance(found, NonRepresentabilityWitness):
+        return replace(found, side="right")
+    fun = found.functor
+    G = FinFunctor(f"G[{het.name}]", het.a_cat, het.x_cat, fun.obj_map, fun.mor_map)
+    phi = {(x, a): {c: f for f, c in found.psi[(a, x)].items()}
+           for x in het.x_cat.objects for a in het.a_cat.objects}
+    return RightRepresentation(het, G, found.universal, phi, found.equivalent_universals)

@@ -6,9 +6,9 @@ import pytest
 
 import hetcat.cli
 from hetcat.cli import main
-from hetcat.documents import (category_to_payload, dumps_document, loads_document,
-                              make_document)
-from hetcat.het import KernelInvariantError
+from hetcat.documents import (bifunctor_to_payload, category_to_payload,
+                              dumps_document, loads_document, make_document)
+from hetcat.het import KernelInvariantError, build_het, hom_bifunctor
 
 
 def run(capsys, *argv):
@@ -82,6 +82,64 @@ def test_check_short_composition_triple_exits_two(capsys, tmp_path, category_doc
     code, out = run(capsys, "check", str(path))
     assert code == 2
     assert "malformed category payload" in out
+
+
+def test_check_deeply_nested_document_exits_two(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": "hetcat/1", "kind": "category", "meta": {}, "payload": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "nested too deeply" in out
+
+
+def _edit_bundle(tmp_path, bundle, edit):
+    doc = loads_document(open(bundle).read())
+    edit(doc["payload"]["bifunctor"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_action_table_for_unknown_morphism_exits_two(capsys, tmp_path, galois_bundle,
+                                                     side):
+    path = _edit_bundle(tmp_path, galois_bundle, lambda p: p[f"act_{side}"].append(
+        {"morphism": "bogus", "mapping": {}}))
+    code, out = run(capsys, "check", path)
+    assert code == 2
+    assert f"{side} action table for unknown morphism 'bogus'" in out
+
+
+def test_string_cell_elements_exit_two(capsys, tmp_path, terminal_cat):
+    het = build_het("one", terminal_cat, terminal_cat, lambda x, a: ("u",),
+                    lambda h, c: c, lambda k, c: c)
+    payload = bifunctor_to_payload(het)
+    path = tmp_path / "one.json"
+    path.write_text(dumps_document(make_document("bifunctor", payload)))
+    assert run(capsys, "check", str(path))[0] == 0
+    # a one-character string would split into the same single element
+    payload["cells"][0]["elements"] = "u"
+    path.write_text(dumps_document(make_document("bifunctor", payload)))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert "cell elements must be a JSON array of strings, got str" in out
+
+
+def test_factorize_checks_bifunctor_laws_first(capsys, tmp_path, skeleton2):
+    het = hom_bifunctor(skeleton2)
+    payload = bifunctor_to_payload(het)
+    entry = next(e for e in payload["act_left"] if e["morphism"] == "2>2:1,0")
+    entry["mapping"]["2>2:0,1"] = "2>2:0,0"     # rerouted inside its cell
+    path = tmp_path / "rerouted.json"
+    path.write_text(dumps_document(make_document("bifunctor", payload)))
+    for argv in (("adjoint", str(path)), ("factorize", str(path), "2>2:0,1")):
+        code, out = run(capsys, *argv, "--json")
+        assert code == 1, argv
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == "bifunctor laws" and not check["ok"]
+        laws = {v["law"] for v in check["violations"]}
+        assert {"bimodule-associativity", "left-functoriality"} <= laws
 
 
 def test_kernel_invariant_failure_exits_two(capsys, monkeypatch, galois_bundle):
