@@ -131,10 +131,13 @@ def _out_homs(cat: FinCategory) -> dict[str, dict[str, list[str]]]:
 
 
 def _row_getters(cat: FinCategory) -> dict[str, Callable[[str], str | None]]:
-    """f -> the `get` of {g: f then g}, over the composition table."""
+    """f -> the `get` of {g: f then g}, over the composable entries of the
+    composition table."""
     rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
+    mor = cat._mor
     for (f, g), h in cat.comp.items():
-        rows[f][g] = h
+        if mor[f].cod == mor[g].dom:
+            rows[f][g] = h
     return {f: row.get for f, row in rows.items()}
 
 
@@ -218,9 +221,18 @@ def comma_of_functors(left: FinFunctor, right: FinFunctor,
         for m in target.hom(left.on_obj(a), right.on_obj(b))
     ]
 
+    then = _row_getters(target)
+    left_mor, right_mor = left.mor_map.get, right.mor_map.get
+
     def commutes(src, dst, k, h):
-        return target.compose(src[2], right.on_mor(h)) == \
-            target.compose(left.on_mor(k), dst[2])
+        lk = left_mor(k)
+        lhs = then[src[2]](right_mor(h))
+        rhs = then[lk](dst[2]) if lk is not None else None
+        if lhs is None or rhs is None:
+            # a missing image or composite: the checked calls raise
+            return target.compose(src[2], right.on_mor(h)) == \
+                target.compose(left.on_mor(k), dst[2])
+        return lhs == rhs
 
     return _tabulate(f"({left.name},{right.name})",
                      left.source, right.source, triples, commutes, guard)

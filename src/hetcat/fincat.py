@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GuardExceeded, StructuralError
 from .report import LawReport
@@ -51,7 +52,8 @@ class FinCategory:
     def __post_init__(self):
         if len(set(self.objects)) != len(self.objects):
             raise StructuralError(f"{self.name}: duplicate object ids")
-        mor = {m.id: m for m in self.morphisms}
+        self._index()
+        mor = self._mor
         if len(mor) != len(self.morphisms):
             raise StructuralError(f"{self.name}: duplicate morphism ids")
         objset = set(self.objects)
@@ -64,6 +66,10 @@ class FinCategory:
         for (f, g), h in self.comp.items():
             if f not in mor or g not in mor or h not in mor:
                 raise StructuralError(f"{self.name}: composition entry ({f}, {g}) -> {h} unresolved")
+
+    def _index(self) -> None:
+        """The id and hom-set indexes; the construction checks rely on them."""
+        mor = {m.id: m for m in self.morphisms}
         hom: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms:
             hom.setdefault((m.dom, m.cod), []).append(m.id)
@@ -392,24 +398,48 @@ def identity_nat_trans(fun: FinFunctor) -> NatTrans:
     )
 
 
+class _Opposite(FinCategory):
+    """The opposite of a built category, as made by `opposite`.
+
+    Its tables derive from that category, so they are indexed but not
+    checked again, and the composition table is reversed on first use: a
+    search that only reads objects and hom-sets never builds it.
+    """
+
+    @cached_property
+    def comp(self) -> dict[tuple[str, str], str]:
+        return {(g, f): h for (f, g), h in self._opposite.comp.items()}
+
+
 def opposite(cat: FinCategory) -> FinCategory:
-    """Reverse all arrows: comp_op[(f, g)] = comp[(g, f)]. An involution."""
-    name = cat.name[:-3] if cat.name.endswith("^op") else cat.name + "^op"
-    return FinCategory(
-        name=name,
-        objects=cat.objects,
-        morphisms=tuple(Morphism(m.id, m.cod, m.dom, m.label) for m in cat.morphisms),
-        identity=dict(cat.identity),
-        comp={(g, f): h for (f, g), h in cat.comp.items()},
-        obj_labels=dict(cat.obj_labels),
-    )
+    """Reverse all arrows: comp_op[(f, g)] = comp[(g, f)]. An involution.
+
+    The opposite is built once per category and kept with it; its own
+    opposite is `cat`.
+    """
+    op = cat.__dict__.get("_opposite")
+    if op is None:
+        op = object.__new__(_Opposite)
+        fields = {
+            "name": cat.name[:-3] if cat.name.endswith("^op") else cat.name + "^op",
+            "objects": cat.objects,
+            "morphisms": tuple(Morphism(m.id, m.cod, m.dom, m.label) for m in cat.morphisms),
+            "identity": dict(cat.identity),
+            "obj_labels": dict(cat.obj_labels),
+            "_opposite": cat,
+        }
+        for name, value in fields.items():
+            object.__setattr__(op, name, value)
+        op._index()
+        object.__setattr__(cat, "_opposite", op)
+    return op
 
 
 def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProductCategory(FinCategory):
     """Product category with componentwise structure and pair-id lookup."""
 
@@ -467,7 +497,7 @@ def product_projections(prod: ProductCategory, left: FinCategory,
     return p0, p1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FunctorCategory(FinCategory):
     """Functor category whose objects carry their FinFunctor values."""
 

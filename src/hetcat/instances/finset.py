@@ -2,16 +2,23 @@
 shapes, explicit set-valued diagrams, and direct limit/colimit computation.
 
 Skeleton objects are cardinalities named "0", "1", ...; a morphism k -> m is a
-function stored as the tuple of images of 0..k-1. Limits are the compatible
-tuples (global sections) of a diagram; colimits are the blocks of the finest
-equivalence generated by relating each element to its images, computed by
-union-find with the minimal member as the canonical representative.
+function stored as the tuple of images of 0..k-1. The skeleton is tabulated
+in time linear in its composition table: each morphism's image tuple is made
+once, and the composites of f: k -> m with all of hom(m, p) come from one
+C-level pass that reads each g's images at f's and looks the result up in an
+index of hom(k, p). For n = 4 that is 499 morphisms and 133,799 composites.
+
+Limits are the compatible tuples (global sections) of a diagram; colimits are
+the blocks of the finest equivalence generated by relating each element to
+its images, computed by union-find with the minimal member as the canonical
+representative.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..errors import GuardExceeded, StructuralError
 from ..fincat import FinCategory, Morphism
@@ -28,28 +35,35 @@ def fn_images(mid: str) -> tuple[int, ...]:
 
 
 def finset_skeleton(n: int, guard: int = 8) -> FinCategory:
-    """Objects 0..n as cardinalities, morphisms all functions between them."""
+    """Objects 0..n as cardinalities, morphisms all functions between them.
+
+    Morphisms are listed by domain, then codomain, then image tuple; the
+    composition table follows that order in f and then in g.
+    """
     if n > guard:
         raise GuardExceeded(f"finset skeleton bound {n} exceeds guard {guard}", n)
     objects = tuple(str(k) for k in range(n + 1))
+    cards = range(n + 1)
     morphisms = []
-    by_sig: dict[tuple[int, int, tuple[int, ...]], str] = {}
-    for k in range(n + 1):
-        for m in range(n + 1):
-            for images in itertools.product(range(m), repeat=k):
-                mid = fn_id(k, m, images)
-                morphisms.append(Morphism(mid, str(k), str(m)))
-                by_sig[(k, m, images)] = mid
-    identity = {str(k): fn_id(k, k, tuple(range(k))) for k in range(n + 1)}
+    # per (k, m): the functions k -> m as ids and image tuples, in id order,
+    # the image-tuple -> id index, and each image tuple's __getitem__
+    ids, images, index, getters = {}, {}, {}, {}
+    for k in cards:
+        for m in cards:
+            images[k, m] = list(itertools.product(range(m), repeat=k))
+            ids[k, m] = [fn_id(k, m, i) for i in images[k, m]]
+            morphisms.extend(Morphism(mid, objects[k], objects[m]) for mid in ids[k, m])
+            index[k, m] = dict(zip(images[k, m], ids[k, m]))
+            getters[k, m] = [i.__getitem__ for i in images[k, m]]
+    identity = {str(k): fn_id(k, k, tuple(range(k))) for k in cards}
     comp = {}
-    for f in morphisms:
-        k = int(f.dom)
-        fi = fn_images(f.id)
-        for g in morphisms:
-            if g.dom != f.cod:
-                continue
-            gi = fn_images(g.id)
-            comp[(f.id, g.id)] = by_sig[(k, int(g.cod), tuple(gi[i] for i in fi))]
+    for (k, m), f_ids in ids.items():
+        for fid, fi in zip(f_ids, images[k, m]):
+            for p in cards:
+                # g's images read at f's images are the images of "f then g"
+                composites = map(tuple, map(map, getters[m, p], repeat(fi)))
+                comp.update(zip(zip(repeat(fid), ids[m, p]),
+                                map(index[k, p].__getitem__, composites)))
     return FinCategory(
         name=f"FinSet<={n}",
         objects=objects,

@@ -4,7 +4,9 @@ Heteromorphisms from a set to a diagram are cones; from a diagram to a set,
 cocones. Cells are tabulated exhaustively over a finite-set skeleton and the
 functor category of diagrams, and the adjoints are recovered by the generic
 representability search, then compared against the direct limit and colimit
-computations.
+computations. Cells keep each element's legs; an action table sends every
+leg through a per-morphism dict of leg images and looks the result up in the
+target cell's index, so it is filled in time linear in its entries.
 
 Finiteness caveat: a representing object for Het(-, D) is a set of the same
 cardinality as the limit of D, and limits of discrete diagrams multiply
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import repeat
 
 from ..fincat import FinCategory, FinFunctor, FunctorCategory, functor_category
 from ..het import HetBifunctor
@@ -40,6 +43,49 @@ def _cocone_id(did: str, z: str, legs: Legs) -> str:
 
 def _diagram_cards(shape: FinCategory, fun: FinFunctor) -> tuple[int, ...]:
     return tuple(skeleton_card(fun.on_obj(o)) for o in shape.objects)
+
+
+def _functions(lengths, values: int) -> list[tuple[int, ...]]:
+    """Every function w -> values, for w in lengths, as its image tuple."""
+    return [f for w in lengths for f in itertools.product(range(values), repeat=w)]
+
+
+def _precompose(fi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each leg g sent to "f then g", for the function f with images fi."""
+    getters = [leg.__getitem__ for leg in legs]
+    return dict(zip(legs, map(tuple, map(map, getters, repeat(fi)))))
+
+
+def _postcompose(gi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each leg f sent to "f then g", for the function g with images gi."""
+    return dict(zip(legs, map(tuple, map(map, repeat(gi.__getitem__), legs))))
+
+
+def _components(leg_maps, fcat: FunctorCategory, t: str, order) -> tuple[dict, ...]:
+    """The leg maps of t's components, in shape-object order."""
+    components = fcat.transformations[t].components
+    return tuple(leg_maps[components[o]] for o in order)
+
+
+def _actions(cells, legs):
+    """The function that fills an action table over these cells, where
+    legs[cell] lists the legs of each element of the cell, in the cell's
+    order.
+
+    `action(maps, moves)` sends, for each (source cell, target cell) in
+    moves, every element of the source cell, its i-th leg through maps[i],
+    to the element of the target cell with those legs.
+    """
+    index = {cell: dict(zip(legs[cell], ids)) for cell, ids in cells.items()}
+
+    def action(maps, moves) -> dict[str, str]:
+        table: dict[str, str] = {}
+        for src, dst in moves:
+            images = map(tuple, map(map, repeat(dict.__getitem__), repeat(maps), legs[src]))
+            table.update(zip(cells[src], map(index[dst].__getitem__, images)))
+        return table
+
+    return action
 
 
 def _nat_lookup(fcat: FunctorCategory, shape: FinCategory):
@@ -87,40 +133,25 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
         return out
 
     cells: dict[tuple[str, str], tuple[str, ...]] = {}
-    legs_of: dict[str, tuple[str, str, Legs]] = {}
-    id_of: dict[tuple[str, str, Legs], str] = {}
+    legs: dict[tuple[str, str], list[Legs]] = {}
     for wobj in skel.objects:
-        w = skeleton_card(wobj)
         for did in fcat.objects:
-            ids = []
-            for legs in cones_of(w, did):
-                cid = _cone_id(wobj, did, legs)
-                ids.append(cid)
-                legs_of[cid] = (wobj, did, legs)
-                id_of[(wobj, did, legs)] = cid
-            cells[(wobj, did)] = tuple(ids)
+            legs[(wobj, did)] = found = cones_of(skeleton_card(wobj), did)
+            cells[(wobj, did)] = tuple(_cone_id(wobj, did, cone) for cone in found)
 
-    act_left: dict[str, dict[str, str]] = {}
-    for h in skel.morphisms:
-        hi = fn_images(h.id)
-        table = {}
-        for did in fcat.objects:
-            for cid in cells[(h.cod, did)]:
-                _, _, legs = legs_of[cid]
-                new = tuple(tuple(leg[i] for i in hi) for leg in legs)
-                table[cid] = id_of[(h.dom, did, new)]
-        act_left[h.id] = table
-    act_right: dict[str, dict[str, str]] = {}
-    for t in fcat.morphisms:
-        comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
-        table = {}
-        for wobj in skel.objects:
-            for cid in cells[(wobj, t.dom)]:
-                _, _, legs = legs_of[cid]
-                new = tuple(tuple(comps[i][v] for v in leg)
-                            for i, leg in enumerate(legs))
-                table[cid] = id_of[(wobj, t.cod, new)]
-        act_right[t.id] = table
+    # a leg w -> c is a function of the skeleton: h: w' -> w acts by "h then
+    # leg", a transformation by "leg then its component"
+    before = {h.id: _precompose(fn_images(h.id), _functions((skeleton_card(h.cod),), n))
+              for h in skel.morphisms}
+    after = {g.id: _postcompose(fn_images(g.id), _functions(range(n + 1), skeleton_card(g.dom)))
+             for g in skel.morphisms}
+    action = _actions(cells, legs)
+    act_left = {h.id: action((before[h.id],) * len(order),
+                             [((h.cod, did), (h.dom, did)) for did in fcat.objects])
+                for h in skel.morphisms}
+    act_right = {t.id: action(_components(after, fcat, t.id, order),
+                              [((wobj, t.dom), (wobj, t.cod)) for wobj in skel.objects])
+                 for t in fcat.morphisms}
     het = HetBifunctor(f"cones[{shape_name},n={n}]", skel, fcat,
                        cells, act_left, act_right)
 
@@ -226,40 +257,25 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
         return out
 
     cells: dict[tuple[str, str], tuple[str, ...]] = {}
-    legs_of: dict[str, tuple[str, str, Legs]] = {}
-    id_of: dict[tuple[str, str, Legs], str] = {}
+    legs: dict[tuple[str, str], list[Legs]] = {}
     for did in fcat.objects:
         for zobj in skel.objects:
-            ids = []
-            for legs in cocones_of(did, skeleton_card(zobj)):
-                cid = _cocone_id(did, zobj, legs)
-                ids.append(cid)
-                legs_of[cid] = (did, zobj, legs)
-                id_of[(did, zobj, legs)] = cid
-            cells[(did, zobj)] = tuple(ids)
+            legs[(did, zobj)] = found = cocones_of(did, skeleton_card(zobj))
+            cells[(did, zobj)] = tuple(_cocone_id(did, zobj, cocone) for cocone in found)
 
-    act_left: dict[str, dict[str, str]] = {}
-    for t in fcat.morphisms:
-        comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
-        cards = _diagram_cards(shape, fcat.functors[t.dom])
-        table = {}
-        for zobj in skel.objects:
-            for cid in cells[(t.cod, zobj)]:
-                _, _, legs = legs_of[cid]
-                new = tuple(tuple(legs[i][comps[i][e]] for e in range(cards[i]))
-                            for i in range(len(order)))
-                table[cid] = id_of[(t.dom, zobj, new)]
-        act_left[t.id] = table
-    act_right: dict[str, dict[str, str]] = {}
-    for h in skel.morphisms:
-        hi = fn_images(h.id)
-        table = {}
-        for did in fcat.objects:
-            for cid in cells[(did, h.dom)]:
-                _, _, legs = legs_of[cid]
-                new = tuple(tuple(hi[v] for v in leg) for leg in legs)
-                table[cid] = id_of[(did, h.cod, new)]
-        act_right[h.id] = table
+    # a leg c -> z is a function of the skeleton: a transformation acts by
+    # "its component then leg", h: z -> z' by "leg then h"
+    before = {g.id: _precompose(fn_images(g.id), _functions((skeleton_card(g.cod),), bound))
+              for g in diag_skel.morphisms}
+    after = {h.id: _postcompose(fn_images(h.id), _functions(range(n + 1), skeleton_card(h.dom)))
+             for h in skel.morphisms}
+    action = _actions(cells, legs)
+    act_left = {t.id: action(_components(before, fcat, t.id, order),
+                             [((t.cod, zobj), (t.dom, zobj)) for zobj in skel.objects])
+                for t in fcat.morphisms}
+    act_right = {h.id: action((after[h.id],) * len(order),
+                              [((did, h.dom), (did, h.cod)) for did in fcat.objects])
+                 for h in skel.morphisms}
     het = HetBifunctor(f"cocones[{shape_name},n={n}]", fcat, skel,
                        cells, act_left, act_right)
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcat.comma as comma_mod
-from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, build_adjunction,
-                    build_het, check_category, check_functor, comma_of_bifunctor,
-                    comma_of_functors, constant_functor, half_lawvere_iso_check,
-                    hom_bifunctor, hom_comma_equivalence, identity_functor,
-                    lawvere_iso_check)
+from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, StructuralError,
+                    build_adjunction, build_het, check_category, check_functor,
+                    comma_of_bifunctor, comma_of_functors, constant_functor,
+                    half_lawvere_iso_check, hom_bifunctor, hom_comma_equivalence,
+                    identity_functor, lawvere_iso_check)
 from hetcat.comma import _comma_iso, _comma_iso_witnesses
 from hetcat.het import LeftRepresentation, find_left_representation
 from hetcat.instances import (finset_skeleton, galois_connections,
@@ -224,6 +224,30 @@ def test_guard_matches_reference(monkeypatch, galois_lower_adj, extra):
         _reference_build_comma(*targs[:5], guard)
     assert str(new.value) == str(ref.value)
     assert new.value.estimate == ref.value.estimate
+
+
+def test_functor_comma_raises_on_missing_images_and_composites(skeleton1):
+    # squares are decided from composition rows; a miss falls back to the
+    # checked calls, which name the missing entry
+    ident = identity_functor(skeleton1)
+    partial = FinFunctor("partial", skeleton1, skeleton1, ident.obj_map,
+                         {m: g for m, g in ident.mor_map.items() if m != "1>1:0"})
+    with pytest.raises(StructuralError, match="partial: morphism map not total at '1>1:0'"):
+        comma_of_functors(ident, partial)
+    comp = {pair: h for pair, h in skeleton1.comp.items() if pair != ("0>1:", "1>1:0")}
+    broken = FinCategory("broken", skeleton1.objects, skeleton1.morphisms,
+                         skeleton1.identity, comp)
+    with pytest.raises(StructuralError,
+                       match=r"broken: composition table missing \(0>1:, 1>1:0\)"):
+        comma_of_functors(identity_functor(broken), identity_functor(broken))
+    # an entry for a non-composable pair is not a composite either
+    stray = FinCategory("stray", skeleton1.objects, skeleton1.morphisms, skeleton1.identity,
+                        {**skeleton1.comp, ("0>1:", "0>1:"): "0>1:",
+                         ("1>1:0", "0>1:"): "0>1:"})
+    ident = identity_functor(stray)
+    bent = FinFunctor("bent", stray, stray, ident.obj_map, {**ident.mor_map, "1>1:0": "0>1:"})
+    with pytest.raises(StructuralError, match="stray: 0>1: and 0>1: are not composable"):
+        comma_of_functors(ident, bent)
 
 
 # -- the int iso check against the string check, witness for witness ------------

@@ -203,6 +203,13 @@ def test_opposite_is_involution(chain2, skeleton2, powerset2):
         assert opposite(op) == cat
 
 
+def test_opposite_is_built_once(chain2, skeleton2):
+    for cat in (chain2, skeleton2):
+        op = opposite(cat)
+        assert opposite(cat) is op and opposite(op) is cat
+        assert op.hom("1", "0") == cat.hom("0", "1")
+
+
 def test_opposite_reverses_chain(chain2):
     op = opposite(chain2)
     assert op.hom("1", "0") == ("le",)
@@ -297,3 +304,10 @@ def test_functor_category_guard():
     with pytest.raises(GuardExceeded) as err:
         functor_category(diagram_shape("parallel-pair"), finset_skeleton(2), guard=10)
     assert err.value.estimate > 10
+
+
+def test_product_and_functor_category_reprs_are_one_line(skeleton1):
+    fcat = functor_category(diagram_shape("parallel-pair"), skeleton1)
+    assert repr(fcat) == "FinCategory('FinSet<=1^parallel-pair', 3 objects, 6 morphisms)"
+    prod = product_category(skeleton1, skeleton1)
+    assert repr(prod) == "FinCategory('FinSet<=1xFinSet<=1', 4 objects, 9 morphisms)"

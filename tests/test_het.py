@@ -561,6 +561,52 @@ def test_right_checks_match_reference_on_corrupted_reps(name, n_corruptions, dat
             [(v.law, v.witness) for v in want.violations]
 
 
+def _reference_universal_element_check(het, x, b, u):
+    """One count over hom(b, a) per element c: O(|cell| * |hom|) per a."""
+    if het.cell_of(u) != (x, b):
+        raise StructuralError(f"{het.name}: {u!r} is not in cell ({x}, {b})")
+    for a in het.a_cat.objects:
+        for c in het.cell(x, a):
+            n = sum(1 for g in het.a_cat.hom(b, a) if het.act_r(g, u) == c)
+            if n != 1:
+                return False, (a, c, n)
+    return True, None
+
+
+def _call(check, *args):
+    try:
+        return check(*args)
+    except StructuralError as exc:
+        return type(exc), str(exc)
+
+
+def _universal_checks_agree(het):
+    for (x, b), cell in het.cells.items():
+        for u in cell:
+            assert _call(universal_element_check, het, x, b, u) == \
+                _call(_reference_universal_element_check, het, x, b, u)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(POOL)), st.integers(0, 2), st.data())
+def test_universal_check_matches_reference(name, n_mutations, data):
+    het = POOL[name]
+    for _ in range(n_mutations):
+        het = _reroute_action(het, data)
+    _universal_checks_agree(het)
+
+
+def test_universal_check_raises_like_reference(skeleton2):
+    het = hom_bifunctor(skeleton2)
+    act_right = {k: dict(t) for k, t in het.act_right.items()}
+    del act_right["2>2:1,0"]["1>2:0"]
+    broken = HetBifunctor("broken", het.x_cat, het.a_cat, dict(het.cells),
+                          dict(het.act_left), act_right)
+    with pytest.raises(StructuralError, match="right action of '2>2:1,0' undefined"):
+        universal_element_check(broken, "1", "2", "1>2:0")
+    _universal_checks_agree(broken)
+
+
 def test_co_universal_check_matches_reference():
     for het in POOL.values():
         for a in het.a_cat.objects:
@@ -606,6 +652,24 @@ def test_universal_in_another_cell_is_reported(hom_reps):
     moved = {**right.universal, "2": "2>1:0,0"}
     assert "universal-placement" in _laws(
         check_right_representation(replace(right, universal=moved)))
+
+
+def test_left_universal_off_its_column_is_reported(hom_reps):
+    het, left, right = hom_reps
+    # h_1 moved from cell (1, 1) to (1, 2): u.g is undefined for g out of 1
+    moved = {**left.universal, "1": "1>2:0"}
+    report = check_left_representation(replace(left, universal=moved))
+    assert [(v.law, v.witness) for v in report.violations] == [
+        ("universal-placement", ("1", "1>2:0"))]
+
+
+def test_right_universal_off_its_row_is_reported(hom_reps):
+    het, left, right = hom_reps
+    # e_1 moved from cell (1, 1) to (2, 1): e.f is undefined for f into 1
+    moved = {**right.universal, "1": "2>1:0,0"}
+    report = check_right_representation(replace(right, universal=moved))
+    assert [(v.law, v.witness) for v in report.violations] == [
+        ("universal-placement", ("1", "2>1:0,0"))]
 
 
 def test_rewired_functor_image_is_reported(hom_reps):

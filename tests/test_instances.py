@@ -18,7 +18,8 @@ from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
                               limit_of, limits_adjunction,
                               skeleton_functor_to_diagram, ur_adjunction,
                               verify_elementwise)
-from hetcat.instances.finset import fn_id
+from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images
+from hetcat.instances.limits import _cocone_id, _cone_id
 
 
 # -- skeleton -----------------------------------------------------------------
@@ -37,6 +38,39 @@ def test_skeleton_counts():
 def test_skeleton_guard():
     with pytest.raises(GuardExceeded):
         finset_skeleton(9)
+
+
+def _reference_finset_skeleton(n):
+    """The quadratic tabulation: every morphism pair, g's images re-parsed."""
+    objects = tuple(str(k) for k in range(n + 1))
+    morphisms, by_sig = [], {}
+    for k in range(n + 1):
+        for m in range(n + 1):
+            for images in itertools.product(range(m), repeat=k):
+                mid = fn_id(k, m, images)
+                morphisms.append((mid, str(k), str(m)))
+                by_sig[(k, m, images)] = mid
+    identity = {str(k): fn_id(k, k, tuple(range(k))) for k in range(n + 1)}
+    comp = {}
+    for fid, fdom, fcod in morphisms:
+        fi = fn_images(fid)
+        for gid, gdom, gcod in morphisms:
+            if gdom != fcod:
+                continue
+            gi = fn_images(gid)
+            comp[(fid, gid)] = by_sig[(int(fdom), int(gcod), tuple(gi[i] for i in fi))]
+    return objects, morphisms, identity, comp
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_skeleton_matches_reference(n):
+    skel = finset_skeleton(n)
+    objects, morphisms, identity, comp = _reference_finset_skeleton(n)
+    assert skel.objects == objects
+    assert [(m.id, m.dom, m.cod, m.label) for m in skel.morphisms] == \
+        [(mid, dom, cod, "") for mid, dom, cod in morphisms]
+    assert list(skel.identity.items()) == list(identity.items())
+    assert list(skel.comp.items()) == list(comp.items())
 
 
 # -- limits and colimits of explicit diagrams ----------------------------------
@@ -211,6 +245,110 @@ def test_discrete_cardinality_laws():
 
 
 # -- the limit/colimit adjunctions ------------------------------------------------
+
+def _legs_of_cells(pairs):
+    """Cells, id -> legs and (cell, legs) -> id, from each cell's id maker
+    and legs."""
+    cells, legs_of, id_of = {}, {}, {}
+    for pair, make_id, found in pairs:
+        ids = []
+        for legs in found:
+            cid = make_id(legs)
+            ids.append(cid)
+            legs_of[cid] = legs
+            id_of[pair + (legs,)] = cid
+        cells[pair] = tuple(ids)
+    return cells, legs_of, id_of
+
+
+def _reference_cone_tables(inst):
+    """Cells and action tables of the cone bifunctor, one generator per entry."""
+    shape, skel, fcat = inst.shape, inst.skeleton, inst.diagrams
+    order = shape.objects
+    non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
+    idx = {o: i for i, o in enumerate(order)}
+
+    def cones_of(w, did):
+        fun = fcat.functors[did]
+        arrows = {m.id: fn_images(fun.on_mor(m.id)) for m in non_id}
+        pools = [itertools.product(range(int(fun.on_obj(o))), repeat=w) for o in order]
+        for combo in itertools.product(*pools):
+            if all(arrows[m.id][combo[idx[m.dom]][i]] == combo[idx[m.cod]][i]
+                   for m in non_id for i in range(w)):
+                yield tuple(combo)
+
+    cells, legs_of, id_of = _legs_of_cells((
+        ((w, did), lambda legs, w=w, did=did: _cone_id(w, did, legs), cones_of(int(w), did))
+        for w in skel.objects for did in fcat.objects))
+    act_left = {}
+    for h in skel.morphisms:
+        hi = fn_images(h.id)
+        act_left[h.id] = {
+            cid: id_of[(h.dom, did, tuple(tuple(leg[i] for i in hi) for leg in legs_of[cid]))]
+            for did in fcat.objects for cid in cells[(h.cod, did)]}
+    act_right = {}
+    for t in fcat.morphisms:
+        comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
+        act_right[t.id] = {
+            cid: id_of[(w, t.cod, tuple(tuple(comps[i][v] for v in leg)
+                                        for i, leg in enumerate(legs_of[cid])))]
+            for w in skel.objects for cid in cells[(w, t.dom)]}
+    return cells, act_left, act_right
+
+
+def _reference_cocone_tables(inst):
+    """Cells and action tables of the cocone bifunctor, one generator per entry."""
+    shape, skel, fcat = inst.shape, inst.skeleton, inst.diagrams
+    order = shape.objects
+    non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
+    idx = {o: i for i, o in enumerate(order)}
+
+    def cocones_of(did, z):
+        fun = fcat.functors[did]
+        cards = [int(fun.on_obj(o)) for o in order]
+        arrows = {m.id: fn_images(fun.on_mor(m.id)) for m in non_id}
+        pools = [itertools.product(range(z), repeat=c) for c in cards]
+        for combo in itertools.product(*pools):
+            if all(combo[idx[m.cod]][arrows[m.id][e]] == combo[idx[m.dom]][e]
+                   for m in non_id for e in range(cards[idx[m.dom]])):
+                yield tuple(combo)
+
+    cells, legs_of, id_of = _legs_of_cells((
+        ((did, z), lambda legs, did=did, z=z: _cocone_id(did, z, legs), cocones_of(did, int(z)))
+        for did in fcat.objects for z in skel.objects))
+    act_left = {}
+    for t in fcat.morphisms:
+        comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
+        act_left[t.id] = {
+            cid: id_of[(t.dom, z, tuple(tuple(legs_of[cid][i][e] for e in comps[i])
+                                        for i in range(len(order))))]
+            for z in skel.objects for cid in cells[(t.cod, z)]}
+    act_right = {}
+    for h in skel.morphisms:
+        hi = fn_images(h.id)
+        act_right[h.id] = {
+            cid: id_of[(did, h.cod, tuple(tuple(hi[v] for v in leg) for leg in legs_of[cid]))]
+            for did in fcat.objects for cid in cells[(did, h.dom)]}
+    return cells, act_left, act_right
+
+
+def _ordered(tables):
+    cells, act_left, act_right = tables
+    return (list(cells.items()),
+            [(m, list(t.items())) for m, t in act_left.items()],
+            [(m, list(t.items())) for m, t in act_right.items()])
+
+
+@pytest.mark.parametrize("shape_name,n", [(name, 1) for name in SHAPE_NAMES] + [
+    ("terminal", 2), ("discrete-2", 2), ("parallel-pair", 2)])
+def test_cone_and_cocone_tables_match_reference(shape_name, n):
+    for build, reference in ((limits_adjunction, _reference_cone_tables),
+                             (colimits_adjunction, _reference_cocone_tables)):
+        inst = build(shape_name, n)
+        het = inst.het
+        assert _ordered((het.cells, het.act_left, het.act_right)) == \
+            _ordered(reference(inst))
+
 
 def test_limits_pp2_bifunctor_laws_and_recovery(limits_pp2, limits_pp2_adj):
     assert check_bifunctor(limits_pp2.het).ok
