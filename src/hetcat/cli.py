@@ -122,6 +122,16 @@ def _witness_notes(result) -> list[str]:
     return notes
 
 
+def _full_suite(adj: Adjunction, guard: int) -> list[dict]:
+    return [
+        _check_entry("four-bifunctor isomorphism", four_bifunctor_iso(adj)),
+        _check_entry("triangular and over-and-back identities",
+                     over_and_back_and_triangles(adj)),
+        _check_entry("comma-category equivalence", lawvere_iso_check(adj, guard=guard)),
+        _check_entry("representation round-trip", representation_roundtrip(adj)),
+    ]
+
+
 def cmd_adjoint(args) -> int:
     doc = _read_document(args.path)
     kind, value = parse_document(doc)
@@ -162,13 +172,7 @@ def cmd_adjoint(args) -> int:
         ok = expected["right_object_map"] == adj.G.obj_map
         checks.append(_note_entry("expected right adjoint", ok,
                                   [] if ok else ["object map differs from expectation"]))
-    checks.append(_check_entry("four-bifunctor isomorphism", four_bifunctor_iso(adj)))
-    checks.append(_check_entry("triangular and over-and-back identities",
-                               over_and_back_and_triangles(adj)))
-    checks.append(_check_entry("comma-category equivalence",
-                               lawvere_iso_check(adj, guard=args.guard)))
-    checks.append(_check_entry("representation round-trip",
-                               representation_roundtrip(adj)))
+    checks += _full_suite(adj, args.guard)
     code = 0 if all(c["ok"] for c in checks) else 1
     out["exit"] = code
     _emit(out, args.json)
@@ -178,16 +182,6 @@ def cmd_adjoint(args) -> int:
 # ---------------------------------------------------------------------------
 # demo
 # ---------------------------------------------------------------------------
-
-def _full_suite(adj: Adjunction, guard: int) -> list[dict]:
-    return [
-        _check_entry("four-bifunctor isomorphism", four_bifunctor_iso(adj)),
-        _check_entry("triangular and over-and-back identities",
-                     over_and_back_and_triangles(adj)),
-        _check_entry("comma-category equivalence", lawvere_iso_check(adj, guard=guard)),
-        _check_entry("representation round-trip", representation_roundtrip(adj)),
-    ]
-
 
 def _demo_ur(args):
     skel = instances.finset_skeleton(args.n)
@@ -204,7 +198,10 @@ def _parse_map(spec: str) -> dict[str, str]:
         src, _, dst = part.partition(":")
         if not src or not dst:
             raise DocumentError(f"bad --map entry {part!r}; use 'x:y,...' form")
-        out[src.strip()] = dst.strip()
+        key = src.strip()
+        if key in out:
+            raise DocumentError(f"--map sends {key!r} more than once")
+        out[key] = dst.strip()
     return out
 
 
@@ -414,6 +411,9 @@ def cmd_demo(args) -> int:
     if args.name not in DEMOS:
         raise DocumentError(f"unknown demo {args.name!r}; "
                             f"choose one of {', '.join(sorted(DEMOS))}")
+    for flag in ("n", "a"):
+        if getattr(args, flag) < 0:
+            raise DocumentError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
     checks, het, expected_left, expected_right, extras = DEMOS[args.name](args)
     code = 0 if all(c["ok"] for c in checks) else 1
     out = {"command": f"demo {args.name}", "subject": het.name,

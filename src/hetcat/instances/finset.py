@@ -1,12 +1,19 @@
-"""Finite-set scaffolding: the skeleton category of small finite sets, diagram
-shapes, explicit set-valued diagrams, and direct limit/colimit computation.
+"""Finite-set scaffolding: categories of finite functions and their function
+hets, the skeleton category of small finite sets, diagram shapes, explicit
+set-valued diagrams, and direct limit/colimit computation.
 
-Skeleton objects are cardinalities named "0", "1", ...; a morphism k -> m is a
-function stored as the tuple of images of 0..k-1. The skeleton is tabulated
-in time linear in its composition table: each morphism's image tuple is made
-once, and the composites of f: k -> m with all of hom(m, p) come from one
-C-level pass that reads each g's images at f's and looks the result up in an
-index of hom(k, p). For n = 4 that is 499 morphisms and 133,799 composites.
+One tabulator pair serves every instance whose morphisms and heteromorphisms
+are plain functions between finite carriers. `function_category` lists every
+function (or every one a predicate admits) between the carriers of its
+objects, with each morphism's image tuple made once; the composites of
+f: d -> c with all of hom(c, e) come from one C-level pass that reads each
+g's images at f's and looks the result up in an index of hom(d, e), so it
+runs in time linear in its composition table. `function_het` holds every
+function from an x carrier to an a carrier and fills its action tables with
+`_actions`, the routine the cone and cocone tabulators use too. The
+skeleton, whose objects are cardinalities named "0", "1", ..., is
+`function_category` over every function; for n = 4 that is 499 morphisms
+and 133,799 composites.
 
 Limits are the compatible tuples (global sections) of a diagram; colimits are
 the blocks of the finest equivalence generated by relating each element to
@@ -22,6 +29,7 @@ from itertools import repeat
 
 from ..errors import GuardExceeded, StructuralError
 from ..fincat import FinCategory, Morphism
+from ..het import HetBifunctor
 
 
 def fn_id(k: int, m: int, images: tuple[int, ...]) -> str:
@@ -29,48 +37,125 @@ def fn_id(k: int, m: int, images: tuple[int, ...]) -> str:
 
 
 def fn_images(mid: str) -> tuple[int, ...]:
-    """Recover the image tuple from a skeleton morphism id."""
-    _, _, imgs = mid.partition(":")
+    """Recover the image tuple from a function id: the part after its last colon."""
+    imgs = mid.rpartition(":")[2]
     return tuple(int(s) for s in imgs.split(",")) if imgs else ()
 
 
-def finset_skeleton(n: int, guard: int = 8) -> FinCategory:
-    """Objects 0..n as cardinalities, morphisms all functions between them.
+def function_category(name: str, cards: dict[str, int], prefix, keep=None) -> FinCategory:
+    """Objects with finite carriers, morphisms the functions between them.
 
-    Morphisms are listed by domain, then codomain, then image tuple; the
-    composition table follows that order in f and then in g.
+    `cards` maps each object, in order, to the size of its carrier. A
+    morphism d -> c is a function that `keep(d, c, images)` admits (every
+    function when keep is None), with id f"{prefix(d, c)}:{images}"; keep
+    must admit identities and be closed under composition. Morphisms are
+    listed by domain, then codomain, then image tuple; the composition table
+    follows that order in f and then in g.
     """
-    if n > guard:
-        raise GuardExceeded(f"finset skeleton bound {n} exceeds guard {guard}", n)
-    objects = tuple(str(k) for k in range(n + 1))
-    cards = range(n + 1)
+    objects = tuple(cards)
     morphisms = []
-    # per (k, m): the functions k -> m as ids and image tuples, in id order,
+    # per (d, c): the functions d -> c as ids and image tuples, in id order,
     # the image-tuple -> id index, and each image tuple's __getitem__
     ids, images, index, getters = {}, {}, {}, {}
-    for k in cards:
-        for m in cards:
-            images[k, m] = list(itertools.product(range(m), repeat=k))
-            ids[k, m] = [fn_id(k, m, i) for i in images[k, m]]
-            morphisms.extend(Morphism(mid, objects[k], objects[m]) for mid in ids[k, m])
-            index[k, m] = dict(zip(images[k, m], ids[k, m]))
-            getters[k, m] = [i.__getitem__ for i in images[k, m]]
-    identity = {str(k): fn_id(k, k, tuple(range(k))) for k in cards}
+    for d in objects:
+        for c in objects:
+            fns = itertools.product(range(cards[c]), repeat=cards[d])
+            images[d, c] = list(fns) if keep is None else [i for i in fns if keep(d, c, i)]
+            head = prefix(d, c) + ":"
+            ids[d, c] = [head + ",".join(map(str, i)) for i in images[d, c]]
+            morphisms.extend(Morphism(mid, d, c) for mid in ids[d, c])
+            index[d, c] = dict(zip(images[d, c], ids[d, c]))
+            getters[d, c] = [i.__getitem__ for i in images[d, c]]
+    identity = {d: index[d, d][tuple(range(cards[d]))] for d in objects}
     comp = {}
-    for (k, m), f_ids in ids.items():
-        for fid, fi in zip(f_ids, images[k, m]):
-            for p in cards:
+    for (d, c), f_ids in ids.items():
+        for fid, fi in zip(f_ids, images[d, c]):
+            for e in objects:
                 # g's images read at f's images are the images of "f then g"
-                composites = map(tuple, map(map, getters[m, p], repeat(fi)))
-                comp.update(zip(zip(repeat(fid), ids[m, p]),
-                                map(index[k, p].__getitem__, composites)))
-    return FinCategory(
-        name=f"FinSet<={n}",
-        objects=objects,
-        morphisms=tuple(morphisms),
-        identity=identity,
-        comp=comp,
-    )
+                composites = map(tuple, map(map, getters[c, e], repeat(fi)))
+                comp.update(zip(zip(repeat(fid), ids[c, e]),
+                                map(index[d, e].__getitem__, composites)))
+    return FinCategory(name, objects, tuple(morphisms), identity, comp)
+
+
+def finset_skeleton(n: int, guard: int = 8) -> FinCategory:
+    """Objects 0..n as cardinalities, morphisms all functions between them."""
+    if n > guard:
+        raise GuardExceeded(f"finset skeleton bound {n} exceeds guard {guard}", n)
+    return function_category(f"FinSet<={n}", {str(k): k for k in range(n + 1)},
+                             lambda d, c: f"{d}>{c}")
+
+
+def _functions(lengths, values: int) -> list[tuple[int, ...]]:
+    """Every function w -> values, for w in lengths, as its image tuple."""
+    return [f for w in lengths for f in itertools.product(range(values), repeat=w)]
+
+
+def _precompose(fi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each leg g sent to "f then g", for the function f with images fi."""
+    getters = [leg.__getitem__ for leg in legs]
+    return dict(zip(legs, map(tuple, map(map, getters, repeat(fi)))))
+
+
+def _postcompose(gi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each leg f sent to "f then g", for the function g with images gi."""
+    return dict(zip(legs, map(tuple, map(map, repeat(gi.__getitem__), legs))))
+
+
+def _actions(cells, legs):
+    """The function that fills an action table over these cells, where
+    legs[cell] lists the legs of each element of the cell, in the cell's
+    order.
+
+    `action(maps, moves)` sends, for each (source cell, target cell) in
+    moves, every element of the source cell, its i-th leg through maps[i],
+    to the element of the target cell with those legs.
+    """
+    index = {cell: dict(zip(legs[cell], ids)) for cell, ids in cells.items()}
+
+    def action(maps, moves) -> dict[str, str]:
+        table: dict[str, str] = {}
+        for src, dst in moves:
+            images = map(tuple, map(map, repeat(dict.__getitem__), repeat(maps), legs[src]))
+            table.update(zip(cells[src], map(index[dst].__getitem__, images)))
+        return table
+
+    return action
+
+
+def function_het(name: str, X: FinCategory, A: FinCategory, x_card, a_card, prefix,
+                 x_images=fn_images) -> HetBifunctor:
+    """The het-bifunctor whose cell (x, a) holds every function from x's
+    carrier (size x_card(x)) to a's (size a_card(a)), in image-tuple order,
+    with id f"{prefix(x, a)}:{images}".
+
+    h: x' -> x acts by "h then c", with h's map on carriers read by
+    `x_images(h.id)`; k: a -> a' acts by "c then k", with k's map read by
+    `fn_images`. Each function is its own single leg, so both action tables
+    are filled by `_actions` in time linear in their entries.
+    """
+    cells, legs = {}, {}
+    for x in X.objects:
+        for a in A.objects:
+            fns = list(itertools.product(range(a_card(a)), repeat=x_card(x)))
+            head = prefix(x, a) + ":"
+            cells[x, a] = tuple(head + ",".join(map(str, i)) for i in fns)
+            legs[x, a] = list(zip(fns))
+    # the legs an action may meet: by the size of an x carrier, every
+    # function out of it into the largest a carrier; by the size of an a
+    # carrier, every function into it out of any x carrier
+    x_cards = sorted(set(map(x_card, X.objects)))
+    a_max = max(map(a_card, A.objects), default=0)
+    out_of = {w: _functions((w,), a_max) for w in x_cards}
+    into = {v: _functions(x_cards, v) for v in set(map(a_card, A.objects))}
+    action = _actions(cells, legs)
+    act_left = {h.id: action((_precompose(x_images(h.id), out_of[x_card(h.cod)]),),
+                             [((h.cod, a), (h.dom, a)) for a in A.objects])
+                for h in X.morphisms}
+    act_right = {k.id: action((_postcompose(fn_images(k.id), into[a_card(k.dom)]),),
+                              [((x, k.dom), (x, k.cod)) for x in X.objects])
+                 for k in A.morphisms}
+    return HetBifunctor(name, X, A, cells, act_left, act_right)
 
 
 def skeleton_card(obj: str) -> int:

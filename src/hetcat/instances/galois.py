@@ -42,11 +42,12 @@ def powerset_poset(name: str, universe: tuple[str, ...]) -> FinCategory:
                 morphisms.append(Morphism(mid, ids[lo], ids[hi]))
                 mor_of[(lo, hi)] = mid
     identity = {ids[s]: mor_of[(s, s)] for s in subs}
-    comp = {}
-    for (lo, mid_), f in mor_of.items():
-        for (mid2, hi), g in mor_of.items():
-            if mid_ == mid2:
-                comp[(f, g)] = mor_of[(lo, hi)]
+    # the inclusions out of each subset, in morphism order
+    out_of = {s: [] for s in subs}
+    for (lo, hi), mid in mor_of.items():
+        out_of[lo].append((hi, mid))
+    comp = {(f, g): mor_of[(lo, hi)]
+            for (lo, mid_), f in mor_of.items() for hi, g in out_of[mid_]}
     return FinCategory(name, objects, tuple(morphisms), identity, comp)
 
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import repeat
 
 from ..fincat import FinCategory, FinFunctor, FunctorCategory, functor_category
 from ..het import HetBifunctor
-from .finset import (diagram_shape, finset_skeleton, fn_id, fn_images,
+from .finset import (_actions, _functions, _postcompose, _precompose,
+                     diagram_shape, finset_skeleton, fn_id, fn_images,
                      limit_of, colimit_of, skeleton_card,
                      skeleton_functor_to_diagram)
 
@@ -45,55 +45,39 @@ def _diagram_cards(shape: FinCategory, fun: FinFunctor) -> tuple[int, ...]:
     return tuple(skeleton_card(fun.on_obj(o)) for o in shape.objects)
 
 
-def _functions(lengths, values: int) -> list[tuple[int, ...]]:
-    """Every function w -> values, for w in lengths, as its image tuple."""
-    return [f for w in lengths for f in itertools.product(range(values), repeat=w)]
-
-
-def _precompose(fi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each leg g sent to "f then g", for the function f with images fi."""
-    getters = [leg.__getitem__ for leg in legs]
-    return dict(zip(legs, map(tuple, map(map, getters, repeat(fi)))))
-
-
-def _postcompose(gi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each leg f sent to "f then g", for the function g with images gi."""
-    return dict(zip(legs, map(tuple, map(map, repeat(gi.__getitem__), legs))))
-
-
 def _components(leg_maps, fcat: FunctorCategory, t: str, order) -> tuple[dict, ...]:
     """The leg maps of t's components, in shape-object order."""
     components = fcat.transformations[t].components
     return tuple(leg_maps[components[o]] for o in order)
 
 
-def _actions(cells, legs):
-    """The function that fills an action table over these cells, where
-    legs[cell] lists the legs of each element of the cell, in the cell's
-    order.
-
-    `action(maps, moves)` sends, for each (source cell, target cell) in
-    moves, every element of the source cell, its i-th leg through maps[i],
-    to the element of the target cell with those legs.
-    """
-    index = {cell: dict(zip(legs[cell], ids)) for cell, ids in cells.items()}
-
-    def action(maps, moves) -> dict[str, str]:
-        table: dict[str, str] = {}
-        for src, dst in moves:
-            images = map(tuple, map(map, repeat(dict.__getitem__), repeat(maps), legs[src]))
-            table.update(zip(cells[src], map(index[dst].__getitem__, images)))
-        return table
-
-    return action
-
-
-def _nat_lookup(fcat: FunctorCategory, shape: FinCategory):
-    return {
+def _diagonal(shape: FinCategory, skel: FinCategory,
+              fcat: FunctorCategory) -> tuple[dict[str, str], FinFunctor | None]:
+    """The constant diagram at each object of skel that has one in fcat, and
+    the constant-diagram functor skel -> fcat when every object has one."""
+    non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
+    const_id = {}
+    for wobj in skel.objects:
+        target = {o: wobj for o in shape.objects}
+        for did, fun in fcat.functors.items():
+            if fun.obj_map == target and all(fun.on_mor(m.id) == skel.id_of(wobj)
+                                             for m in non_id):
+                const_id[wobj] = did
+                break
+    if len(const_id) < len(skel.objects):
+        return const_id, None
+    lookup = {
         (m.dom, m.cod, tuple(fcat.transformations[m.id].components[o]
                              for o in shape.objects)): m.id
         for m in fcat.morphisms
     }
+    return const_id, FinFunctor(
+        "Delta", skel, fcat,
+        obj_map=dict(const_id),
+        mor_map={h.id: lookup[(const_id[h.dom], const_id[h.cod],
+                               tuple(h.id for _ in shape.objects))]
+                 for h in skel.morphisms},
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,22 +140,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
                        cells, act_left, act_right)
 
     # expected left adjoint: the constant-diagram functor
-    lookup = _nat_lookup(fcat, shape)
-    const_id = {}
-    for wobj in skel.objects:
-        target = {o: wobj for o in order}
-        for did, fun in fcat.functors.items():
-            if fun.obj_map == target and all(fcat.functors[did].on_mor(m.id) ==
-                                             skel.id_of(wobj) for m in non_id):
-                const_id[wobj] = did
-                break
-    delta = FinFunctor(
-        "Delta", skel, fcat,
-        obj_map=const_id,
-        mor_map={h.id: lookup[(const_id[h.dom], const_id[h.cod],
-                               tuple(h.id for _ in order))]
-                 for h in skel.morphisms},
-    )
+    const_id, delta = _diagonal(shape, skel, fcat)
 
     # expected right adjoint via the direct limit computation
     lim_cards = {}
@@ -296,25 +265,8 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     colim = FinFunctor("Colim", fcat, skel, obj_map, mor_map)
 
     # expected right adjoint: the constant-diagram functor, total iff bound == n
-    lookup = _nat_lookup(fcat, shape)
     escape = tuple(z for z in skel.objects if skeleton_card(z) > n)
-    delta = None
-    const_id = {}
-    for zobj in diag_skel.objects:
-        target = {o: zobj for o in order}
-        for did, fun in fcat.functors.items():
-            if fun.obj_map == target and all(fun.on_mor(m.id) == diag_skel.id_of(zobj)
-                                             for m in non_id):
-                const_id[zobj] = did
-                break
-    if not escape:
-        delta = FinFunctor(
-            "Delta", skel, fcat,
-            obj_map=dict(const_id),
-            mor_map={h.id: lookup[(const_id[h.dom], const_id[h.cod],
-                                   tuple(h.id for _ in order))]
-                     for h in skel.morphisms},
-        )
+    const_id, delta = _diagonal(shape, skel, fcat)
 
     injection_cocones = {}
     for did in fcat.objects:

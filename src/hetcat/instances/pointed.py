@@ -13,44 +13,19 @@ is genuine and complete; the right search returns an honest witness there.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ..errors import GuardExceeded
-from ..fincat import FinCategory, FinFunctor, Morphism
+from ..fincat import FinCategory, FinFunctor
 from ..het import HetBifunctor
-from .finset import finset_skeleton, fn_images
+from .finset import finset_skeleton, fn_images, function_category, function_het
 
 
 def pointed_category(max_size: int) -> FinCategory:
     """Pointed sets on carriers 1..max_size, basepoint 0, point-fixing maps."""
-    objects = tuple(f"pt{m}" for m in range(1, max_size + 1))
-    morphisms = []
-    by_sig = {}
-    for m in range(1, max_size + 1):
-        for p in range(1, max_size + 1):
-            for rest in itertools.product(range(p), repeat=m - 1):
-                images = (0,) + rest
-                mid = f"p:{m}>{p}:" + ",".join(map(str, images))
-                morphisms.append(Morphism(mid, f"pt{m}", f"pt{p}"))
-                by_sig[(m, p, images)] = mid
-    identity = {f"pt{m}": by_sig[(m, m, tuple(range(m)))]
-                for m in range(1, max_size + 1)}
-    comp = {}
-    for f in morphisms:
-        fi = _images(f.id)
-        for g in morphisms:
-            if g.dom != f.cod:
-                continue
-            gi = _images(g.id)
-            comp[(f.id, g.id)] = by_sig[(len(fi), int(g.cod[2:]),
-                                         tuple(gi[i] for i in fi))]
-    return FinCategory("FinSet*", objects, tuple(morphisms), identity, comp)
-
-
-def _images(mid: str) -> tuple[int, ...]:
-    _, _, imgs = mid.rpartition(":")
-    return tuple(int(s) for s in imgs.split(",")) if imgs else ()
+    return function_category(
+        "FinSet*", {f"pt{m}": m for m in range(1, max_size + 1)},
+        lambda d, c: f"p:{d[2:]}>{c[2:]}", keep=lambda d, c, images: images[0] == 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,33 +44,8 @@ def pointed_free_forgetful(n: int, guard: int = 3) -> PointedInstance:
     sets = finset_skeleton(n)
     pointed = pointed_category(n + 1)
 
-    cells = {}
-    for k in range(n + 1):
-        for m in range(1, n + 2):
-            cells[(str(k), f"pt{m}")] = tuple(
-                f"sp:{k}>{m}:" + ",".join(map(str, imgs))
-                for imgs in itertools.product(range(m), repeat=k))
-    act_left = {}
-    for h in sets.morphisms:
-        hi = fn_images(h.id)
-        table = {}
-        for m in range(1, n + 2):
-            for c in cells[(h.cod, f"pt{m}")]:
-                imgs = _images(c)
-                table[c] = f"sp:{h.dom}>{m}:" + ",".join(str(imgs[i]) for i in hi)
-        act_left[h.id] = table
-    act_right = {}
-    for q in pointed.morphisms:
-        qi = _images(q.id)
-        m2 = q.cod[2:]
-        table = {}
-        for k in range(n + 1):
-            for c in cells[(str(k), q.dom)]:
-                imgs = _images(c)
-                table[c] = f"sp:{k}>{m2}:" + ",".join(str(qi[v]) for v in imgs)
-        act_right[q.id] = table
-    het = HetBifunctor(f"set-to-pointed<= {n}", sets, pointed,
-                       cells, act_left, act_right)
+    het = function_het(f"set-to-pointed<= {n}", sets, pointed,
+                       int, lambda a: int(a[2:]), lambda x, a: f"sp:{x}>{a[2:]}")
 
     free = FinFunctor(
         "Free", sets, pointed,

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from ..errors import GuardExceeded
-from ..fincat import FinCategory, FinFunctor, Morphism
+from ..fincat import FinCategory, FinFunctor
 from ..het import HetBifunctor
-from .finset import finset_skeleton, fn_id, fn_images
+from .finset import finset_skeleton, fn_id, fn_images, function_category, function_het
 
 
 def _preorders_on(k: int) -> list[frozenset[tuple[int, int]]]:
@@ -44,41 +44,15 @@ def _is_poset(rel: frozenset[tuple[int, int]]) -> bool:
 
 def _ordered_category(name: str, n: int, posets_only: bool) -> tuple[FinCategory, dict]:
     """Preorders (or posets) on carriers 0..n with monotone maps."""
-    objs = []
-    data = {}
-    for k in range(n + 1):
-        for rel in _preorders_on(k):
-            if posets_only and not _is_poset(rel):
-                continue
-            oid = _preorder_id(k, rel)
-            objs.append(oid)
-            data[oid] = (k, rel)
-    morphisms = []
-    by_sig = {}
-    for p in objs:
-        kp, rp = data[p]
-        for q in objs:
-            kq, rq = data[q]
-            for images in itertools.product(range(kq), repeat=kp):
-                if all((images[i], images[j]) in rq for (i, j) in rp):
-                    mid = f"{p}>{q}:" + ",".join(map(str, images))
-                    morphisms.append(Morphism(mid, p, q))
-                    by_sig[(p, q, images)] = mid
-    identity = {p: by_sig[(p, p, tuple(range(data[p][0])))] for p in objs}
-    comp = {}
-    for f in morphisms:
-        fi = _mono_images(f.id)
-        for g in morphisms:
-            if g.dom != f.cod:
-                continue
-            gi = _mono_images(g.id)
-            comp[(f.id, g.id)] = by_sig[(f.dom, g.cod, tuple(gi[i] for i in fi))]
-    return FinCategory(name, tuple(objs), tuple(morphisms), identity, comp), data
+    data = {_preorder_id(k, rel): (k, rel) for k in range(n + 1) for rel in _preorders_on(k)
+            if not posets_only or _is_poset(rel)}
 
+    def monotone(p, q, images):
+        rq = data[q][1]
+        return all((images[i], images[j]) in rq for (i, j) in data[p][1])
 
-def _mono_images(mid: str) -> tuple[int, ...]:
-    _, _, imgs = mid.rpartition(":")
-    return tuple(int(s) for s in imgs.split(",")) if imgs else ()
+    cards = {p: k for p, (k, _) in data.items()}
+    return function_category(name, cards, lambda p, q: f"{p}>{q}", keep=monotone), data
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,53 +97,21 @@ def preorder_adjunction_chain(n: int, guard: int = 2) -> PreorderInstance:
     forgetful = FinFunctor(
         "Underlying", preorders, sets,
         obj_map={p: str(pdata[p][0]) for p in preorders.objects},
-        mor_map={m.id: fn_id(pdata[m.dom][0], pdata[m.cod][0], _mono_images(m.id))
+        mor_map={m.id: fn_id(pdata[m.dom][0], pdata[m.cod][0], fn_images(m.id))
                  for m in preorders.morphisms},
     )
     poset_forgetful = FinFunctor(
         "Underlying|Pos", posets, sets,
         obj_map={p: str(qdata[p][0]) for p in posets.objects},
-        mor_map={m.id: fn_id(qdata[m.dom][0], qdata[m.cod][0], _mono_images(m.id))
+        mor_map={m.id: fn_id(qdata[m.dom][0], qdata[m.cod][0], fn_images(m.id))
                  for m in posets.morphisms},
     )
 
-    def functions_het(name, x_cat, a_cat, x_card, a_card, tag):
-        cells = {}
-        for x in x_cat.objects:
-            for a in a_cat.objects:
-                kx, ka = x_card(x), a_card(a)
-                cells[(x, a)] = tuple(
-                    f"{tag}:{x}>{a}:" + ",".join(map(str, imgs))
-                    for imgs in itertools.product(range(ka), repeat=kx))
-        # both skeleton and preorder morphism ids keep their image tuple
-        # after the final colon, so one parser serves both sides
-        act_left = {}
-        for h in x_cat.morphisms:
-            hi = _mono_images(h.id)
-            table = {}
-            for a in a_cat.objects:
-                for c in cells[(h.cod, a)]:
-                    imgs = _mono_images(c)
-                    table[c] = f"{tag}:{h.dom}>{a}:" + ",".join(
-                        str(imgs[i]) for i in hi)
-            act_left[h.id] = table
-        act_right = {}
-        for k in a_cat.morphisms:
-            ki = _mono_images(k.id)
-            table = {}
-            for x in x_cat.objects:
-                for c in cells[(x, k.dom)]:
-                    imgs = _mono_images(c)
-                    table[c] = f"{tag}:{x}>{k.cod}:" + ",".join(
-                        str(ki[v]) for v in imgs)
-            act_right[k.id] = table
-        return HetBifunctor(name, x_cat, a_cat, cells, act_left, act_right)
-
-    lower = functions_het("set-to-preorder", sets, preorders,
-                          lambda x: int(x), lambda a: pdata[a][0], "du")
-    upper = functions_het("preorder-to-set", preorders, sets,
-                          lambda p: pdata[p][0], lambda z: int(z), "ui")
-    poset_het = functions_het("poset-to-set", posets, sets,
-                              lambda p: qdata[p][0], lambda z: int(z), "pu")
+    lower = function_het("set-to-preorder", sets, preorders,
+                         int, lambda a: pdata[a][0], lambda x, a: f"du:{x}>{a}")
+    upper = function_het("preorder-to-set", preorders, sets,
+                         lambda p: pdata[p][0], int, lambda p, z: f"ui:{p}>{z}")
+    poset_het = function_het("poset-to-set", posets, sets,
+                             lambda p: qdata[p][0], int, lambda p, z: f"pu:{p}>{z}")
     return PreorderInstance(sets, preorders, posets, lower, upper, poset_het,
                             discrete, forgetful, indiscrete, poset_forgetful)

@@ -24,38 +24,16 @@ import itertools
 from dataclasses import dataclass
 
 from ..errors import GuardExceeded
-from ..fincat import FinCategory, FinFunctor, Morphism
+from ..fincat import FinCategory, FinFunctor
 from ..het import HetBifunctor
-from .finset import finset_skeleton, fn_id, fn_images
+from .finset import finset_skeleton, fn_id, fn_images, function_category, function_het
 
 
 def _power_category(y_max: int, a_size: int) -> FinCategory:
     """Full subcategory on the function-set carriers: objects pw_m of size m^|A|."""
-    objects = tuple(f"pw{m}" for m in range(y_max + 1))
-    card = {f"pw{m}": m ** a_size for m in range(y_max + 1)}
-    morphisms = []
-    by_sig = {}
-    for p in objects:
-        for q in objects:
-            for images in itertools.product(range(card[q]), repeat=card[p]):
-                mid = f"pm:{p}>{q}:" + ",".join(map(str, images))
-                morphisms.append(Morphism(mid, p, q))
-                by_sig[(p, q, images)] = mid
-    identity = {p: by_sig[(p, p, tuple(range(card[p])))] for p in objects}
-    comp = {}
-    for f in morphisms:
-        fi = _imgs(f.id)
-        for g in morphisms:
-            if g.dom != f.cod:
-                continue
-            gi = _imgs(g.id)
-            comp[(f.id, g.id)] = by_sig[(f.dom, g.cod, tuple(gi[i] for i in fi))]
-    return FinCategory(f"Powers^{a_size}", objects, tuple(morphisms), identity, comp)
-
-
-def _imgs(mid: str) -> tuple[int, ...]:
-    _, _, imgs = mid.rpartition(":")
-    return tuple(int(s) for s in imgs.split(",")) if imgs else ()
+    return function_category(f"Powers^{a_size}",
+                             {f"pw{m}": m ** a_size for m in range(y_max + 1)},
+                             lambda p, q: f"pm:{p}>{q}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,44 +63,19 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
     x_skel = finset_skeleton(n)
     y_skel = finset_skeleton(max(n, n * a_size))
 
+    def times_a(hid: str) -> tuple[int, ...]:
+        """The images of h x A on pairs coded (i, t) -> i*|A| + t."""
+        return tuple(v * a_size + t for v in fn_images(hid) for t in range(a_size))
+
     # coreflective: cells are all functions on the coded product
-    cells = {}
-    for k in range(n + 1):
-        for m in range(max(n, n * a_size) + 1):
-            cells[(str(k), str(m))] = tuple(
-                f"xa:{k}>{m}:" + ",".join(map(str, imgs))
-                for imgs in itertools.product(range(m), repeat=k * a_size))
-    act_left = {}
-    for h in x_skel.morphisms:
-        hi = fn_images(h.id)
-        k2 = int(h.dom)
-        table = {}
-        for m in y_skel.objects:
-            for c in cells[(h.cod, m)]:
-                imgs = _imgs(c)
-                new = tuple(imgs[hi[i] * a_size + t]
-                            for i in range(k2) for t in range(a_size))
-                table[c] = f"xa:{k2}>{m}:" + ",".join(map(str, new))
-        act_left[h.id] = table
-    act_right = {}
-    for g in y_skel.morphisms:
-        gi = fn_images(g.id)
-        table = {}
-        for k in x_skel.objects:
-            for c in cells[(k, g.dom)]:
-                imgs = _imgs(c)
-                table[c] = f"xa:{k}>{g.cod}:" + ",".join(str(gi[v]) for v in imgs)
-        act_right[g.id] = table
-    coreflective = HetBifunctor(f"product-maps[|A|={a_size}]", x_skel, y_skel,
-                                cells, act_left, act_right)
+    coreflective = function_het(f"product-maps[|A|={a_size}]", x_skel, y_skel,
+                                lambda k: int(k) * a_size, int,
+                                lambda k, m: f"xa:{k}>{m}", x_images=times_a)
     product_functor = FinFunctor(
         "TimesA", x_skel, y_skel,
         obj_map={str(k): str(k * a_size) for k in range(n + 1)},
-        mor_map={
-            h.id: fn_id(int(h.dom) * a_size, int(h.cod) * a_size, tuple(
-                fn_images(h.id)[i] * a_size + t
-                for i in range(int(h.dom)) for t in range(a_size)))
-            for h in x_skel.morphisms},
+        mor_map={h.id: fn_id(int(h.dom) * a_size, int(h.cod) * a_size, times_a(h.id))
+                 for h in x_skel.morphisms},
     )
     product_universals = {
         str(k): f"xa:{k}>{k * a_size}:" + ",".join(map(str, range(k * a_size)))
@@ -133,36 +86,12 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
     ambient = finset_skeleton(max(n, n ** a_size))
     powers = _power_category(n, a_size)
     pcard = {f"pw{m}": m ** a_size for m in range(n + 1)}
-    rcells = {}
-    for b in ambient.objects:
-        for p in powers.objects:
-            rcells[(b, p)] = tuple(
-                f"re:{b}>{p}:" + ",".join(map(str, imgs))
-                for imgs in itertools.product(range(pcard[p]), repeat=int(b)))
-    ract_left = {}
-    for h in ambient.morphisms:
-        hi = fn_images(h.id)
-        table = {}
-        for p in powers.objects:
-            for c in rcells[(h.cod, p)]:
-                imgs = _imgs(c)
-                table[c] = f"re:{h.dom}>{p}:" + ",".join(str(imgs[i]) for i in hi)
-        ract_left[h.id] = table
-    ract_right = {}
-    for q in powers.morphisms:
-        qi = _imgs(q.id)
-        table = {}
-        for b in ambient.objects:
-            for c in rcells[(b, q.dom)]:
-                imgs = _imgs(c)
-                table[c] = f"re:{b}>{q.cod}:" + ",".join(str(qi[v]) for v in imgs)
-        ract_right[q.id] = table
-    reflective = HetBifunctor(f"power-maps[|A|={a_size}]", ambient, powers,
-                              rcells, ract_left, ract_right)
+    reflective = function_het(f"power-maps[|A|={a_size}]", ambient, powers,
+                              int, pcard.__getitem__, lambda b, p: f"re:{b}>{p}")
     inclusion = FinFunctor(
         "IncludePowers", powers, ambient,
         obj_map={p: str(pcard[p]) for p in powers.objects},
-        mor_map={q.id: fn_id(pcard[q.dom], pcard[q.cod], _imgs(q.id))
+        mor_map={q.id: fn_id(pcard[q.dom], pcard[q.cod], fn_images(q.id))
                  for q in powers.morphisms},
     )
     inclusion_universals = {

@@ -166,6 +166,24 @@ def test_demo_guard_exceeded_exits_two(capsys):
     assert "guard" in out
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("prodexp", "--n", "1", "--a", "-1"), "--a"),
+    (("limits", "--n", "-2"), "--n"),
+    (("ur", "--n", "-1"), "--n"),
+])
+def test_demo_negative_size_exits_two(capsys, argv, flag):
+    code, out = run(capsys, "demo", *argv)
+    assert code == 2
+    assert f"error: {flag} must be non-negative" in out
+
+
+@pytest.mark.parametrize("spec", ["0:a,0:b", "0:a,1:b,0:a", "0:a, 0 :b"])
+def test_demo_repeated_map_source_exits_two(capsys, spec):
+    code, out = run(capsys, "demo", "galois", "--map", spec)
+    assert code == 2
+    assert "error: --map sends '0' more than once" in out
+
+
 def test_export_then_recheck_is_green(capsys, galois_bundle):
     code, _ = run(capsys, "check", galois_bundle)
     assert code == 0

@@ -16,10 +16,15 @@ from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
                               compose_cone_cocone, diagram_shape,
                               finset_skeleton, galois_connections,
                               limit_of, limits_adjunction,
+                              pointed_free_forgetful, powerset_poset,
+                              preorder_adjunction_chain, product_exponential,
                               skeleton_functor_to_diagram, ur_adjunction,
                               verify_elementwise)
+from hetcat.fincat import FinCategory, Morphism
 from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images
+from hetcat.instances.galois import subset_id
 from hetcat.instances.limits import _cocone_id, _cone_id
+from hetcat.instances.preorder import _is_poset, _preorder_id, _preorders_on
 
 
 # -- skeleton -----------------------------------------------------------------
@@ -350,6 +355,274 @@ def test_cone_and_cocone_tables_match_reference(shape_name, n):
             _ordered(reference(inst))
 
 
+# -- categories of finite functions and their function hets --------------------
+# The builders below are the quadratic tabulators that function_category and
+# function_het replaced, kept to pin the new tables, orders included.
+
+def _reference_images(mid):
+    _, _, imgs = mid.rpartition(":")
+    return tuple(int(s) for s in imgs.split(",")) if imgs else ()
+
+
+def _reference_pointed_category(max_size):
+    """Pointed sets on carriers 1..max_size, basepoint 0, point-fixing maps."""
+    objects = tuple(f"pt{m}" for m in range(1, max_size + 1))
+    morphisms = []
+    by_sig = {}
+    for m in range(1, max_size + 1):
+        for p in range(1, max_size + 1):
+            for rest in itertools.product(range(p), repeat=m - 1):
+                images = (0,) + rest
+                mid = f"p:{m}>{p}:" + ",".join(map(str, images))
+                morphisms.append(Morphism(mid, f"pt{m}", f"pt{p}"))
+                by_sig[(m, p, images)] = mid
+    identity = {f"pt{m}": by_sig[(m, m, tuple(range(m)))]
+                for m in range(1, max_size + 1)}
+    comp = {}
+    for f in morphisms:
+        fi = _reference_images(f.id)
+        for g in morphisms:
+            if g.dom != f.cod:
+                continue
+            gi = _reference_images(g.id)
+            comp[(f.id, g.id)] = by_sig[(len(fi), int(g.cod[2:]),
+                                         tuple(gi[i] for i in fi))]
+    return FinCategory("FinSet*", objects, tuple(morphisms), identity, comp)
+
+
+def _reference_ordered_category(name, n, posets_only):
+    """Preorders (or posets) on carriers 0..n with monotone maps."""
+    objs = []
+    data = {}
+    for k in range(n + 1):
+        for rel in _preorders_on(k):
+            if posets_only and not _is_poset(rel):
+                continue
+            oid = _preorder_id(k, rel)
+            objs.append(oid)
+            data[oid] = (k, rel)
+    morphisms = []
+    by_sig = {}
+    for p in objs:
+        kp, rp = data[p]
+        for q in objs:
+            kq, rq = data[q]
+            for images in itertools.product(range(kq), repeat=kp):
+                if all((images[i], images[j]) in rq for (i, j) in rp):
+                    mid = f"{p}>{q}:" + ",".join(map(str, images))
+                    morphisms.append(Morphism(mid, p, q))
+                    by_sig[(p, q, images)] = mid
+    identity = {p: by_sig[(p, p, tuple(range(data[p][0])))] for p in objs}
+    comp = {}
+    for f in morphisms:
+        fi = _reference_images(f.id)
+        for g in morphisms:
+            if g.dom != f.cod:
+                continue
+            gi = _reference_images(g.id)
+            comp[(f.id, g.id)] = by_sig[(f.dom, g.cod, tuple(gi[i] for i in fi))]
+    return FinCategory(name, tuple(objs), tuple(morphisms), identity, comp), data
+
+
+def _reference_power_category(y_max, a_size):
+    """Full subcategory on the function-set carriers: objects pw_m of size m^|A|."""
+    objects = tuple(f"pw{m}" for m in range(y_max + 1))
+    card = {f"pw{m}": m ** a_size for m in range(y_max + 1)}
+    morphisms = []
+    by_sig = {}
+    for p in objects:
+        for q in objects:
+            for images in itertools.product(range(card[q]), repeat=card[p]):
+                mid = f"pm:{p}>{q}:" + ",".join(map(str, images))
+                morphisms.append(Morphism(mid, p, q))
+                by_sig[(p, q, images)] = mid
+    identity = {p: by_sig[(p, p, tuple(range(card[p])))] for p in objects}
+    comp = {}
+    for f in morphisms:
+        fi = _reference_images(f.id)
+        for g in morphisms:
+            if g.dom != f.cod:
+                continue
+            gi = _reference_images(g.id)
+            comp[(f.id, g.id)] = by_sig[(f.dom, g.cod, tuple(gi[i] for i in fi))]
+    return FinCategory(f"Powers^{a_size}", objects, tuple(morphisms), identity, comp)
+
+
+def _reference_pointed_het(n, sets, pointed):
+    """Cells and actions of the set-to-pointed het, one string per entry."""
+    cells = {}
+    for k in range(n + 1):
+        for m in range(1, n + 2):
+            cells[(str(k), f"pt{m}")] = tuple(
+                f"sp:{k}>{m}:" + ",".join(map(str, imgs))
+                for imgs in itertools.product(range(m), repeat=k))
+    act_left = {}
+    for h in sets.morphisms:
+        hi = fn_images(h.id)
+        table = {}
+        for m in range(1, n + 2):
+            for c in cells[(h.cod, f"pt{m}")]:
+                imgs = _reference_images(c)
+                table[c] = f"sp:{h.dom}>{m}:" + ",".join(str(imgs[i]) for i in hi)
+        act_left[h.id] = table
+    act_right = {}
+    for q in pointed.morphisms:
+        qi = _reference_images(q.id)
+        m2 = q.cod[2:]
+        table = {}
+        for k in range(n + 1):
+            for c in cells[(str(k), q.dom)]:
+                imgs = _reference_images(c)
+                table[c] = f"sp:{k}>{m2}:" + ",".join(str(qi[v]) for v in imgs)
+        act_right[q.id] = table
+    return cells, act_left, act_right
+
+
+def _reference_functions_het(x_cat, a_cat, x_card, a_card, tag):
+    """Cells and actions of a preorder instance's function het."""
+    cells = {}
+    for x in x_cat.objects:
+        for a in a_cat.objects:
+            kx, ka = x_card(x), a_card(a)
+            cells[(x, a)] = tuple(
+                f"{tag}:{x}>{a}:" + ",".join(map(str, imgs))
+                for imgs in itertools.product(range(ka), repeat=kx))
+    act_left = {}
+    for h in x_cat.morphisms:
+        hi = _reference_images(h.id)
+        table = {}
+        for a in a_cat.objects:
+            for c in cells[(h.cod, a)]:
+                imgs = _reference_images(c)
+                table[c] = f"{tag}:{h.dom}>{a}:" + ",".join(
+                    str(imgs[i]) for i in hi)
+        act_left[h.id] = table
+    act_right = {}
+    for k in a_cat.morphisms:
+        ki = _reference_images(k.id)
+        table = {}
+        for x in x_cat.objects:
+            for c in cells[(x, k.dom)]:
+                imgs = _reference_images(c)
+                table[c] = f"{tag}:{x}>{k.cod}:" + ",".join(
+                    str(ki[v]) for v in imgs)
+        act_right[k.id] = table
+    return cells, act_left, act_right
+
+
+def _reference_xa_het(n, a_size, x_skel, y_skel):
+    """Cells and actions of the coreflective product-maps het."""
+    cells = {}
+    for k in range(n + 1):
+        for m in range(max(n, n * a_size) + 1):
+            cells[(str(k), str(m))] = tuple(
+                f"xa:{k}>{m}:" + ",".join(map(str, imgs))
+                for imgs in itertools.product(range(m), repeat=k * a_size))
+    act_left = {}
+    for h in x_skel.morphisms:
+        hi = fn_images(h.id)
+        k2 = int(h.dom)
+        table = {}
+        for m in y_skel.objects:
+            for c in cells[(h.cod, m)]:
+                imgs = _reference_images(c)
+                new = tuple(imgs[hi[i] * a_size + t]
+                            for i in range(k2) for t in range(a_size))
+                table[c] = f"xa:{k2}>{m}:" + ",".join(map(str, new))
+        act_left[h.id] = table
+    act_right = {}
+    for g in y_skel.morphisms:
+        gi = fn_images(g.id)
+        table = {}
+        for k in x_skel.objects:
+            for c in cells[(k, g.dom)]:
+                imgs = _reference_images(c)
+                table[c] = f"xa:{k}>{g.cod}:" + ",".join(str(gi[v]) for v in imgs)
+        act_right[g.id] = table
+    return cells, act_left, act_right
+
+
+def _reference_re_het(ambient, powers, pcard):
+    """Cells and actions of the reflective power-maps het."""
+    rcells = {}
+    for b in ambient.objects:
+        for p in powers.objects:
+            rcells[(b, p)] = tuple(
+                f"re:{b}>{p}:" + ",".join(map(str, imgs))
+                for imgs in itertools.product(range(pcard[p]), repeat=int(b)))
+    ract_left = {}
+    for h in ambient.morphisms:
+        hi = fn_images(h.id)
+        table = {}
+        for p in powers.objects:
+            for c in rcells[(h.cod, p)]:
+                imgs = _reference_images(c)
+                table[c] = f"re:{h.dom}>{p}:" + ",".join(str(imgs[i]) for i in hi)
+        ract_left[h.id] = table
+    ract_right = {}
+    for q in powers.morphisms:
+        qi = _reference_images(q.id)
+        table = {}
+        for b in ambient.objects:
+            for c in rcells[(b, q.dom)]:
+                imgs = _reference_images(c)
+                table[c] = f"re:{b}>{q.cod}:" + ",".join(str(qi[v]) for v in imgs)
+        ract_right[q.id] = table
+    return rcells, ract_left, ract_right
+
+
+def _category_rows(cat):
+    return (cat.name, cat.objects,
+            [(m.id, m.dom, m.cod, m.label) for m in cat.morphisms],
+            list(cat.identity.items()), list(cat.comp.items()))
+
+
+def _het_tables(het):
+    return _ordered((het.cells, het.act_left, het.act_right))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_pointed_tables_match_reference(n):
+    inst = pointed_free_forgetful(n)
+    assert _category_rows(inst.pointed) == \
+        _category_rows(_reference_pointed_category(n + 1))
+    assert _het_tables(inst.het) == \
+        _ordered(_reference_pointed_het(n, inst.sets, inst.pointed))
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_preorder_tables_match_reference(n):
+    inst = preorder_adjunction_chain(n)
+    preorders, pdata = _reference_ordered_category("Ord", n, posets_only=False)
+    posets, qdata = _reference_ordered_category("Pos", n, posets_only=True)
+    assert _category_rows(inst.preorders) == _category_rows(preorders)
+    assert _category_rows(inst.posets) == _category_rows(posets)
+    for het, x_card, a_card, tag in (
+            (inst.lower_het, lambda x: int(x), lambda a: pdata[a][0], "du"),
+            (inst.upper_het, lambda p: pdata[p][0], lambda z: int(z), "ui"),
+            (inst.poset_het, lambda p: qdata[p][0], lambda z: int(z), "pu")):
+        assert _het_tables(het) == _ordered(_reference_functions_het(
+            het.x_cat, het.a_cat, x_card, a_card, tag))
+
+
+@pytest.mark.parametrize("n,a_size", [(n, a) for n in range(3) for a in range(3)])
+def test_prodexp_tables_match_reference(request, n, a_size):
+    inst = (request.getfixturevalue("prodexp22") if (n, a_size) == (2, 2)
+            else product_exponential(n, a_size))
+    assert _category_rows(inst.powers) == \
+        _category_rows(_reference_power_category(n, a_size))
+    assert _het_tables(inst.coreflective_het) == \
+        _ordered(_reference_xa_het(n, a_size, inst.x_skel, inst.y_skel))
+    pcard = {f"pw{m}": m ** a_size for m in range(n + 1)}
+    assert _het_tables(inst.reflective_het) == \
+        _ordered(_reference_re_het(inst.ambient, inst.powers, pcard))
+    assert list(inst.product_functor.mor_map.items()) == [
+        (h.id, fn_id(int(h.dom) * a_size, int(h.cod) * a_size, tuple(
+            fn_images(h.id)[i] * a_size + t
+            for i in range(int(h.dom)) for t in range(a_size))))
+        for h in inst.x_skel.morphisms]
+
+
 def test_limits_pp2_bifunctor_laws_and_recovery(limits_pp2, limits_pp2_adj):
     assert check_bifunctor(limits_pp2.het).ok
     adj = limits_pp2_adj
@@ -488,6 +761,37 @@ def test_galois_guard():
     with pytest.raises(GuardExceeded):
         galois_connections({str(i): "a" for i in range(5)},
                            tuple(str(i) for i in range(5)), ("a",))
+
+
+def _reference_powerset_poset(name, universe):
+    """The quadratic tabulation: every pair of inclusions."""
+    subs = [frozenset(c) for r in range(len(universe) + 1)
+            for c in itertools.combinations(sorted(universe), r)]
+    subs.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    ids = {s: subset_id(s) for s in subs}
+    objects = tuple(ids[s] for s in subs)
+    morphisms = []
+    mor_of = {}
+    for lo in subs:
+        for hi in subs:
+            if lo <= hi:
+                mid = f"{ids[lo]}<={ids[hi]}"
+                morphisms.append(Morphism(mid, ids[lo], ids[hi]))
+                mor_of[(lo, hi)] = mid
+    identity = {ids[s]: mor_of[(s, s)] for s in subs}
+    comp = {}
+    for (lo, mid_), f in mor_of.items():
+        for (mid2, hi), g in mor_of.items():
+            if mid_ == mid2:
+                comp[(f, g)] = mor_of[(lo, hi)]
+    return FinCategory(name, objects, tuple(morphisms), identity, comp)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_powerset_poset_matches_reference(k):
+    universe = tuple("abcdef"[:k])
+    assert _category_rows(powerset_poset("P", universe)) == \
+        _category_rows(_reference_powerset_poset("P", universe))
 
 
 # -- preorders -------------------------------------------------------------------
