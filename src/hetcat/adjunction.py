@@ -614,6 +614,21 @@ class AbstractHet:
     embed_a: FinFunctor          # A -> A-hat, a -> (Ga, a)
 
 
+def _embedded_copy(cat: FinCategory, name: str, obj, mor) -> tuple[FinCategory, FinFunctor]:
+    """The copy of cat whose object and morphism ids are renamed by obj and
+    mor, with the embedding of cat onto it."""
+    hat = FinCategory(
+        name=f"{cat.name}-hat",
+        objects=tuple(map(obj, cat.objects)),
+        morphisms=tuple(Morphism(mor(m.id), obj(m.dom), obj(m.cod)) for m in cat.morphisms),
+        identity={obj(x): mor(cat.id_of(x)) for x in cat.objects},
+        comp={(mor(f), mor(g)): mor(h) for (f, g), h in cat.comp.items()},
+    )
+    return hat, FinFunctor(name=name, source=cat, target=hat,
+                           obj_map={x: obj(x) for x in cat.objects},
+                           mor_map={m.id: mor(m.id) for m in cat.morphisms})
+
+
 def abstract_het(adj: Adjunction) -> AbstractHet:
     """Build Het(x-hat, a-hat) = { (f, f*) : (x, Fx) -> (Ga, a) }.
 
@@ -623,40 +638,14 @@ def abstract_het(adj: Adjunction) -> AbstractHet:
     """
     xc, ac = adj.x_cat, adj.a_cat
     F, G = adj.F, adj.G
-
-    def hat_x_obj(x: str) -> str:
-        return pair_id(x, F.on_obj(x))
-
-    def hat_a_obj(a: str) -> str:
-        return pair_id(G.on_obj(a), a)
-
-    x_hat = FinCategory(
-        name=f"{xc.name}-hat",
-        objects=tuple(hat_x_obj(x) for x in xc.objects),
-        morphisms=tuple(
-            Morphism(pair_id(j.id, F.on_mor(j.id)), hat_x_obj(j.dom), hat_x_obj(j.cod))
-            for j in xc.morphisms),
-        identity={hat_x_obj(x): pair_id(xc.id_of(x), F.on_mor(xc.id_of(x)))
-                  for x in xc.objects},
-        comp={(pair_id(j1, F.on_mor(j1)), pair_id(j2, F.on_mor(j2))):
-              pair_id(j12, F.on_mor(j12))
-              for (j1, j2), j12 in xc.comp.items()},
-    )
-    a_hat = FinCategory(
-        name=f"{ac.name}-hat",
-        objects=tuple(hat_a_obj(a) for a in ac.objects),
-        morphisms=tuple(
-            Morphism(pair_id(G.on_mor(k.id), k.id), hat_a_obj(k.dom), hat_a_obj(k.cod))
-            for k in ac.morphisms),
-        identity={hat_a_obj(a): pair_id(G.on_mor(ac.id_of(a)), ac.id_of(a))
-                  for a in ac.objects},
-        comp={(pair_id(G.on_mor(k1), k1), pair_id(G.on_mor(k2), k2)):
-              pair_id(G.on_mor(k12), k12)
-              for (k1, k2), k12 in ac.comp.items()},
-    )
+    x_hat, embed_x = _embedded_copy(xc, "embed-X", lambda x: pair_id(x, F.on_obj(x)),
+                                    lambda j: pair_id(j, F.on_mor(j)))
+    a_hat, embed_a = _embedded_copy(ac, "embed-A", lambda a: pair_id(G.on_obj(a), a),
+                                    lambda k: pair_id(G.on_mor(k), k))
+    hat_x, hat_a = embed_x.obj_map, embed_a.obj_map
     # index the hat objects back to their sources; the embeddings are bijective
-    x_of_hat = {hat_x_obj(x): x for x in xc.objects}
-    a_of_hat = {hat_a_obj(a): a for a in ac.objects}
+    x_of_hat = {xh: x for x, xh in hat_x.items()}
+    a_of_hat = {ah: a for a, ah in hat_a.items()}
 
     def cell_fn(xh: str, ah: str) -> tuple[str, ...]:
         x, a = x_of_hat[xh], a_of_hat[ah]
@@ -672,50 +661,31 @@ def abstract_het(adj: Adjunction) -> AbstractHet:
 
     act_left = {}
     for j in xc.morphisms:
-        jid = pair_id(j.id, F.on_mor(j.id))
         table = {}
         for ah in a_hat.objects:
-            for cid in cells[(hat_x_obj(j.cod), ah)]:
+            for cid in cells[(hat_x[j.cod], ah)]:
                 x, a, f, g = pair_of[cid]
                 nf = xc.compose(j.id, f)
                 table[cid] = pair_id(nf, transpose_inv(adj, a, nf))
-        act_left[jid] = table
+        act_left[embed_x.mor_map[j.id]] = table
     act_right = {}
     for k in ac.morphisms:
-        kid = pair_id(G.on_mor(k.id), k.id)
         table = {}
         for xh in x_hat.objects:
-            for cid in cells[(xh, hat_a_obj(k.dom))]:
+            for cid in cells[(xh, hat_a[k.dom])]:
                 x, a, f, g = pair_of[cid]
                 nf = xc.compose(f, G.on_mor(k.id))
                 table[cid] = pair_id(nf, transpose_inv(adj, k.cod, nf))
-        act_right[kid] = table
+        act_right[embed_a.mor_map[k.id]] = table
     het = HetBifunctor(f"abstract[{adj.het.name}]", x_hat, a_hat,
                        cells, act_left, act_right)
-    f_hat = FinFunctor(
-        name="F-hat", source=x_hat, target=a_hat,
-        obj_map={hat_x_obj(x): hat_a_obj(F.on_obj(x)) for x in xc.objects},
-        mor_map={pair_id(j.id, F.on_mor(j.id)):
-                 pair_id(G.on_mor(F.on_mor(j.id)), F.on_mor(j.id))
-                 for j in xc.morphisms},
-    )
-    g_hat = FinFunctor(
-        name="G-hat", source=a_hat, target=x_hat,
-        obj_map={hat_a_obj(a): hat_x_obj(G.on_obj(a)) for a in ac.objects},
-        mor_map={pair_id(G.on_mor(k.id), k.id):
-                 pair_id(G.on_mor(k.id), F.on_mor(G.on_mor(k.id)))
-                 for k in ac.morphisms},
-    )
-    embed_x = FinFunctor(
-        name="embed-X", source=xc, target=x_hat,
-        obj_map={x: hat_x_obj(x) for x in xc.objects},
-        mor_map={j.id: pair_id(j.id, F.on_mor(j.id)) for j in xc.morphisms},
-    )
-    embed_a = FinFunctor(
-        name="embed-A", source=ac, target=a_hat,
-        obj_map={a: hat_a_obj(a) for a in ac.objects},
-        mor_map={k.id: pair_id(G.on_mor(k.id), k.id) for k in ac.morphisms},
-    )
+    # the twist functors, conjugated by the embeddings
+    f_hat, g_hat = (
+        FinFunctor(name=name, source=e.target, target=e2.target,
+                   obj_map={e.obj_map[o]: e2.obj_map[fun.on_obj(o)] for o in e.source.objects},
+                   mor_map={e.mor_map[m.id]: e2.mor_map[fun.on_mor(m.id)]
+                            for m in e.source.morphisms})
+        for name, fun, e, e2 in (("F-hat", F, embed_x, embed_a), ("G-hat", G, embed_a, embed_x)))
     return AbstractHet(het, x_hat, a_hat, f_hat, g_hat, embed_x, embed_a)
 
 

@@ -23,9 +23,9 @@ from .documents import (DocumentError, bundle_to_payload, dumps_document,
                         loads_document, make_document, parse_document)
 from .errors import GuardExceeded, StructuralError
 from .fincat import check_category, check_functor, check_nat_trans
-from .het import (KernelInvariantError, LeftRepresentation,
-                  NonRepresentabilityWitness, RightRepresentation,
-                  check_bifunctor, compare_left_representation)
+from .het import (HetBifunctor, KernelInvariantError, LeftRepresentation,
+                  NonRepresentabilityWitness, check_bifunctor,
+                  compare_left_representation)
 from .report import LawReport
 
 
@@ -72,6 +72,32 @@ def _read_document(path: str) -> dict:
     return loads_document(text)
 
 
+def _read_het(args) -> tuple[HetBifunctor, dict]:
+    """The het-bifunctor of a bifunctor or bundle document, with the
+    bundle's expected adjoints ({} for a bare bifunctor)."""
+    doc = _read_document(args.path)
+    kind, value = parse_document(doc)
+    if kind == "bifunctor":
+        return value, {}
+    if kind == "adjunction-bundle":
+        return value
+    raise DocumentError(f"{args.command} expects a bifunctor or bundle, got {kind!r}")
+
+
+def _het_checks(het: HetBifunctor, all_entries: bool = True) -> list[dict]:
+    """The law gate of every het command: both categories, then the het laws.
+
+    Unless all_entries is set, the two category entries are dropped when
+    both pass, so a valid document's report names only the het laws.
+    """
+    checks = [_check_entry("sending category", check_category(het.x_cat)),
+              _check_entry("receiving category", check_category(het.a_cat)),
+              _check_entry("bifunctor laws", check_bifunctor(het))]
+    if not all_entries and checks[0]["ok"] and checks[1]["ok"]:
+        del checks[:2]
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -94,15 +120,8 @@ def cmd_check(args) -> int:
         checks.append(_check_entry("source functor", check_functor(value.source)))
         checks.append(_check_entry("target functor", check_functor(value.target)))
         checks.append(_check_entry("naturality", check_nat_trans(value)))
-    elif kind == "bifunctor":
-        checks.append(_check_entry("sending category", check_category(value.x_cat)))
-        checks.append(_check_entry("receiving category", check_category(value.a_cat)))
-        checks.append(_check_entry("bifunctor laws", check_bifunctor(value)))
     else:
-        het, _ = value
-        checks.append(_check_entry("sending category", check_category(het.x_cat)))
-        checks.append(_check_entry("receiving category", check_category(het.a_cat)))
-        checks.append(_check_entry("bifunctor laws", check_bifunctor(het)))
+        checks = _het_checks(value if kind == "bifunctor" else value[0])
     code = 0 if all(c["ok"] for c in checks) else 1
     out = {"command": "check", "subject": doc["meta"].get("name") or args.path,
            "checks": checks, "exit": code}
@@ -115,11 +134,21 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _witness_notes(result) -> list[str]:
+    if isinstance(result, Adjunction):
+        return []
     notes = [f"failed sides: {', '.join(result.failed_sides())}"]
     for side in (result.left, result.right):
         if isinstance(side, NonRepresentabilityWitness):
             notes.extend(side.describe().splitlines())
     return notes
+
+
+def _forced_half(result, failed_side: str, kept_ok=lambda rep: True) -> bool:
+    """Did exactly failed_side fail to represent, with the other side's
+    representation passing kept_ok?"""
+    if isinstance(result, Adjunction) or result.failed_sides() != (failed_side,):
+        return False
+    return kept_ok(result.left if failed_side == "right" else result.right)
 
 
 def _full_suite(adj: Adjunction, guard: int) -> list[dict]:
@@ -133,27 +162,16 @@ def _full_suite(adj: Adjunction, guard: int) -> list[dict]:
 
 
 def cmd_adjoint(args) -> int:
-    doc = _read_document(args.path)
-    kind, value = parse_document(doc)
-    if kind == "bifunctor":
-        het, expected = value, {}
-    elif kind == "adjunction-bundle":
-        het, expected = value
-    else:
-        raise DocumentError(f"adjoint expects a bifunctor or bundle, got {kind!r}")
-    checks = [_check_entry("bifunctor laws", check_bifunctor(het))]
+    het, expected = _read_het(args)
+    checks = _het_checks(het, all_entries=False)
     out = {"command": "adjoint", "subject": het.name, "checks": checks}
-    if not checks[0]["ok"]:
-        out["exit"] = 1
-        _emit(out, args.json)
-        return 1
-    result = build_adjunction(het)
+    result = build_adjunction(het) if all(c["ok"] for c in checks) else None
     if not isinstance(result, Adjunction):
-        checks.append(_note_entry("birepresentability", False, _witness_notes(result)))
-        if isinstance(result.left, LeftRepresentation):
-            out["left_adjoint"] = dict(result.left.functor.obj_map)
-        if isinstance(result.right, RightRepresentation):
-            out["right_adjoint"] = dict(result.right.functor.obj_map)
+        if result is not None:
+            checks.append(_note_entry("birepresentability", False, _witness_notes(result)))
+            for side, found in (("left", result.left), ("right", result.right)):
+                if not isinstance(found, NonRepresentabilityWitness):
+                    out[f"{side}_adjoint"] = dict(found.functor.obj_map)
         out["exit"] = 1
         _emit(out, args.json)
         return 1
@@ -164,14 +182,11 @@ def cmd_adjoint(args) -> int:
     out["counit"] = dict(adj.counit.components)
     out["chimera_unit"] = {x: adj.h(x) for x in adj.x_cat.objects}
     out["chimera_counit"] = {a: adj.e(a) for a in adj.a_cat.objects}
-    if expected.get("left_object_map"):
-        ok = expected["left_object_map"] == adj.F.obj_map
-        checks.append(_note_entry("expected left adjoint", ok,
-                                  [] if ok else ["object map differs from expectation"]))
-    if expected.get("right_object_map"):
-        ok = expected["right_object_map"] == adj.G.obj_map
-        checks.append(_note_entry("expected right adjoint", ok,
-                                  [] if ok else ["object map differs from expectation"]))
+    for side, fun in (("left", adj.F), ("right", adj.G)):
+        if expected.get(f"{side}_object_map"):
+            ok = expected[f"{side}_object_map"] == fun.obj_map
+            checks.append(_note_entry(f"expected {side} adjoint", ok,
+                                      [] if ok else ["object map differs from expectation"]))
     checks += _full_suite(adj, args.guard)
     code = 0 if all(c["ok"] for c in checks) else 1
     out["exit"] = code
@@ -244,13 +259,9 @@ def _demo_limits(args):
     checks = []
     if inst.lim_escape:
         notes = [f"limits escaping the skeleton: {', '.join(inst.lim_escape)}"]
-        ok = False
-        if not isinstance(result, Adjunction):
-            notes += _witness_notes(result)
-            ok = (result.failed_sides() == ("right",)
-                  and isinstance(result.left, LeftRepresentation)
-                  and compare_left_representation(
-                      result.left, inst.delta, inst.identity_cones).ok)
+        notes += _witness_notes(result)
+        ok = _forced_half(result, "right", lambda left: compare_left_representation(
+            left, inst.delta, inst.identity_cones).ok)
         checks.append(_note_entry("half-representable exactly as the cardinalities "
                                   "force", ok, notes))
     else:
@@ -277,13 +288,9 @@ def _demo_colimits(args):
     checks = []
     if inst.delta_escape:
         notes = [f"sets too large to be diagram values: {', '.join(inst.delta_escape)}"]
-        ok = False
-        if not isinstance(result, Adjunction):
-            notes += _witness_notes(result)
-            ok = (result.failed_sides() == ("right",)
-                  and isinstance(result.left, LeftRepresentation)
-                  and compare_left_representation(
-                      result.left, inst.colim, inst.injection_cocones).ok)
+        notes += _witness_notes(result)
+        ok = _forced_half(result, "right", lambda left: compare_left_representation(
+            left, inst.colim, inst.injection_cocones).ok)
         checks.append(_note_entry("half-representable exactly as the cardinalities "
                                   "force", ok, notes))
     else:
@@ -315,24 +322,17 @@ def _demo_prodexp(args):
         if isinstance(core, Adjunction):
             checks += _full_suite(core, args.guard)
     else:
-        ok = (not isinstance(core, Adjunction)
-              and core.failed_sides() == ("right",)
-              and isinstance(core.left, LeftRepresentation)
-              and core.left.functor == inst.product_functor)
-        notes = _witness_notes(core) if not isinstance(core, Adjunction) else []
+        ok = _forced_half(core, "right", lambda left: left.functor == inst.product_functor)
         checks.append(_note_entry("coreflective reading: product side represents, "
-                                  "exponential escapes", ok, notes))
+                                  "exponential escapes", ok, _witness_notes(core)))
     if inst.reflective_full:
         ok = isinstance(refl, Adjunction) and refl.G == inst.inclusion_functor
         checks.append(_note_entry("reflective reading is a full adjunction", ok, []))
     else:
-        ok = (not isinstance(refl, Adjunction)
-              and refl.failed_sides() == ("left",)
-              and isinstance(refl.right, RightRepresentation)
-              and refl.right.functor == inst.inclusion_functor)
-        notes = _witness_notes(refl) if not isinstance(refl, Adjunction) else []
+        ok = _forced_half(refl, "left",
+                          lambda right: right.functor == inst.inclusion_functor)
         checks.append(_note_entry("reflective reading: inclusion side represents, "
-                                  "free power escapes", ok, notes))
+                                  "free power escapes", ok, _witness_notes(refl)))
     element_laws = instances.verify_elementwise(args.n, max(args.n, 1), args.a)
     checks.append(_note_entry("element-level evaluation/pairing laws",
                               all(element_laws.values()),
@@ -357,10 +357,8 @@ def _demo_preorder(args):
     poset = build_adjunction(inst.poset_het)
     if args.n >= 2:
         # two points admit no antisymmetric indiscrete order
-        ok = not isinstance(poset, Adjunction) and poset.failed_sides() == ("right",)
-        notes = _witness_notes(poset) if not isinstance(poset, Adjunction) else []
         checks.append(_note_entry("poset restriction: no indiscrete partial order",
-                                  ok, notes))
+                                  _forced_half(poset, "right"), _witness_notes(poset)))
     else:
         # on at most one point every preorder is already a poset
         ok = isinstance(poset, Adjunction)
@@ -374,16 +372,11 @@ def _demo_pointed(args):
     inst = instances.pointed_free_forgetful(args.n)
     result = build_adjunction(inst.het)
     checks = []
-    ok = (not isinstance(result, Adjunction)
-          and result.failed_sides() == ("right",)
-          and isinstance(result.left, LeftRepresentation)
-          and result.left.functor == inst.free
-          and all(result.left.universal[k] == inst.insertions[k]
-                  for k in inst.sets.objects))
-    notes = _witness_notes(result) if not isinstance(result, Adjunction) else []
+    ok = _forced_half(result, "right", lambda left: left.functor == inst.free and all(
+        left.universal[k] == inst.insertions[k] for k in inst.sets.objects))
     checks.append(_note_entry("free side represents with insertion-of-generators "
                               "universals; underlying side escapes the grid",
-                              ok, notes))
+                              ok, _witness_notes(result)))
     counting = all(
         len(inst.het.cell(k, a)) == inst.carrier_card[a] ** int(k)
         for k in inst.sets.objects for a in inst.pointed.objects)
@@ -473,22 +466,12 @@ def _factorization_chains(adj: Adjunction, x: str, a: str, f: str) -> dict:
 
 
 def cmd_factorize(args) -> int:
-    doc = _read_document(args.path)
-    kind, value = parse_document(doc)
-    if kind == "bifunctor":
-        het = value
-    elif kind == "adjunction-bundle":
-        het, _ = value
-    else:
-        raise DocumentError(f"factorize expects a bifunctor or bundle, got {kind!r}")
-    checks = [_check_entry("bifunctor laws", check_bifunctor(het))]
-    if not checks[0]["ok"]:
-        _emit({"command": "factorize", "subject": het.name, "checks": checks,
-               "exit": 1}, args.json)
-        return 1
-    result = build_adjunction(het)
+    het, _ = _read_het(args)
+    checks = _het_checks(het, all_entries=False)
+    result = build_adjunction(het) if all(c["ok"] for c in checks) else None
     if not isinstance(result, Adjunction):
-        checks.append(_note_entry("birepresentability", False, _witness_notes(result)))
+        if result is not None:
+            checks.append(_note_entry("birepresentability", False, _witness_notes(result)))
         _emit({"command": "factorize", "subject": het.name, "checks": checks,
                "exit": 1}, args.json)
         return 1

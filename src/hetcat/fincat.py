@@ -504,12 +504,6 @@ class FunctorCategory(FinCategory):
     functors: dict[str, FinFunctor] = field(default_factory=dict)
     transformations: dict[str, NatTrans] = field(default_factory=dict)
 
-    def functor_id_of(self, fun: FinFunctor) -> str:
-        for fid, g in self.functors.items():
-            if g == fun:
-                return fid
-        raise StructuralError(f"{self.name}: functor not an object of this category")
-
 
 def _enumerate_functors(shape: FinCategory, target: FinCategory):
     non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]

@@ -145,62 +145,46 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
     """Check identity actions, two-sided functoriality, and the bimodule law.
 
     Action entries that are missing or land in the wrong cell are structural
-    errors and raise; only genuine law violations are reported.
+    errors and raise; only genuine law violations are reported. Each side is
+    checked by the same loops: the left action is contravariant (h: x' -> x
+    sends cell (x, a) to (x', a)), the right one covariant.
     """
     rep = LawReport(f"bifunctor {het.name}")
     xc, ac = het.x_cat, het.a_cat
+    sides = (("left", xc, ac.objects, het.act_left, True),
+             ("right", ac, xc.objects, het.act_right, False))
     # structural: totality and cell placement of every action entry
-    for h in xc.morphisms:
-        table = het.act_left.get(h.id)
-        if table is None:
-            raise StructuralError(f"{het.name}: no left action table for {h.id}")
-        for a in ac.objects:
-            for c in het.cell(h.cod, a):
-                if c not in table:
-                    raise StructuralError(
-                        f"{het.name}: left action of {h.id} undefined at {c}")
-                if het.cell_of(table[c]) != (h.dom, a):
-                    raise StructuralError(
-                        f"{het.name}: left action of {h.id} sends {c} outside cell ({h.dom}, {a})")
-    for k in ac.morphisms:
-        table = het.act_right.get(k.id)
-        if table is None:
-            raise StructuralError(f"{het.name}: no right action table for {k.id}")
-        for x in xc.objects:
-            for c in het.cell(x, k.dom):
-                if c not in table:
-                    raise StructuralError(
-                        f"{het.name}: right action of {k.id} undefined at {c}")
-                if het.cell_of(table[c]) != (x, k.cod):
-                    raise StructuralError(
-                        f"{het.name}: right action of {k.id} sends {c} outside cell ({x}, {k.cod})")
-    # identity actions are identities
-    for x in xc.objects:
-        ix = xc.id_of(x)
-        for c, image in het.act_left[ix].items():
-            if image != c:
-                rep.add("identity-left-action", (x, c), f"1.{c} = {image}")
-    for a in ac.objects:
-        ia = ac.id_of(a)
-        for c, image in het.act_right[ia].items():
-            if image != c:
-                rep.add("identity-right-action", (a, c), f"{c}.1 = {image}")
-    # contravariant functoriality on the left: act(h' then h) = act(h') after act(h)
-    for (h2, h1), h21 in xc.comp.items():
-        for c in het.act_left[h21]:
-            step = het.act_left[h1].get(c)
-            two = het.act_left[h2].get(step) if step is not None else None
-            if het.act_left[h21][c] != two:
-                rep.add("left-functoriality", (h2, h1, c),
-                        f"act({h21})({c}) = {het.act_left[h21][c]}, stepwise = {two}")
-    # covariant functoriality on the right
-    for (k1, k2), k12 in ac.comp.items():
-        for c in het.act_right[k12]:
-            step = het.act_right[k1].get(c)
-            two = het.act_right[k2].get(step) if step is not None else None
-            if het.act_right[k12][c] != two:
-                rep.add("right-functoriality", (k1, k2, c),
-                        f"act({k12})({c}) = {het.act_right[k12][c]}, stepwise = {two}")
+    for side, cat, others, acts, contra in sides:
+        for m in cat.morphisms:
+            table = acts.get(m.id)
+            if table is None:
+                raise StructuralError(f"{het.name}: no {side} action table for {m.id}")
+            for p in others:
+                src, dst = ((m.cod, p), (m.dom, p)) if contra else ((p, m.dom), (p, m.cod))
+                for c in het.cells[src]:
+                    if c not in table:
+                        raise StructuralError(
+                            f"{het.name}: {side} action of {m.id} undefined at {c}")
+                    if het.cell_of(table[c]) != dst:
+                        raise StructuralError(f"{het.name}: {side} action of {m.id} sends "
+                                              f"{c} outside cell ({dst[0]}, {dst[1]})")
+    for side, cat, _, acts, contra in sides:
+        # identity actions are identities
+        for o in cat.objects:
+            for c, image in acts[cat.id_of(o)].items():
+                if image != c:
+                    rep.add(f"identity-{side}-action", (o, c),
+                            (f"1.{c}" if contra else f"{c}.1") + f" = {image}")
+        # functoriality: act(f then g) is act(g) after act(f) on the right,
+        # act(f) after act(g) on the left
+        for (f, g), fg in cat.comp.items():
+            first, then = (acts[g], acts[f]) if contra else (acts[f], acts[g])
+            for c, image in acts[fg].items():
+                step = first.get(c)
+                two = then.get(step) if step is not None else None
+                if image != two:
+                    rep.add(f"{side}-functoriality", (f, g, c),
+                            f"act({fg})({c}) = {image}, stepwise = {two}")
     # bimodule associativity (k.c).h = k.(c.h)
     for h in xc.morphisms:
         for k in ac.morphisms:

@@ -60,8 +60,10 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
         raise GuardExceeded(
             f"product-exponential bounds n={n}, |A|={a_size} exceed guards "
             f"({guard}, {a_guard})", n * a_size)
-    x_skel = finset_skeleton(n)
-    y_skel = finset_skeleton(max(n, n * a_size))
+    y_max, amb_max = max(n, n * a_size), max(n, n ** a_size)
+    # the bounds often coincide (n * |A| == n ** |A| at n = |A| = 2): build each once
+    skeletons = {m: finset_skeleton(m) for m in {n, y_max, amb_max}}
+    x_skel, y_skel = skeletons[n], skeletons[y_max]
 
     def times_a(hid: str) -> tuple[int, ...]:
         """The images of h x A on pairs coded (i, t) -> i*|A| + t."""
@@ -83,7 +85,7 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
     }
 
     # reflective: ambient must contain every power carrier
-    ambient = finset_skeleton(max(n, n ** a_size))
+    ambient = skeletons[amb_max]
     powers = _power_category(n, a_size)
     pcard = {f"pw{m}": m ** a_size for m in range(n + 1)}
     reflective = function_het(f"power-maps[|A|={a_size}]", ambient, powers,
@@ -100,9 +102,7 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
     }
     exponential_partial = {str(m): str(m ** a_size) for m in range(n + 1)
                            if m ** a_size <= n}
-    y_max = max(n, n * a_size)
     coreflective_full = all(m ** a_size <= n for m in range(y_max + 1))
-    amb_max = max(n, n ** a_size)
     roots = {u ** a_size for u in range(n + 1)}
     reflective_full = all(b in roots for b in range(amb_max + 1))
     return ProdExpInstance(a_size, x_skel, y_skel, coreflective,

@@ -10,8 +10,10 @@ from hetcat import (Adjunction, HalfAdjunction, StructuralError, abstract_het,
                     chimera_unit, four_bifunctor_iso,
                     over_and_back_and_triangles, representation_roundtrip,
                     transpose, transpose_inv, z_bifunctor, zig_zag_factorize)
-from hetcat.adjunction import ChimeraNatTrans
-from hetcat.fincat import identity_functor
+from hetcat.adjunction import AbstractHet, ChimeraNatTrans
+from hetcat.fincat import (FinCategory, FinFunctor, Morphism, identity_functor,
+                           pair_id)
+from hetcat.het import HetBifunctor
 from hetcat.instances import ur_adjunction
 
 
@@ -323,6 +325,146 @@ def test_ur_abstract_het_is_diagonal_hom(ur_chain2):
         for a in het.a_cat.objects:
             assert len(ah.het.cell(ah.embed_x.on_obj(x), ah.embed_a.on_obj(a))) \
                 == len(het.x_cat.hom(x, a))
+
+
+def _reference_abstract_het(adj):
+    """Build Het(x-hat, a-hat) = { (f, f*) : (x, Fx) -> (Ga, a) }, with each
+    embedded copy and functor written out.
+
+    The cells are the main-diagonal pairs of commutative adjunctive squares;
+    the actions are componentwise pre/postcomposition with the embedded
+    morphisms, hence closed by the naturality of the transpose.
+    """
+    xc, ac = adj.x_cat, adj.a_cat
+    F, G = adj.F, adj.G
+
+    def hat_x_obj(x: str) -> str:
+        return pair_id(x, F.on_obj(x))
+
+    def hat_a_obj(a: str) -> str:
+        return pair_id(G.on_obj(a), a)
+
+    x_hat = FinCategory(
+        name=f"{xc.name}-hat",
+        objects=tuple(hat_x_obj(x) for x in xc.objects),
+        morphisms=tuple(
+            Morphism(pair_id(j.id, F.on_mor(j.id)), hat_x_obj(j.dom), hat_x_obj(j.cod))
+            for j in xc.morphisms),
+        identity={hat_x_obj(x): pair_id(xc.id_of(x), F.on_mor(xc.id_of(x)))
+                  for x in xc.objects},
+        comp={(pair_id(j1, F.on_mor(j1)), pair_id(j2, F.on_mor(j2))):
+              pair_id(j12, F.on_mor(j12))
+              for (j1, j2), j12 in xc.comp.items()},
+    )
+    a_hat = FinCategory(
+        name=f"{ac.name}-hat",
+        objects=tuple(hat_a_obj(a) for a in ac.objects),
+        morphisms=tuple(
+            Morphism(pair_id(G.on_mor(k.id), k.id), hat_a_obj(k.dom), hat_a_obj(k.cod))
+            for k in ac.morphisms),
+        identity={hat_a_obj(a): pair_id(G.on_mor(ac.id_of(a)), ac.id_of(a))
+                  for a in ac.objects},
+        comp={(pair_id(G.on_mor(k1), k1), pair_id(G.on_mor(k2), k2)):
+              pair_id(G.on_mor(k12), k12)
+              for (k1, k2), k12 in ac.comp.items()},
+    )
+    # index the hat objects back to their sources; the embeddings are bijective
+    x_of_hat = {hat_x_obj(x): x for x in xc.objects}
+    a_of_hat = {hat_a_obj(a): a for a in ac.objects}
+
+    def cell_fn(xh: str, ah: str) -> tuple[str, ...]:
+        x, a = x_of_hat[xh], a_of_hat[ah]
+        return tuple(pair_id(f, transpose_inv(adj, a, f))
+                     for f in xc.hom(x, G.on_obj(a)))
+
+    cells = {(xh, ah): cell_fn(xh, ah) for xh in x_hat.objects for ah in a_hat.objects}
+    pair_of = {}
+    for (xh, ah), elems in cells.items():
+        x, a = x_of_hat[xh], a_of_hat[ah]
+        for cid, f in zip(elems, xc.hom(x, G.on_obj(a))):
+            pair_of[cid] = (x, a, f, transpose_inv(adj, a, f))
+
+    act_left = {}
+    for j in xc.morphisms:
+        jid = pair_id(j.id, F.on_mor(j.id))
+        table = {}
+        for ah in a_hat.objects:
+            for cid in cells[(hat_x_obj(j.cod), ah)]:
+                x, a, f, g = pair_of[cid]
+                nf = xc.compose(j.id, f)
+                table[cid] = pair_id(nf, transpose_inv(adj, a, nf))
+        act_left[jid] = table
+    act_right = {}
+    for k in ac.morphisms:
+        kid = pair_id(G.on_mor(k.id), k.id)
+        table = {}
+        for xh in x_hat.objects:
+            for cid in cells[(xh, hat_a_obj(k.dom))]:
+                x, a, f, g = pair_of[cid]
+                nf = xc.compose(f, G.on_mor(k.id))
+                table[cid] = pair_id(nf, transpose_inv(adj, k.cod, nf))
+        act_right[kid] = table
+    het = HetBifunctor(f"abstract[{adj.het.name}]", x_hat, a_hat,
+                       cells, act_left, act_right)
+    f_hat = FinFunctor(
+        name="F-hat", source=x_hat, target=a_hat,
+        obj_map={hat_x_obj(x): hat_a_obj(F.on_obj(x)) for x in xc.objects},
+        mor_map={pair_id(j.id, F.on_mor(j.id)):
+                 pair_id(G.on_mor(F.on_mor(j.id)), F.on_mor(j.id))
+                 for j in xc.morphisms},
+    )
+    g_hat = FinFunctor(
+        name="G-hat", source=a_hat, target=x_hat,
+        obj_map={hat_a_obj(a): hat_x_obj(G.on_obj(a)) for a in ac.objects},
+        mor_map={pair_id(G.on_mor(k.id), k.id):
+                 pair_id(G.on_mor(k.id), F.on_mor(G.on_mor(k.id)))
+                 for k in ac.morphisms},
+    )
+    embed_x = FinFunctor(
+        name="embed-X", source=xc, target=x_hat,
+        obj_map={x: hat_x_obj(x) for x in xc.objects},
+        mor_map={j.id: pair_id(j.id, F.on_mor(j.id)) for j in xc.morphisms},
+    )
+    embed_a = FinFunctor(
+        name="embed-A", source=ac, target=a_hat,
+        obj_map={a: hat_a_obj(a) for a in ac.objects},
+        mor_map={k.id: pair_id(G.on_mor(k.id), k.id) for k in ac.morphisms},
+    )
+    return AbstractHet(het, x_hat, a_hat, f_hat, g_hat, embed_x, embed_a)
+
+
+def _category_tables(cat):
+    return (cat.name, cat.objects, [(m.id, m.dom, m.cod, m.label) for m in cat.morphisms],
+            list(cat.identity.items()), list(cat.comp.items()))
+
+
+def _functor_tables(fun):
+    return (fun.name, _category_tables(fun.source), _category_tables(fun.target),
+            list(fun.obj_map.items()), list(fun.mor_map.items()))
+
+
+def _abstract_tables(ah):
+    het = ah.het
+    return (het.name, _category_tables(het.x_cat), _category_tables(het.a_cat),
+            list(het.cells.items()),
+            [(m, list(t.items())) for m, t in het.act_left.items()],
+            [(m, list(t.items())) for m, t in het.act_right.items()],
+            _category_tables(ah.x_hat), _category_tables(ah.a_hat),
+            *map(_functor_tables, (ah.f_hat, ah.g_hat, ah.embed_x, ah.embed_a)))
+
+
+@pytest.fixture(scope="module")
+def limits_pp1_adj(limits_pp1):
+    adj = build_adjunction(limits_pp1.het)
+    assert isinstance(adj, Adjunction)
+    return adj
+
+
+@pytest.mark.parametrize("adj_name", ["ur_skeleton2", "galois_lower_adj", "limits_pp1_adj"])
+def test_abstract_het_matches_reference(request, skeleton2, adj_name):
+    adj = ur_adjunction(skeleton2) if adj_name == "ur_skeleton2" \
+        else request.getfixturevalue(adj_name)
+    assert _abstract_tables(abstract_het(adj)) == _abstract_tables(_reference_abstract_het(adj))
 
 
 def test_roundtrip_ur_and_galois(ur_chain2, galois_lower_adj, galois_upper_adj):

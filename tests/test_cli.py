@@ -6,9 +6,11 @@ import pytest
 
 import hetcat.cli
 from hetcat.cli import main
-from hetcat.documents import (bifunctor_to_payload, category_to_payload,
-                              dumps_document, loads_document, make_document)
-from hetcat.het import KernelInvariantError, build_het, hom_bifunctor
+from hetcat.documents import (bifunctor_to_payload, bundle_to_payload,
+                              category_to_payload, dumps_document, loads_document,
+                              make_document)
+from hetcat.fincat import FinCategory, Morphism
+from hetcat.het import HetBifunctor, KernelInvariantError, build_het, hom_bifunctor
 
 
 def run(capsys, *argv):
@@ -140,6 +142,41 @@ def test_factorize_checks_bifunctor_laws_first(capsys, tmp_path, skeleton2):
         assert check["name"] == "bifunctor laws" and not check["ok"]
         laws = {v["law"] for v in check["violations"]}
         assert {"bimodule-associativity", "left-functoriality"} <= laws
+
+
+@pytest.fixture()
+def non_category_bundle(tmp_path, terminal_cat):
+    """X = {0 -f-> 1} with (i0, f) missing from its composition, A terminal,
+    and f acting c1 |-> c0."""
+    x_cat = FinCategory(
+        "arrow-missing-i0-f", ("0", "1"),
+        (Morphism("i0", "0", "0"), Morphism("i1", "1", "1"), Morphism("f", "0", "1")),
+        {"0": "i0", "1": "i1"},
+        {("i0", "i0"): "i0", ("i1", "i1"): "i1", ("f", "i1"): "f"})
+    het = HetBifunctor("non-category", x_cat, terminal_cat,
+                       {("0", "t"): ("c0",), ("1", "t"): ("c1",)},
+                       {"i0": {"c0": "c0"}, "i1": {"c1": "c1"}, "f": {"c1": "c0"}},
+                       {"id_t": {"c0": "c0", "c1": "c1"}})
+    path = tmp_path / "non-category.json"
+    path.write_text(dumps_document(make_document("adjunction-bundle",
+                                                 bundle_to_payload(het))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("adjoint",), ("factorize", "c0")])
+def test_het_commands_gate_on_the_category_laws(capsys, non_category_bundle, argv):
+    code, out = run(capsys, argv[0], non_category_bundle, *argv[1:], "--json")
+    assert code == 1
+    sending, receiving, laws = json.loads(out)["checks"]
+    assert sending["name"] == "sending category" and not sending["ok"]
+    assert [(v["law"], v["witness"]) for v in sending["violations"]] == \
+        [("composition-totality", ["i0", "f"])]
+    assert receiving["name"] == "receiving category" and receiving["ok"]
+    assert laws["name"] == "bifunctor laws"
+    code, out = run(capsys, argv[0], non_category_bundle, *argv[1:])
+    assert code == 1
+    assert "[FAIL] sending category" in out
+    assert "composition-totality at (i0, f)" in out
 
 
 def test_kernel_invariant_failure_exits_two(capsys, monkeypatch, galois_bundle):
