@@ -20,7 +20,7 @@ from .errors import StructuralError
 from .fincat import (FinCategory, FinFunctor, Morphism, NatTrans, check_nat_trans,
                      compose_functors, identity_functor, pair_id)
 from .het import (HetBifunctor, KernelInvariantError, LeftRepresentation,
-                  NonRepresentabilityWitness, RightRepresentation,
+                  NonRepresentabilityWitness, RightRepresentation, build_het,
                   find_left_representation, find_right_representation)
 from .report import LawReport
 
@@ -511,25 +511,30 @@ def over_and_back_and_triangles(adj: Adjunction) -> LawReport:
     # the four over-across-and-back factorizations, for every f: x -> Ga
     for x in xc.objects:
         for a in ac.objects:
-            ga = adj.G.on_obj(a)
-            for f in xc.hom(x, ga):
-                g = transpose_inv(adj, a, f)
-                Ff, Gg = adj.F.on_mor(f), adj.G.on_mor(g)
-                if xc.compose(adj.eta(x), Gg) != f:
-                    rep.add("factorization-unit", (x, a, f),
-                            "eta_x then G(f*) differs from f")
-                if xc.compose_many(adj.eta(x), adj.G.on_mor(Ff),
-                                   adj.G.on_mor(adj.eps(a))) != f:
-                    rep.add("factorization-over-across-f", (x, a, f),
-                            "eta_x then GFf then G(eps_a) differs from f")
-                if ac.compose(Ff, adj.eps(a)) != g:
-                    rep.add("factorization-counit", (x, a, f),
-                            "Ff then eps_a differs from f*")
-                if ac.compose_many(adj.F.on_mor(adj.eta(x)), adj.F.on_mor(Gg),
-                                   adj.eps(a)) != g:
-                    rep.add("factorization-over-across-g", (x, a, f),
-                            "F(eta_x) then FG(f*) then eps_a differs from f*")
+            for f in xc.hom(x, adj.G.on_obj(a)):
+                for law, detail in factorization_failures(adj, x, a, f,
+                                                          transpose_inv(adj, a, f)):
+                    rep.add(law, (x, a, f), detail)
     return rep.normalize()
+
+
+def factorization_failures(adj: Adjunction, x: str, a: str, f: str,
+                           g: str) -> list[tuple[str, str]]:
+    """The over-across-and-back equations, for f: x -> Ga and g: Fx -> a its
+    transpose, that fail, as (law, detail)."""
+    xc, ac, F, G = adj.x_cat, adj.a_cat, adj.F, adj.G
+    eta, eps = adj.eta(x), adj.eps(a)
+    equations = (
+        (xc.compose(eta, G.on_mor(g)) == f, "factorization-unit",
+         "eta_x then G(f*) differs from f"),
+        (xc.compose_many(eta, G.on_mor(F.on_mor(f)), G.on_mor(eps)) == f,
+         "factorization-over-across-f", "eta_x then GFf then G(eps_a) differs from f"),
+        (ac.compose(F.on_mor(f), eps) == g, "factorization-counit",
+         "Ff then eps_a differs from f*"),
+        (ac.compose_many(F.on_mor(eta), F.on_mor(G.on_mor(g)), eps) == g,
+         "factorization-over-across-g", "F(eta_x) then FG(f*) then eps_a differs from f*"),
+    )
+    return [(law, detail) for holds, law, detail in equations if not holds]
 
 
 # ---------------------------------------------------------------------------
@@ -642,43 +647,31 @@ def abstract_het(adj: Adjunction) -> AbstractHet:
                                     lambda j: pair_id(j, F.on_mor(j)))
     a_hat, embed_a = _embedded_copy(ac, "embed-A", lambda a: pair_id(G.on_obj(a), a),
                                     lambda k: pair_id(G.on_mor(k), k))
-    hat_x, hat_a = embed_x.obj_map, embed_a.obj_map
-    # index the hat objects back to their sources; the embeddings are bijective
-    x_of_hat = {xh: x for x, xh in hat_x.items()}
-    a_of_hat = {ah: a for a, ah in hat_a.items()}
+    # index the hat objects and morphisms back to their sources; the
+    # embeddings are bijective
+    x_of, j_of = ({v: k for k, v in m.items()} for m in (embed_x.obj_map, embed_x.mor_map))
+    a_of, k_of = ({v: k for k, v in m.items()} for m in (embed_a.obj_map, embed_a.mor_map))
+    pair_of: dict[str, tuple[str, str]] = {}      # element (f, f*) -> (f, a)
+
+    def transposed(f: str, a: str) -> str:
+        return pair_id(f, transpose_inv(adj, a, f))
 
     def cell_fn(xh: str, ah: str) -> tuple[str, ...]:
-        x, a = x_of_hat[xh], a_of_hat[ah]
-        return tuple(pair_id(f, transpose_inv(adj, a, f))
-                     for f in xc.hom(x, G.on_obj(a)))
+        a = a_of[ah]
+        fs = xc.hom(x_of[xh], G.on_obj(a))
+        cids = tuple(transposed(f, a) for f in fs)
+        pair_of.update(zip(cids, ((f, a) for f in fs)))
+        return cids
 
-    cells = {(xh, ah): cell_fn(xh, ah) for xh in x_hat.objects for ah in a_hat.objects}
-    pair_of = {}
-    for (xh, ah), elems in cells.items():
-        x, a = x_of_hat[xh], a_of_hat[ah]
-        for cid, f in zip(elems, xc.hom(x, G.on_obj(a))):
-            pair_of[cid] = (x, a, f, transpose_inv(adj, a, f))
+    def act_left(jh: str, cid: str) -> str:
+        f, a = pair_of[cid]
+        return transposed(xc.compose(j_of[jh], f), a)
 
-    act_left = {}
-    for j in xc.morphisms:
-        table = {}
-        for ah in a_hat.objects:
-            for cid in cells[(hat_x[j.cod], ah)]:
-                x, a, f, g = pair_of[cid]
-                nf = xc.compose(j.id, f)
-                table[cid] = pair_id(nf, transpose_inv(adj, a, nf))
-        act_left[embed_x.mor_map[j.id]] = table
-    act_right = {}
-    for k in ac.morphisms:
-        table = {}
-        for xh in x_hat.objects:
-            for cid in cells[(xh, hat_a[k.dom])]:
-                x, a, f, g = pair_of[cid]
-                nf = xc.compose(f, G.on_mor(k.id))
-                table[cid] = pair_id(nf, transpose_inv(adj, k.cod, nf))
-        act_right[embed_a.mor_map[k.id]] = table
-    het = HetBifunctor(f"abstract[{adj.het.name}]", x_hat, a_hat,
-                       cells, act_left, act_right)
+    def act_right(kh: str, cid: str) -> str:
+        k = k_of[kh]
+        return transposed(xc.compose(pair_of[cid][0], G.on_mor(k)), ac.cod(k))
+
+    het = build_het(f"abstract[{adj.het.name}]", x_hat, a_hat, cell_fn, act_left, act_right)
     # the twist functors, conjugated by the embeddings
     f_hat, g_hat = (
         FinFunctor(name=name, source=e.target, target=e2.target,

@@ -48,7 +48,7 @@ def category_from_payload(payload: Any) -> FinCategory:
             for m in payload["morphisms"])
         identity = dict(payload["identity"])
         comp = {(f, g): h for f, g, h in payload["composition"]}
-        name = payload.get("name", "category")
+        name = _name(payload, "category")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed category payload: {exc}") from exc
     return FinCategory(name, objects, morphisms, identity, comp, labels)
@@ -122,11 +122,25 @@ def bifunctor_to_payload(het: HetBifunctor) -> dict:
     }
 
 
+def _name(payload: dict, default: str) -> str:
+    # a name reaches `opposite` and `dual`, which append to it
+    name = payload.get("name", default)
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a string, got {type(name).__name__}")
+    return name
+
+
 def _string_tuple(value: Any) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DocumentError(f"malformed bifunctor payload: cell elements must be "
-                            f"a JSON array of strings, got {type(value).__name__}")
+        raise TypeError(f"cell elements must be a JSON array of strings, "
+                        f"got {type(value).__name__}")
     return tuple(value)
+
+
+def _string_map(value: Any) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise TypeError("an action mapping must be a JSON object of strings")
+    return dict(value)
 
 
 def bifunctor_from_payload(payload: Any) -> HetBifunctor:
@@ -134,9 +148,9 @@ def bifunctor_from_payload(payload: Any) -> HetBifunctor:
         x_cat = category_from_payload(payload["x_category"])
         a_cat = category_from_payload(payload["a_category"])
         cells = {(c["x"], c["a"]): _string_tuple(c["elements"]) for c in payload["cells"]}
-        act_left = {e["morphism"]: dict(e["mapping"]) for e in payload["act_left"]}
-        act_right = {e["morphism"]: dict(e["mapping"]) for e in payload["act_right"]}
-        name = payload.get("name", "bifunctor")
+        act_left = {e["morphism"]: _string_map(e["mapping"]) for e in payload["act_left"]}
+        act_right = {e["morphism"]: _string_map(e["mapping"]) for e in payload["act_right"]}
+        name = _name(payload, "bifunctor")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed bifunctor payload: {exc}") from exc
     return HetBifunctor(name, x_cat, a_cat, cells, act_left, act_right)
@@ -160,6 +174,8 @@ def bundle_from_payload(payload: Any) -> tuple[HetBifunctor, dict]:
     try:
         het = bifunctor_from_payload(payload["bifunctor"])
         expected = payload.get("expected", {})
+        if not isinstance(expected, dict):
+            raise TypeError(f"expected must be a JSON object, got {type(expected).__name__}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed adjunction bundle: {exc}") from exc
     return het, expected

@@ -169,9 +169,10 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                         raise StructuralError(f"{het.name}: {side} action of {m.id} sends "
                                               f"{c} outside cell ({dst[0]}, {dst[1]})")
     for side, cat, _, acts, contra in sides:
-        # identity actions are identities
+        # identity actions are identities; an object without an identity is
+        # check_category's identity-totality violation, not a het law
         for o in cat.objects:
-            for c, image in acts[cat.id_of(o)].items():
+            for c, image in acts.get(cat.identity.get(o), {}).items():
                 if image != c:
                     rep.add(f"identity-{side}-action", (o, c),
                             (f"1.{c}" if contra else f"{c}.1") + f" = {image}")
@@ -325,21 +326,20 @@ class KernelInvariantError(AssertionError):
     """An internal consistency check failed; indicates a bug or bad input."""
 
 
-def _verify_universal_pair_iso(het: HetBifunctor, x: str, first: tuple[str, str],
-                               other: tuple[str, str]) -> None:
-    """Two universal elements for the same index must have isomorphic carriers."""
+def _mediators(het: HetBifunctor, first: tuple[str, str],
+               other: tuple[str, str]) -> tuple[list[str], list[str], bool]:
+    """The maps through which two elements (b0, u0) and (b1, u1) factor into
+    each other: every g: b0 -> b1 with u0.g = u1, every g: b1 -> b0 with
+    u1.g = u0, and whether there is one each way and they are mutually
+    inverse. Two universal elements for one index always are."""
     (b0, u0), (b1, u1) = first, other
     cat = het.a_cat
-    homs01 = [g for g in cat.hom(b0, b1) if het.act_r(g, u0) == u1]
-    homs10 = [g for g in cat.hom(b1, b0) if het.act_r(g, u1) == u0]
-    if len(homs01) != 1 or len(homs10) != 1:
-        raise KernelInvariantError(
-            f"universal elements at {x} lack unique mutual factor maps")
-    back, forth = cat.compose(homs01[0], homs10[0]), cat.compose(homs10[0], homs01[0])
-    if back != cat.id_of(b0) or forth != cat.id_of(b1):
-        raise KernelInvariantError(
-            f"factor maps between universal carriers {b0}, {b1} at {x} "
-            f"do not compose to identities")
+    forward = [g for g in cat.hom(b0, b1) if het.act_r(g, u0) == u1]
+    backward = [g for g in cat.hom(b1, b0) if het.act_r(g, u1) == u0]
+    if len(forward) != 1 or len(backward) != 1:
+        return forward, backward, False
+    back, forth = cat.compose(forward[0], backward[0]), cat.compose(backward[0], forward[0])
+    return forward, backward, back == cat.id_of(b0) and forth == cat.id_of(b1)
 
 
 def _as_dual_left(rep: RightRepresentation) -> LeftRepresentation:
@@ -439,16 +439,12 @@ def compare_left_representation(rep: LeftRepresentation, functor: FinFunctor,
             out.add("expected-universal-placement", (x, u_exp),
                     "expected universal not in cell (x, Fx)")
             continue
-        forward = [g for g in het.a_cat.hom(b_rec, b_exp)
-                   if het.act_r(g, u_rec) == u_exp]
-        backward = [g for g in het.a_cat.hom(b_exp, b_rec)
-                    if het.act_r(g, u_exp) == u_rec]
+        forward, backward, inverse = _mediators(het, (b_rec, u_rec), (b_exp, u_exp))
         if len(forward) != 1 or len(backward) != 1:
             out.add("comparison-mediator", (x,),
                     f"{len(forward)} forward and {len(backward)} backward mediators")
             continue
-        if het.a_cat.compose(forward[0], backward[0]) != het.a_cat.id_of(b_rec) or \
-                het.a_cat.compose(backward[0], forward[0]) != het.a_cat.id_of(b_exp):
+        if not inverse:
             out.add("comparison-iso", (x,), "mediators do not compose to identities")
             continue
         mediators[x] = forward[0]
@@ -499,8 +495,15 @@ def find_left_representation(
         if not winners:
             degenerate = all(not het.cell(x, a) for a in het.a_cat.objects)
             return NonRepresentabilityWitness("left", x, degenerate, tuple(failures))
-        for other in winners[1:]:
-            _verify_universal_pair_iso(het, x, winners[0], other)
+        for b1, u1 in winners[1:]:
+            forward, backward, inverse = _mediators(het, winners[0], (b1, u1))
+            if len(forward) != 1 or len(backward) != 1:
+                raise KernelInvariantError(
+                    f"universal elements at {x} lack unique mutual factor maps")
+            if not inverse:
+                raise KernelInvariantError(
+                    f"factor maps between universal carriers {winners[0][0]}, {b1} at {x} "
+                    f"do not compose to identities")
         chosen[x] = winners[0]
         equivalents[x] = tuple(winners)
     # unique fill-in for the morphism part: Fj is the unique g with h_x . g = j . h_x'

@@ -8,12 +8,15 @@ function (or every one a predicate admits) between the carriers of its
 objects, with each morphism's image tuple made once; the composites of
 f: d -> c with all of hom(c, e) come from one C-level pass that reads each
 g's images at f's and looks the result up in an index of hom(d, e), so it
-runs in time linear in its composition table. `function_het` holds every
-function from an x carrier to an a carrier and fills its action tables with
-`_actions`, the routine the cone and cocone tabulators use too. The
-skeleton, whose objects are cardinalities named "0", "1", ..., is
-`function_category` over every function; for n = 4 that is 499 morphisms
-and 133,799 composites.
+runs in time linear in its composition table. The skeleton, whose objects
+are cardinalities named "0", "1", ..., is `function_category` over every
+function; for n = 4 that is 499 morphisms and 133,799 composites.
+
+A het is tabulated either by `build_het` (in `hetcat.het`), from per-element
+callables, or by `leg_het`, for elements that are tuples of functions (legs)
+acted on leg by leg: `function_het` (each function its own single leg) and
+the cone and cocone hets of `limits` are `leg_het` calls. `image_functor`
+is the functor that keeps each function's images and renames its endpoints.
 
 Limits are the compatible tuples (global sections) of a diagram; colimits are
 the blocks of the finest equivalence generated by relating each element to
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from ..errors import GuardExceeded, StructuralError
-from ..fincat import FinCategory, Morphism
+from ..fincat import FinCategory, FinFunctor, Morphism
 from ..het import HetBifunctor
 
 
@@ -102,15 +105,14 @@ def _postcompose(gi: tuple[int, ...], legs) -> dict[tuple[int, ...], tuple[int, 
     return dict(zip(legs, map(tuple, map(map, repeat(gi.__getitem__), legs))))
 
 
-def _actions(cells, legs):
-    """The function that fills an action table over these cells, where
-    legs[cell] lists the legs of each element of the cell, in the cell's
-    order.
-
-    `action(maps, moves)` sends, for each (source cell, target cell) in
-    moves, every element of the source cell, its i-th leg through maps[i],
-    to the element of the target cell with those legs.
-    """
+def leg_het(name: str, X: FinCategory, A: FinCategory, cells, legs,
+            left_maps, right_maps) -> HetBifunctor:
+    """The het over these cells whose elements are known by their legs:
+    legs[cell] lists each element's tuple of legs, in the cell's order.
+    h: x' -> x sends each element of (x, a), its i-th leg through the dict
+    left_maps(h)[i], to the element of (x', a) with those legs; k: a -> a'
+    acts from (x, a) to (x, a') by right_maps(k). Each image is looked up in
+    an index of its cell, so the tables fill in time linear in their size."""
     index = {cell: dict(zip(legs[cell], ids)) for cell, ids in cells.items()}
 
     def action(maps, moves) -> dict[str, str]:
@@ -120,7 +122,11 @@ def _actions(cells, legs):
             table.update(zip(cells[src], map(index[dst].__getitem__, images)))
         return table
 
-    return action
+    act_left = {h.id: action(left_maps(h), [((h.cod, a), (h.dom, a)) for a in A.objects])
+                for h in X.morphisms}
+    act_right = {k.id: action(right_maps(k), [((x, k.dom), (x, k.cod)) for x in X.objects])
+                 for k in A.morphisms}
+    return HetBifunctor(name, X, A, cells, act_left, act_right)
 
 
 def function_het(name: str, X: FinCategory, A: FinCategory, x_card, a_card, prefix,
@@ -131,8 +137,7 @@ def function_het(name: str, X: FinCategory, A: FinCategory, x_card, a_card, pref
 
     h: x' -> x acts by "h then c", with h's map on carriers read by
     `x_images(h.id)`; k: a -> a' acts by "c then k", with k's map read by
-    `fn_images`. Each function is its own single leg, so both action tables
-    are filled by `_actions` in time linear in their entries.
+    `fn_images`. Each function is its own single leg.
     """
     cells, legs = {}, {}
     for x in X.objects:
@@ -148,14 +153,20 @@ def function_het(name: str, X: FinCategory, A: FinCategory, x_card, a_card, pref
     a_max = max(map(a_card, A.objects), default=0)
     out_of = {w: _functions((w,), a_max) for w in x_cards}
     into = {v: _functions(x_cards, v) for v in set(map(a_card, A.objects))}
-    action = _actions(cells, legs)
-    act_left = {h.id: action((_precompose(x_images(h.id), out_of[x_card(h.cod)]),),
-                             [((h.cod, a), (h.dom, a)) for a in A.objects])
-                for h in X.morphisms}
-    act_right = {k.id: action((_postcompose(fn_images(k.id), into[a_card(k.dom)]),),
-                              [((x, k.dom), (x, k.cod)) for x in X.objects])
-                 for k in A.morphisms}
-    return HetBifunctor(name, X, A, cells, act_left, act_right)
+    return leg_het(
+        name, X, A, cells, legs,
+        lambda h: (_precompose(x_images(h.id), out_of[x_card(h.cod)]),),
+        lambda k: (_postcompose(fn_images(k.id), into[a_card(k.dom)]),))
+
+
+def image_functor(name: str, source: FinCategory, target: FinCategory,
+                  obj_map: dict[str, str]) -> FinFunctor:
+    """The functor that sends each object through obj_map and each function
+    to the one with the same images between the renamed endpoints, named
+    f"{d}>{c}:{images}" as in the skeleton and the categories of orders."""
+    return FinFunctor(name, source, target, dict(obj_map), {
+        m.id: f"{obj_map[m.dom]}>{obj_map[m.cod]}:{m.id.rpartition(':')[2]}"
+        for m in source.morphisms})
 
 
 def skeleton_card(obj: str) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..errors import GuardExceeded
 from ..fincat import FinCategory, Morphism
-from ..het import HetBifunctor
+from ..het import HetBifunctor, build_het
 
 
 def subset_id(sub: frozenset[str]) -> str:
@@ -54,27 +54,13 @@ def powerset_poset(name: str, universe: tuple[str, ...]) -> FinCategory:
 def _relation_het(name: str, dom_poset: FinCategory, cod_poset: FinCategory,
                   holds) -> HetBifunctor:
     """A het-bifunctor with at most one element per cell: the witness that the
-    relation holds. Actions are the unique maps, total by monotonicity."""
-    def cell_fn(x: str, a: str) -> tuple[str, ...]:
-        return (f"c:{x}=>{a}",) if holds(x, a) else ()
-
-    cells = {(x, a): cell_fn(x, a)
-             for x in dom_poset.objects for a in cod_poset.objects}
-    act_left = {}
-    for h in dom_poset.morphisms:
-        table = {}
-        for a in cod_poset.objects:
-            for c in cells[(h.cod, a)]:
-                table[c] = f"c:{h.dom}=>{a}"
-        act_left[h.id] = table
-    act_right = {}
-    for k in cod_poset.morphisms:
-        table = {}
-        for x in dom_poset.objects:
-            for c in cells[(x, k.dom)]:
-                table[c] = f"c:{x}=>{k.cod}"
-        act_right[k.id] = table
-    return HetBifunctor(name, dom_poset, cod_poset, cells, act_left, act_right)
+    relation holds. Actions are the unique maps, total by monotonicity: the
+    element "c:{x}=>{a}" keeps its a under h: x' -> x and its x under k."""
+    return build_het(
+        name, dom_poset, cod_poset,
+        lambda x, a: (f"c:{x}=>{a}",) if holds(x, a) else (),
+        lambda h, c: f"c:{dom_poset.dom(h)}=>" + c[4 + len(dom_poset.cod(h)):],
+        lambda k, c: c[:len(c) - len(cod_poset.dom(k))] + cod_poset.cod(k))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,9 +4,8 @@ Heteromorphisms from a set to a diagram are cones; from a diagram to a set,
 cocones. Cells are tabulated exhaustively over a finite-set skeleton and the
 functor category of diagrams, and the adjoints are recovered by the generic
 representability search, then compared against the direct limit and colimit
-computations. Cells keep each element's legs; an action table sends every
-leg through a per-morphism dict of leg images and looks the result up in the
-target cell's index, so it is filled in time linear in its entries.
+computations. Cells keep each element's legs, and `leg_het` fills the action
+tables by sending every leg through a per-morphism dict of leg images.
 
 Finiteness caveat: a representing object for Het(-, D) is a set of the same
 cardinality as the limit of D, and limits of discrete diagrams multiply
@@ -23,10 +22,9 @@ from dataclasses import dataclass
 
 from ..fincat import FinCategory, FinFunctor, FunctorCategory, functor_category
 from ..het import HetBifunctor
-from .finset import (_actions, _functions, _postcompose, _precompose,
-                     diagram_shape, finset_skeleton, fn_id, fn_images,
-                     limit_of, colimit_of, skeleton_card,
-                     skeleton_functor_to_diagram)
+from .finset import (_functions, _postcompose, _precompose, diagram_shape,
+                     finset_skeleton, fn_id, fn_images, leg_het, limit_of,
+                     colimit_of, skeleton_card, skeleton_functor_to_diagram)
 
 Legs = tuple[tuple[int, ...], ...]
 
@@ -129,15 +127,9 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
               for h in skel.morphisms}
     after = {g.id: _postcompose(fn_images(g.id), _functions(range(n + 1), skeleton_card(g.dom)))
              for g in skel.morphisms}
-    action = _actions(cells, legs)
-    act_left = {h.id: action((before[h.id],) * len(order),
-                             [((h.cod, did), (h.dom, did)) for did in fcat.objects])
-                for h in skel.morphisms}
-    act_right = {t.id: action(_components(after, fcat, t.id, order),
-                              [((wobj, t.dom), (wobj, t.cod)) for wobj in skel.objects])
-                 for t in fcat.morphisms}
-    het = HetBifunctor(f"cones[{shape_name},n={n}]", skel, fcat,
-                       cells, act_left, act_right)
+    het = leg_het(f"cones[{shape_name},n={n}]", skel, fcat, cells, legs,
+                  lambda h: (before[h.id],) * len(order),
+                  lambda t: _components(after, fcat, t.id, order))
 
     # expected left adjoint: the constant-diagram functor
     const_id, delta = _diagonal(shape, skel, fcat)
@@ -238,15 +230,9 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
               for g in diag_skel.morphisms}
     after = {h.id: _postcompose(fn_images(h.id), _functions(range(n + 1), skeleton_card(h.dom)))
              for h in skel.morphisms}
-    action = _actions(cells, legs)
-    act_left = {t.id: action(_components(before, fcat, t.id, order),
-                             [((t.cod, zobj), (t.dom, zobj)) for zobj in skel.objects])
-                for t in fcat.morphisms}
-    act_right = {h.id: action((after[h.id],) * len(order),
-                              [((did, h.dom), (did, h.cod)) for did in fcat.objects])
-                 for h in skel.morphisms}
-    het = HetBifunctor(f"cocones[{shape_name},n={n}]", fcat, skel,
-                       cells, act_left, act_right)
+    het = leg_het(f"cocones[{shape_name},n={n}]", fcat, skel, cells, legs,
+                  lambda t: _components(before, fcat, t.id, order),
+                  lambda h: (after[h.id],) * len(order))
 
     # expected left adjoint: the colimit functor (total by choice of bound)
     obj_map = {did: str(card) for did, card in colim_cards.items()}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..errors import GuardExceeded
 from ..fincat import FinCategory, FinFunctor
 from ..het import HetBifunctor
-from .finset import finset_skeleton, fn_id, fn_images, function_category, function_het
+from .finset import finset_skeleton, function_category, function_het, image_functor
 
 
 def _preorders_on(k: int) -> list[frozenset[tuple[int, int]]]:
@@ -80,32 +80,12 @@ def preorder_adjunction_chain(n: int, guard: int = 2) -> PreorderInstance:
                    for k in range(n + 1)}
     indiscrete_of = {str(k): _preorder_id(k, frozenset(
         (i, j) for i in range(k) for j in range(k))) for k in range(n + 1)}
-    discrete = FinFunctor(
-        "Discrete", sets, preorders,
-        obj_map=dict(discrete_of),
-        mor_map={m.id: f"{discrete_of[m.dom]}>{discrete_of[m.cod]}:" +
-                 ",".join(map(str, fn_images(m.id)))
-                 for m in sets.morphisms},
-    )
-    indiscrete = FinFunctor(
-        "Indiscrete", sets, preorders,
-        obj_map=dict(indiscrete_of),
-        mor_map={m.id: f"{indiscrete_of[m.dom]}>{indiscrete_of[m.cod]}:" +
-                 ",".join(map(str, fn_images(m.id)))
-                 for m in sets.morphisms},
-    )
-    forgetful = FinFunctor(
-        "Underlying", preorders, sets,
-        obj_map={p: str(pdata[p][0]) for p in preorders.objects},
-        mor_map={m.id: fn_id(pdata[m.dom][0], pdata[m.cod][0], fn_images(m.id))
-                 for m in preorders.morphisms},
-    )
-    poset_forgetful = FinFunctor(
-        "Underlying|Pos", posets, sets,
-        obj_map={p: str(qdata[p][0]) for p in posets.objects},
-        mor_map={m.id: fn_id(qdata[m.dom][0], qdata[m.cod][0], fn_images(m.id))
-                 for m in posets.morphisms},
-    )
+    discrete = image_functor("Discrete", sets, preorders, discrete_of)
+    indiscrete = image_functor("Indiscrete", sets, preorders, indiscrete_of)
+    forgetful = image_functor("Underlying", preorders, sets,
+                              {p: str(pdata[p][0]) for p in preorders.objects})
+    poset_forgetful = image_functor("Underlying|Pos", posets, sets,
+                                    {p: str(qdata[p][0]) for p in posets.objects})
 
     lower = function_het("set-to-preorder", sets, preorders,
                          int, lambda a: pdata[a][0], lambda x, a: f"du:{x}>{a}")

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from ..errors import GuardExceeded
 from ..fincat import FinCategory, FinFunctor
 from ..het import HetBifunctor
-from .finset import finset_skeleton, fn_id, fn_images, function_category, function_het
+from .finset import (finset_skeleton, fn_id, fn_images, function_category,
+                     function_het, image_functor)
 
 
 def _power_category(y_max: int, a_size: int) -> FinCategory:
@@ -90,12 +91,8 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
     pcard = {f"pw{m}": m ** a_size for m in range(n + 1)}
     reflective = function_het(f"power-maps[|A|={a_size}]", ambient, powers,
                               int, pcard.__getitem__, lambda b, p: f"re:{b}>{p}")
-    inclusion = FinFunctor(
-        "IncludePowers", powers, ambient,
-        obj_map={p: str(pcard[p]) for p in powers.objects},
-        mor_map={q.id: fn_id(pcard[q.dom], pcard[q.cod], fn_images(q.id))
-                 for q in powers.morphisms},
-    )
+    inclusion = image_functor("IncludePowers", powers, ambient,
+                              {p: str(pcard[p]) for p in powers.objects})
     inclusion_universals = {
         p: f"re:{pcard[p]}>{p}:" + ",".join(map(str, range(pcard[p])))
         for p in powers.objects

@@ -1,8 +1,14 @@
 """CLI contract: exit codes, export/recheck, JSON stability, factorize."""
 
+import contextlib
+import functools
+import io
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetcat.cli
 from hetcat.cli import main
@@ -179,6 +185,64 @@ def test_het_commands_gate_on_the_category_laws(capsys, non_category_bundle, arg
     assert "composition-totality at (i0, f)" in out
 
 
+@pytest.fixture()
+def identity_missing_bundle(tmp_path, terminal_cat):
+    """X = {0, 1, i0, f: 0 -> 1} with no identity at 1, A terminal."""
+    x_cat = FinCategory(
+        "arrow-without-i1", ("0", "1"), (Morphism("i0", "0", "0"), Morphism("f", "0", "1")),
+        {"0": "i0"}, {("i0", "i0"): "i0", ("i0", "f"): "f"})
+    het = HetBifunctor("identity-missing", x_cat, terminal_cat,
+                       {("0", "t"): ("c0",), ("1", "t"): ("c1",)},
+                       {"i0": {"c0": "c0"}, "f": {"c1": "c0"}},
+                       {"id_t": {"c0": "c0", "c1": "c1"}})
+    path = tmp_path / "identity-missing.json"
+    path.write_text(dumps_document(make_document("adjunction-bundle",
+                                                 bundle_to_payload(het))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("check",), ("adjoint",), ("factorize", "c0")],
+                         ids=["check", "adjoint", "factorize"])
+def test_het_commands_report_a_missing_identity(capsys, identity_missing_bundle, argv):
+    code, out = run(capsys, argv[0], identity_missing_bundle, *argv[1:], "--json")
+    assert code == 1
+    sending, receiving, laws = json.loads(out)["checks"]
+    assert sending["name"] == "sending category" and not sending["ok"]
+    assert [(v["law"], v["witness"]) for v in sending["violations"]] == \
+        [("identity-totality", ["1"])]
+    assert receiving["ok"] and laws["name"] == "bifunctor laws" and laws["ok"]
+    code, out = run(capsys, argv[0], identity_missing_bundle, *argv[1:])
+    assert code == 1
+    assert "identity-totality at (1)" in out
+
+
+def _set_mapping_value(payload):
+    mapping = payload["bifunctor"]["act_right"][0]["mapping"]
+    mapping[next(iter(mapping))] = ["a"]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_mapping_value, "an action mapping must be a JSON object of strings"),
+    (lambda p: p["bifunctor"]["x_category"].update(name=[]),
+     "malformed category payload: name must be a string, got list"),
+    (lambda p: p["bifunctor"].update(name=0),
+     "malformed bifunctor payload: name must be a string, got int"),
+    (lambda p: p.update(expected=2.5),
+     "malformed adjunction bundle: expected must be a JSON object, got float"),
+], ids=["mapping-value", "category-name", "bifunctor-name", "expected"])
+@pytest.mark.parametrize("argv", [("check",), ("adjoint",), ("factorize", "c:{0}=>{a}")],
+                         ids=["check", "adjoint", "factorize"])
+def test_malformed_bundle_fields_exit_two(capsys, tmp_path, galois_bundle, edit, message,
+                                          argv):
+    doc = loads_document(open(galois_bundle).read())
+    edit(doc["payload"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert message in out
+
+
 def test_kernel_invariant_failure_exits_two(capsys, monkeypatch, galois_bundle):
     def broken(het):
         raise KernelInvariantError("morphism fill-in for f is not unique (2 candidates)")
@@ -336,3 +400,104 @@ def test_every_demo_export_rechecks(capsys, tmp_path):
         assert code == 0, spec
         code, _ = run(capsys, "check", str(path))
         assert code == 0, spec
+
+
+_FULL_SUITE = [("four-bifunctor isomorphism", True),
+               ("triangular and over-and-back identities", True),
+               ("comma-category equivalence", True),
+               ("representation round-trip", True)]
+_LIMITS_FULL = [("recovers the diagonal and limit functors", True),
+                ("universal cones are the identity and projection cones", True)] + _FULL_SUITE
+_HALF = [("half-representable exactly as the cardinalities force", True)]
+
+
+@pytest.mark.parametrize("argv,checks,notes", [
+    (("limits", "--shape", "parallel-pair", "--n", "1"), _LIMITS_FULL, []),
+    (("colimits", "--shape", "parallel-pair", "--n", "1"),
+     [("recovers the colimit and diagonal functors", True),
+      ("universal cocones are the injection and identity cocones", True)] + _FULL_SUITE, []),
+    (("limits", "--shape", "discrete-2", "--n", "1"), _LIMITS_FULL, []),
+    (("colimits", "--shape", "discrete-2", "--n", "1"), _HALF,
+     ["sets too large to be diagram values: 2", "failed sides: right"]),
+    (("limits", "--shape", "discrete-2", "--n", "2"), _HALF,
+     ["limits escaping the skeleton: D8", "failed sides: right"]),
+])
+def test_cone_and_cocone_demo_checks(capsys, argv, checks, notes):
+    code, out = run(capsys, "demo", *argv, "--json")
+    data = json.loads(out)
+    assert code == data["exit"] == 0
+    assert [(c["name"], c["ok"]) for c in data["checks"]] == checks
+    assert data["checks"][0].get("notes", [])[:2] == notes
+
+
+# -- the document boundary under single-field mutations ----------------------
+
+_SMALL_DEMOS = [("ur", "--n", "1"), ("galois",),
+                ("limits", "--shape", "parallel-pair", "--n", "1"),
+                ("colimits", "--shape", "parallel-pair", "--n", "1"),
+                ("prodexp", "--n", "1", "--a", "1"), ("preorder", "--n", "1"),
+                ("pointed", "--n", "1")]
+
+
+def _fields(node, path=()):
+    """Every field of a JSON value, as (path to its container, key or index)."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path, key
+        yield from _fields(value, path + (key,))
+
+
+def _strings(node):
+    if isinstance(node, dict):
+        return [s for k, v in node.items() for s in [k, *_strings(v)]]
+    if isinstance(node, list):
+        return [s for v in node for s in _strings(v)]
+    return [node] if isinstance(node, str) else []
+
+
+@pytest.fixture(scope="module")
+def small_exports(tmp_path_factory):
+    """Per small demo: its export's text, fields and strings, and the first
+    heteromorphism to factorize."""
+    root = tmp_path_factory.mktemp("exports")
+    out = {}
+    for spec in _SMALL_DEMOS:
+        path = root / f"{spec[0]}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["demo", *spec, "--export", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        first = next(e for c in doc["payload"]["bifunctor"]["cells"] for e in c["elements"])
+        out[spec[0]] = (path.read_text(), list(_fields(doc)),
+                        sorted(set(_strings(doc))), first)
+    return root, out
+
+
+_DELETE = object()
+_VALUES = st.one_of(st.just(_DELETE), st.none(), st.booleans(), st.integers(-1, 2),
+                    st.text(max_size=2), st.lists(st.text(max_size=1), max_size=2),
+                    st.dictionaries(st.text(max_size=1), st.text(max_size=1), max_size=1))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_demo_exports_exit_cleanly(small_exports, data):
+    """One field of a demo export deleted or replaced (by another string of
+    the document or a small JSON value): check, adjoint and factorize each
+    end in exit 0, 1 or 2, never a traceback."""
+    root, exports = small_exports
+    text, fields, strings, first = exports[data.draw(st.sampled_from(sorted(exports)))]
+    doc = json.loads(text)
+    where, key = data.draw(st.sampled_from(fields))
+    value = data.draw(st.one_of(st.sampled_from(strings), _VALUES))
+    container = functools.reduce(operator.getitem, where, doc)
+    if value is _DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    path = root / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check"], ["adjoint"], ["factorize", first]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2), argv

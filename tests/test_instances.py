@@ -603,6 +603,30 @@ def test_preorder_tables_match_reference(n):
             (inst.poset_het, lambda p: qdata[p][0], lambda z: int(z), "pu")):
         assert _het_tables(het) == _ordered(_reference_functions_het(
             het.x_cat, het.a_cat, x_card, a_card, tag))
+    discrete_of = {str(k): _preorder_id(k, frozenset((i, i) for i in range(k)))
+                   for k in range(n + 1)}
+    indiscrete_of = {str(k): _preorder_id(k, frozenset(
+        (i, j) for i in range(k) for j in range(k))) for k in range(n + 1)}
+    for fun, name, source, target, obj_map, mor_id in (
+            (inst.discrete, "Discrete", inst.sets, inst.preorders, discrete_of,
+             lambda m: f"{discrete_of[m.dom]}>{discrete_of[m.cod]}:" + m.id.split(":")[1]),
+            (inst.indiscrete, "Indiscrete", inst.sets, inst.preorders, indiscrete_of,
+             lambda m: f"{indiscrete_of[m.dom]}>{indiscrete_of[m.cod]}:" + m.id.split(":")[1]),
+            (inst.forgetful, "Underlying", inst.preorders, inst.sets,
+             {p: str(pdata[p][0]) for p in preorders.objects},
+             lambda m: f"{pdata[m.dom][0]}>{pdata[m.cod][0]}:" + ",".join(
+                 map(str, _reference_images(m.id)))),
+            (inst.poset_forgetful, "Underlying|Pos", inst.posets, inst.sets,
+             {p: str(qdata[p][0]) for p in posets.objects},
+             lambda m: f"{qdata[m.dom][0]}>{qdata[m.cod][0]}:" + ",".join(
+                 map(str, _reference_images(m.id))))):
+        assert _functor_rows(fun) == (name, source, target, list(obj_map.items()),
+                                      [(m.id, mor_id(m)) for m in source.morphisms])
+
+
+def _functor_rows(fun):
+    return (fun.name, fun.source, fun.target, list(fun.obj_map.items()),
+            list(fun.mor_map.items()))
 
 
 @pytest.mark.parametrize("n,a_size", [(n, a) for n in range(3) for a in range(3)])
@@ -621,6 +645,11 @@ def test_prodexp_tables_match_reference(request, n, a_size):
             fn_images(h.id)[i] * a_size + t
             for i in range(int(h.dom)) for t in range(a_size))))
         for h in inst.x_skel.morphisms]
+    assert _functor_rows(inst.inclusion_functor) == (
+        "IncludePowers", inst.powers, inst.ambient,
+        [(p, str(c)) for p, c in pcard.items()],
+        [(q.id, f"{pcard[q.dom]}>{pcard[q.cod]}:" + ",".join(
+            map(str, _reference_images(q.id)))) for q in inst.powers.morphisms])
 
 
 def test_limits_pp2_bifunctor_laws_and_recovery(limits_pp2, limits_pp2_adj):
@@ -755,6 +784,57 @@ def test_galois_random_function_properties(s_size, t_size, data):
         assert lower.G.obj_map[a] == gi.sup_formula_right_adjoint("lower", a)
     for x in gi.dom_poset.objects:
         assert lower.F.obj_map[x] == gi.inf_formula_left_adjoint("lower", x)
+
+
+def _reference_relation_het(dom_poset, cod_poset, holds):
+    """The relation het's cells and action tables, written out one
+    morphism at a time."""
+    cells = {(x, a): (f"c:{x}=>{a}",) if holds(x, a) else ()
+             for x in dom_poset.objects for a in cod_poset.objects}
+    act_left = {}
+    for h in dom_poset.morphisms:
+        table = {}
+        for a in cod_poset.objects:
+            for c in cells[(h.cod, a)]:
+                table[c] = f"c:{h.dom}=>{a}"
+        act_left[h.id] = table
+    act_right = {}
+    for k in cod_poset.morphisms:
+        table = {}
+        for x in dom_poset.objects:
+            for c in cells[(x, k.dom)]:
+                table[c] = f"c:{x}=>{k.cod}"
+        act_right[k.id] = table
+    return cells, act_left, act_right
+
+
+def _members(oid):
+    inner = oid.strip("{}")
+    return frozenset(inner.split(",")) if inner else frozenset()
+
+
+_RELATION_MAPS = [(s, t, images) for s in range(4) for t in ("", "a", "ab")
+                  for images in itertools.product(t, repeat=s)] + [(6, "abc", "abcabc")]
+
+
+@pytest.mark.parametrize("s_size,t_univ,images", _RELATION_MAPS,
+                         ids=[f"{s}>{t or '-'}:{''.join(i)}" for s, t, i in _RELATION_MAPS])
+def test_relation_hets_match_reference(s_size, t_univ, images):
+    s_univ = tuple(str(i) for i in range(s_size))
+    f_map = dict(zip(s_univ, images))
+    gi = galois_connections(f_map, s_univ, tuple(t_univ), s_guard=6)
+
+    def image(x):
+        return frozenset(f_map[e] for e in _members(x))
+
+    def pre(a):
+        return frozenset(e for e in s_univ if f_map[e] in _members(a))
+
+    for het, holds in (
+            (gi.lower_het, lambda x, a: image(x) <= _members(a)),
+            (gi.lower_het_via_preimage, lambda x, a: _members(x) <= pre(a)),
+            (gi.upper_het, lambda a, x: pre(a) <= _members(x))):
+        assert _het_tables(het) == _ordered(_reference_relation_het(het.x_cat, het.a_cat, holds))
 
 
 def test_galois_guard():
