@@ -67,7 +67,7 @@ def _note_entry(name: str, ok: bool, notes: list[str]) -> dict:
 def _read_document(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return loads_document(text)
 
@@ -401,7 +401,11 @@ def cmd_demo(args) -> int:
             bundle_to_payload(het, expected_left, expected_right),
             name=f"demo-{args.name}",
             description=f"exported by: hetcat demo {args.name}")
-        Path(args.export).write_text(dumps_document(doc))
+        text = dumps_document(doc)
+        try:
+            Path(args.export).write_text(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.export}: {exc}") from exc
         out["exported"] = args.export
     _emit(out, args.json)
     return code

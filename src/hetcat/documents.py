@@ -5,11 +5,20 @@ One format for everything: {"format": "hetcat/1", "kind": ..., "meta": ...,
 "payload": ...}. Sets are arrays with declared element labels, references are
 string ids, and serialization is deterministic (sorted keys, fixed indent) so
 fixtures diff cleanly and repeated exports are byte-identical.
+
+`dumps_document` writes exactly the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, but not through
+`json.dumps`: any `indent` makes `json` fall back from its C encoder to a
+pure-Python one that yields every bracket and separator as its own chunk. The
+writer here emits each leaf container (a list of strings, an object of
+strings, a list of string lists such as a composition table) as one string
+joined at C level, with the escaper `json` itself uses.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Any
 
 from .errors import StructuralError
@@ -198,7 +207,82 @@ def make_document(kind: str, payload: dict, name: str = "",
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return "".join(_pieces(doc, "")) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii   # the escaper of ensure_ascii=True
+
+
+def _pieces(value: Any, indent: str):
+    """Yield the indent-2, sorted-key JSON text of `value` in pieces.
+
+    A leaf container is yielded whole; every other container yields its
+    brackets, separators and keys, and recurses. `indent` is the indentation
+    of the line `value` starts on.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        leaf = _leaf_list(value, indent)
+        if leaf is not None:
+            yield leaf
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            yield sep
+            yield from _pieces(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = indent + "  "
+        if set(map(type, value)) == {str} and set(map(type, value.values())) == {str}:
+            keys = sorted(value)
+            yield ("{\n" + inner
+                   + (",\n" + inner).join(map("{}: {}".format, map(_quote, keys),
+                                               map(_quote, map(value.__getitem__, keys))))
+                   + "\n" + indent + "}")
+            return
+        sep = "{\n" + inner      # _quote raises TypeError on a key that is not a str
+        for key in sorted(value):
+            yield sep + _quote(key) + ": "
+            yield from _pieces(value[key], inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(value, str):
+        yield _quote(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _leaf_list(value, indent: str) -> str | None:
+    """The whole text of a non-empty list of strings or of non-empty string
+    lists, or None when `value` is neither."""
+    inner = indent + "  "
+    types = set(map(type, value))
+    if types == {str}:
+        return "[\n" + inner + (",\n" + inner).join(map(_quote, value)) + "\n" + indent + "]"
+    if (types <= {list, tuple} and all(value)
+            and set(map(type, chain.from_iterable(value))) == {str}):
+        inner2 = inner + "  "
+        opening, closing = "[\n" + inner2, "\n" + inner + "]"
+        rows = map((",\n" + inner2).join, map(map, repeat(_quote), value))
+        return ("[\n" + inner + opening + (closing + ",\n" + inner + opening).join(rows)
+                + closing + "\n" + indent + "]")
+    return None
 
 
 def loads_document(text: str) -> dict:

@@ -358,19 +358,25 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
     out = LawReport(f"left representation of {het.name}")
     out.extend(check_functor(rep.functor))
     fun = rep.functor
+    a_cat, comp = het.a_cat, het.a_cat.comp
     misplaced = set()
     for x in het.x_cat.objects:
         hx = rep.universal[x]
         if het.cell_of(hx) != (x, fun.on_obj(x)):
             out.add("universal-placement", (x, hx), "h_x not in cell (x, Fx)")
             misplaced.add(x)
+    # cells whose psi is defined on exactly Hom(Fx, a): there every g runs
+    # Fx -> a, so the naturality loops read the composition table directly for
+    # pairs that compose; elsewhere, and on a miss, `compose` raises its error
+    hom_keyed = set()
     for x in het.x_cat.objects:
-        for a in het.a_cat.objects:
+        for a in a_cat.objects:
             table = rep.psi[(x, a)]
-            homs = het.a_cat.hom(fun.on_obj(x), a)
+            homs = a_cat.hom(fun.on_obj(x), a)
             if set(table) != set(homs):
                 out.add("psi-domain", (x, a), "psi not defined on exactly Hom(Fx, a)")
                 continue
+            hom_keyed.add((x, a))
             images = list(table.values())
             if sorted(images) != sorted(het.cell(x, a)):
                 out.add("psi-bijective", (x, a),
@@ -382,10 +388,13 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
                     out.add("psi-formula", (x, a, g), "psi(g) != u.g")
     # naturality of psi in a: psi(g then k) = k.psi(g)
     for x in het.x_cat.objects:
-        for k in het.a_cat.morphisms:
+        for k in a_cat.morphisms:
             a, a2 = k.dom, k.cod
+            direct = (x, a) in hom_keyed
+            target = rep.psi[(x, a2)]
             for g, c in rep.psi[(x, a)].items():
-                lhs = rep.psi[(x, a2)].get(het.a_cat.compose(g, k.id))
+                gk = comp.get((g, k.id)) if direct else None
+                lhs = target.get(gk or a_cat.compose(g, k.id))
                 rhs = het.act_r(k.id, c)
                 if lhs != rhs:
                     out.add("psi-naturality-right", (x, k.id, g),
@@ -393,9 +402,16 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
     # naturality of psi in x: psi_{x'}(Fh then g) = psi_x(g).h for h: x' -> x
     for h in het.x_cat.morphisms:
         x2, x = h.dom, h.cod
-        for a in het.a_cat.objects:
-            for g, c in rep.psi[(x, a)].items():
-                lhs = rep.psi[(x2, a)].get(het.a_cat.compose(fun.on_mor(h.id), g))
+        for a in a_cat.objects:
+            table = rep.psi[(x, a)]
+            if not table:
+                continue
+            fh = fun.on_mor(h.id)
+            direct = (x, a) in hom_keyed and a_cat.cod(fh) == fun.on_obj(x)
+            target = rep.psi[(x2, a)]
+            for g, c in table.items():
+                fhg = comp.get((fh, g)) if direct else None
+                lhs = target.get(fhg or a_cat.compose(fh, g))
                 rhs = het.act_l(h.id, c)
                 if lhs != rhs:
                     out.add("psi-naturality-left", (h.id, a, g),

@@ -72,6 +72,14 @@ def test_check_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def test_check_non_utf8_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out = run(capsys, "check", str(path))
+    assert code == 2
+    assert out.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
 def test_check_document_without_meta_exits_two(capsys, tmp_path, category_doc):
     doc = loads_document(open(category_doc).read())
     del doc["meta"]
@@ -276,6 +284,21 @@ def test_demo_negative_size_exits_two(capsys, argv, flag):
     code, out = run(capsys, "demo", *argv)
     assert code == 2
     assert f"error: {flag} must be non-negative" in out
+
+
+@pytest.mark.parametrize("target", ["no/such/dir/x.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_demo_export_to_unwritable_path_exits_two(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    code, out = run(capsys, "demo", "pointed", "--n", "1", "--export", path)
+    assert code == 2
+    assert out.startswith(f"error: cannot write {path}: [Errno ")
+    assert out.endswith("exit 2\n")
+    code, out = run(capsys, "demo", "pointed", "--n", "1", "--export", path, "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit"] == 2 and report["command"] == "demo"
+    assert report["error"].startswith(f"cannot write {path}: [Errno ")
 
 
 @pytest.mark.parametrize("spec", ["0:a,0:b", "0:a,1:b,0:a", "0:a, 0 :b"])

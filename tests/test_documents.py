@@ -1,6 +1,10 @@
 """Serialization round-trips and document validation."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcat import check_nat_trans, hom_bifunctor, identity_functor, identity_nat_trans
 from hetcat.documents import (DocumentError, bifunctor_from_payload,
@@ -11,6 +15,7 @@ from hetcat.documents import (DocumentError, bifunctor_from_payload,
                               loads_document, make_document,
                               nat_trans_from_payload, nat_trans_to_payload,
                               parse_document)
+from hetcat.instances import colimits_adjunction, product_exponential
 
 
 def test_category_roundtrip(chain2, skeleton2, powerset2):
@@ -78,3 +83,44 @@ def test_hom_bifunctor_document_roundtrip(chain2):
     kind, back = parse_document(loads_document(dumps_document(doc)))
     assert kind == "bifunctor"
     assert back.cells == het.cells
+
+
+def _reference_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001d11e'), max_size=4)
+_SCALARS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none())
+_STRING_ROWS = st.lists(st.lists(_TEXT, max_size=3), max_size=3)   # empty rows too
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _STRING_ROWS, st.dictionaries(_TEXT, _TEXT, max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_JSON)
+def test_dumps_document_matches_json_dumps(value):
+    assert dumps_document(value) == _reference_dumps(value)
+
+
+def test_dumps_document_matches_json_dumps_on_bundles():
+    colimits = colimits_adjunction("discrete-2", 1)
+    prodexp = product_exponential(1, 2)
+    payloads = [bundle_to_payload(colimits.het, colimits.colim.obj_map),
+                bundle_to_payload(prodexp.coreflective_het,
+                                  prodexp.product_functor.obj_map),
+                bundle_to_payload(prodexp.reflective_het)]
+    for payload in payloads:
+        doc = make_document("adjunction-bundle", payload, name="bundle")
+        assert dumps_document(doc) == _reference_dumps(doc)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"a": [1, 2.5]}, {1: "a"}, {"a": {2: []}},
+                                   {("a",): "b"}, object()])
+def test_dumps_document_rejects_what_hetcat_never_writes(value):
+    with pytest.raises(TypeError):
+        dumps_document(value)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcat import (CandidateFailure, FinFunctor, HetBifunctor, KernelInvariantError,
-                    LeftRepresentation, NonRepresentabilityWitness,
+from hetcat import (CandidateFailure, FinCategory, FinFunctor, HetBifunctor,
+                    KernelInvariantError, LeftRepresentation, NonRepresentabilityWitness,
                     RightRepresentation, StructuralError, build_het,
                     check_bifunctor, check_functor, check_left_representation,
                     check_right_representation, co_universal_element_check,
@@ -788,6 +788,27 @@ def test_rewired_functor_image_is_reported(hom_reps):
         report = check(replace(rep, functor=bad))
         assert "composition-preservation" in _laws(report)
         assert {"psi-naturality-left", "psi-naturality-right"} & _laws(report)
+
+
+def test_stray_composition_entry_does_not_hide_an_uncomposable_pair(chain2):
+    """The naturality checks read A's composition table directly only for
+    pairs that compose; an entry recorded for a pair that does not compose
+    still ends in compose's error."""
+    stray = FinCategory("chain2+", chain2.objects, chain2.morphisms, chain2.identity,
+                        {**chain2.comp, ("le", "i0"): "le", ("le", "le"): "le",
+                         ("i0", "i1"): "i0"})
+    hom = hom_bifunctor(chain2)
+    het = HetBifunctor(hom.name, chain2, stray, hom.cells, hom.act_left, hom.act_right)
+    left = replace(find_left_representation(hom), het=het)
+    psi = {cell: dict(t) for cell, t in left.psi.items()}
+    psi[("0", "0")] = {"le": "i0"}          # defined off Hom(0, 0)
+    with pytest.raises(StructuralError, match="le and i0 are not composable"):
+        check_left_representation(replace(left, psi=psi))
+    fun = left.functor
+    bad = FinFunctor(fun.name, fun.source, fun.target, fun.obj_map,
+                     {**fun.mor_map, "le": "i0"})
+    with pytest.raises(StructuralError, match="i0 and i1 are not composable"):
+        check_left_representation(replace(left, functor=bad))
 
 
 def test_expected_functor_without_inverse_mediator_is_reported(hom_reps):
