@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import Any
 
 from .errors import StructuralError
@@ -56,7 +57,14 @@ def category_from_payload(payload: Any) -> FinCategory:
             Morphism(m["id"], m["dom"], m["cod"], m.get("label", ""))
             for m in payload["morphisms"])
         identity = dict(payload["identity"])
+        if not set(map(type, payload["composition"])) <= {list}:  # "fgh" unpacks too
+            raise TypeError("composition entries must be [f, g, h] arrays")
         comp = {(f, g): h for f, g, h in payload["composition"]}
+        # only string composition ids can resolve against these
+        ids = chain(objects, identity, identity.values(),
+                    chain.from_iterable(map(attrgetter("id", "dom", "cod"), morphisms)))
+        if not set(map(type, ids)) <= {str}:
+            raise TypeError("object, morphism and identity ids must be strings")
         name = _name(payload, "category")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed category payload: {exc}") from exc

@@ -7,9 +7,9 @@ Composition is written in diagrammatic order throughout: ``comp[(f, g)]`` is
 
 Law checking is exhaustive, which is affordable and trustworthy at desk
 scale. Associativity still covers every composable triple, but compares one
-composable pair (f, g) at a time: a row over all h, at C speed. Morphism
-identity is by id, never by label; labels are display-only and excluded from
-equality.
+morphism f at a time: every "(f then g) then h" against every
+"f then (g then h)", gathered at C speed. Morphism identity is by id, never
+by label; labels are display-only and excluded from equality.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count, repeat
+from operator import eq, itemgetter
 
 from .errors import GuardExceeded, StructuralError
 from .report import LawReport
@@ -228,62 +230,69 @@ class NatTrans:
 def check_category(cat: FinCategory) -> LawReport:
     """Exhaustively check the category laws; empty report iff cat is a category.
 
-    Associativity still covers every composable triple (f, g, h), but compares
-    one composable pair (f, g) at a time: the row "fg then h" over all h
-    leaving cod g against the row "f then (g then h)". Only a row that
-    differs is walked triple by triple to name its witnesses.
+    Associativity covers every composable triple (f, g, h), one f at a time:
+    for f: x -> y, an itemgetter for y gathers every "f then (g then h)" out
+    of the row of f in one C call, to compare with the rows of "f then g"
+    over g, joined. An f whose rows are not all total and well typed, or whose
+    two sides differ, is walked triple by triple to name its witnesses.
     """
     rep = LawReport(f"category {cat.name}")
-    mor = cat._mor
+    mor, comp = cat._mor, cat.comp
     for x in cat.objects:
-        i = cat.identity.get(x)
-        if i is None:
+        m = mor.get(cat.identity.get(x))
+        if m is None:
             rep.add("identity-totality", (x,), "object has no identity morphism")
-            continue
-        m = mor[i]
-        if m.dom != x or m.cod != x:
-            rep.add("identity-shape", (x, i), f"identity has type {m.dom} -> {m.cod}")
-    # composition table defined on exactly the composable pairs, with the right shape
-    rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
-    for (f, g), h in cat.comp.items():
-        rows[f][g] = h
-        mf, mg, mh = mor[f], mor[g], mor[h]
-        if mf.cod != mg.dom:
-            rep.add("composition-domain", (f, g), "entry for a non-composable pair")
-            continue
-        if mh.dom != mf.dom or mh.cod != mg.cod:
-            rep.add("composition-shape", (f, g, h),
-                    f"composite has type {mh.dom} -> {mh.cod}, expected {mf.dom} -> {mg.cod}")
+        elif m.dom != x or m.cod != x:
+            rep.add("identity-shape", (x, m.id), f"identity has type {m.dom} -> {m.cod}")
     out: dict[str, list[str]] = {}
     for m in cat.morphisms:
         out.setdefault(m.dom, []).append(m.id)
-    # identity laws
+    ids = {m: m for m in mor}
+    cod = {m: mm.cod for m, mm in mor.items()}
+    nexts = {m: out.get(y, ()) for m, y in cod.items()}     # every n with "m then n"
+    # the row of m: "m then n" for each n, as the morphism's own id object or None
+    then = {m: tuple(map(ids.get, map(comp.get, zip(repeat(m), ns)))) for m, ns in nexts.items()}
+    # every row is total and each "m then n" in it ends where n does
+    typed = all(map(eq, map(cod.get, chain.from_iterable(then.values())),
+                    map(cod.get, chain.from_iterable(nexts.values()))))
+    # gather[y] picks "f then (g then h)" for every g leaving y and h leaving
+    # cod g from the row of f: y needs each such "g then h" recorded, leaving y
+    gather = {}
+    for y, gs in out.items():
+        place = dict(zip(gs, count()))
+        at = tuple(map(place.get, chain.from_iterable(map(then.__getitem__, gs))))
+        if None not in at:
+            gather[y] = (itemgetter(*at) if len(at) > 1
+                         else lambda row, at=at: tuple(map(row.__getitem__, at)))
+    # composition table defined on exactly the composable pairs, with the right shape
+    if not typed or len(gather) != len(out) or sum(map(len, then.values())) != len(comp):
+        for (f, g), h in comp.items():
+            mf, mg, mh = mor[f], mor[g], mor[h]
+            if mf.cod != mg.dom:
+                rep.add("composition-domain", (f, g), "entry for a non-composable pair")
+            elif mh.dom != mf.dom or mh.cod != mg.cod:
+                rep.add("composition-shape", (f, g, h),
+                        f"composite has type {mh.dom} -> {mh.cod}, expected {mf.dom} -> {mg.cod}")
+    # identity laws, where the identity and the composite are recorded
     for m in cat.morphisms:
-        li = cat.identity.get(m.dom)
-        ri = cat.identity.get(m.cod)
-        if li is not None and (li, m.id) in cat.comp and cat.comp[(li, m.id)] != m.id:
-            rep.add("left-identity", (m.id,), f"id then {m.id} = {cat.comp[(li, m.id)]}")
-        if ri is not None and (m.id, ri) in cat.comp and cat.comp[(m.id, ri)] != m.id:
-            rep.add("right-identity", (m.id,), f"{m.id} then id = {cat.comp[(m.id, ri)]}")
-    # then[x][i] is "x then h" for the i-th h leaving cod x (None where missing)
-    then = {x: tuple(map(rows[x].get, out.get(m.cod, ()))) for x, m in mor.items()}
-    # totality and associativity, one composable pair (f, g) at a time
-    for f, mf in mor.items():
-        get_f = rows[f].get
-        for g in out.get(mf.cod, ()):
-            fg = get_f(g)
+        left = comp.get((cat.identity.get(m.dom), m.id), m.id)
+        right = comp.get((m.id, cat.identity.get(m.cod)), m.id)
+        if left != m.id:
+            rep.add("left-identity", (m.id,), f"id then {m.id} = {left}")
+        if right != m.id:
+            rep.add("right-identity", (m.id,), f"{m.id} then id = {right}")
+    for f, row in then.items():
+        pick = gather.get(cod[f])
+        if (pick is not None
+                and (typed or tuple(map(cod.get, row)) == tuple(map(cod.get, nexts[f])))
+                and pick(row) == tuple(chain.from_iterable(map(then.__getitem__, row)))):
+            continue
+        for g, fg in zip(nexts[f], row):
             if fg is None:
                 rep.add("composition-totality", (f, g), "composable pair missing from the table")
                 continue
-            cod_g = mor[g].cod
-            right = tuple(map(get_f, then[g]))
-            if mor[fg].cod == cod_g:
-                left = then[fg]
-                if left == right and None not in left:
-                    continue
-            else:
-                left = tuple(map(rows[fg].get, out.get(cod_g, ())))
-            for h, gh, lh, rh in zip(out.get(cod_g, ()), then[g], left, right):
+            for h, gh in zip(nexts[g], then[g]):
+                lh, rh = comp.get((fg, h)), comp.get((f, gh))
                 if gh is not None and (lh != rh or lh is None):
                     rep.add("associativity", (f, g, h), f"(f.g).h = {lh}, f.(g.h) = {rh}")
     return rep.normalize()
@@ -465,11 +474,9 @@ def product_category(left: FinCategory, right: FinCategory) -> ProductCategory:
         pair_id(a, b): pair_id(left.id_of(a), right.id_of(b))
         for a in left.objects for b in right.objects
     }
-    comp = {}
-    for (f1, g1), h1 in left.comp.items():
-        for (f2, g2), h2 in right.comp.items():
-            comp[(pair_id(f1, f2), pair_id(g1, g2))] = pair_id(h1, h2)
-    cat = ProductCategory(
+    comp = {(pair_id(f1, f2), pair_id(g1, g2)): pair_id(h1, h2)
+            for (f1, g1), h1 in left.comp.items() for (f2, g2), h2 in right.comp.items()}
+    return ProductCategory(
         name=f"{left.name}x{right.name}",
         objects=objects,
         morphisms=morphisms,
@@ -479,21 +486,14 @@ def product_category(left: FinCategory, right: FinCategory) -> ProductCategory:
         mor_pairs={pair_id(f.id, g.id): (f.id, g.id)
                    for f in left.morphisms for g in right.morphisms},
     )
-    return cat
 
 
 def product_projections(prod: ProductCategory, left: FinCategory,
                         right: FinCategory) -> tuple[FinFunctor, FinFunctor]:
-    p0 = FinFunctor(
-        name="proj0", source=prod, target=left,
-        obj_map={o: prod.obj_pairs[o][0] for o in prod.objects},
-        mor_map={m.id: prod.mor_pairs[m.id][0] for m in prod.morphisms},
-    )
-    p1 = FinFunctor(
-        name="proj1", source=prod, target=right,
-        obj_map={o: prod.obj_pairs[o][1] for o in prod.objects},
-        mor_map={m.id: prod.mor_pairs[m.id][1] for m in prod.morphisms},
-    )
+    p0, p1 = (FinFunctor(name=f"proj{i}", source=prod, target=factor,
+                         obj_map={o: prod.obj_pairs[o][i] for o in prod.objects},
+                         mor_map={m.id: prod.mor_pairs[m.id][i] for m in prod.morphisms})
+              for i, factor in enumerate((left, right)))
     return p0, p1
 
 
@@ -513,12 +513,10 @@ def _enumerate_functors(shape: FinCategory, target: FinCategory):
         for choice in itertools.product(*pools):
             mmap = {shape.id_of(x): target.id_of(omap[x]) for x in shape.objects}
             mmap.update({m.id: c for m, c in zip(non_id, choice)})
-            ok = True
             for (f, g), h in shape.comp.items():
                 if target.comp.get((mmap[f], mmap[g])) != mmap[h]:
-                    ok = False
                     break
-            if ok:
+            else:
                 yield omap, mmap
 
 
@@ -545,15 +543,14 @@ def functor_category(shape: FinCategory, target: FinCategory,
             raise GuardExceeded(
                 f"functor category over {target.name} would have >= {estimate} "
                 f"objects (guard {guard})", estimate)
-    funs: list[FinFunctor] = []
-    for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target)):
-        funs.append(FinFunctor(f"D{i}", shape, target, omap, mmap))
+    funs = [FinFunctor(f"D{i}", shape, target, omap, mmap)
+            for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target))]
     objects = tuple(f.name for f in funs)
     fun_by_id = {f.name: f for f in funs}
     trans: dict[str, NatTrans] = {}
     morphisms: list[Morphism] = []
     identity: dict[str, str] = {}
-    comp_index: dict[str, dict[str, str]] = {}
+    comps_of: dict[str, tuple[str, ...]] = {}     # components in shape-object order
     for ff in funs:
         for hh in funs:
             pools = [target.hom(ff.on_obj(x), hh.on_obj(x)) for x in shape.objects]
@@ -573,8 +570,8 @@ def functor_category(shape: FinCategory, target: FinCategory,
                         f"functor category over {target.name} has more than "
                         f"{guard} morphisms (guard {guard})", len(morphisms) + 1)
                 tid = f"t{len(morphisms)}"
-                nt = NatTrans(tid, ff, hh, comps)
-                trans[tid] = nt
+                trans[tid] = NatTrans(tid, ff, hh, comps)
+                comps_of[tid] = combo
                 morphisms.append(Morphism(tid, ff.name, hh.name,
                                           label="(" + ",".join(combo) + ")"))
                 if ff.name == hh.name and all(
@@ -582,17 +579,11 @@ def functor_category(shape: FinCategory, target: FinCategory,
                     identity[ff.name] = tid
     comp: dict[tuple[str, str], str] = {}
     # index transformations by (source functor, component tuple) for composite lookup
-    lookup = {
-        (m.dom, m.cod, tuple(trans[m.id].components[x] for x in shape.objects)): m.id
-        for m in morphisms
-    }
+    lookup = {(m.dom, m.cod, comps_of[m.id]): m.id for m in morphisms}
     by_dom: dict[str, list[Morphism]] = {}
     for m in morphisms:
         by_dom.setdefault(m.dom, []).append(m)
     tcomp = target.comp
-    obj_list = list(shape.objects)
-    comps_of = {m.id: tuple(trans[m.id].components[x] for x in obj_list)
-                for m in morphisms}
     for m1 in morphisms:
         c1 = comps_of[m1.id]
         for m2 in by_dom.get(m1.cod, ()):

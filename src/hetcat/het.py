@@ -354,11 +354,10 @@ def _as_dual_left(rep: RightRepresentation) -> LeftRepresentation:
 
 def check_left_representation(rep: LeftRepresentation) -> LawReport:
     """Verify psi bijectivity, naturality in both variables, and functor laws."""
-    het = rep.het
+    het, fun = rep.het, rep.functor
     out = LawReport(f"left representation of {het.name}")
-    out.extend(check_functor(rep.functor))
-    fun = rep.functor
-    a_cat, comp = het.a_cat, het.a_cat.comp
+    out.extend(check_functor(fun))
+    a_cat, comp, act_right = het.a_cat, het.a_cat.comp, het.act_right
     misplaced = set()
     for x in het.x_cat.objects:
         hx = rep.universal[x]
@@ -383,25 +382,26 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
                         f"psi image {sorted(images)} != cell {sorted(het.cell(x, a))}")
             if x in misplaced:
                 continue        # u.g may be undefined; the placement names the fault
+            u = rep.universal[x]
             for g, c in table.items():
-                if het.act_r(g, rep.universal[x]) != c:
+                if (act_right.get(g, {}).get(u) or het.act_r(g, u)) != c:
                     out.add("psi-formula", (x, a, g), "psi(g) != u.g")
     # naturality of psi in a: psi(g then k) = k.psi(g)
     for x in het.x_cat.objects:
         for k in a_cat.morphisms:
-            a, a2 = k.dom, k.cod
+            a, a2, row = k.dom, k.cod, act_right.get(k.id, {})
             direct = (x, a) in hom_keyed
             target = rep.psi[(x, a2)]
             for g, c in rep.psi[(x, a)].items():
                 gk = comp.get((g, k.id)) if direct else None
                 lhs = target.get(gk or a_cat.compose(g, k.id))
-                rhs = het.act_r(k.id, c)
+                rhs = row.get(c) or het.act_r(k.id, c)
                 if lhs != rhs:
                     out.add("psi-naturality-right", (x, k.id, g),
                             f"psi(g;k) = {lhs}, k.psi(g) = {rhs}")
     # naturality of psi in x: psi_{x'}(Fh then g) = psi_x(g).h for h: x' -> x
     for h in het.x_cat.morphisms:
-        x2, x = h.dom, h.cod
+        x2, x, row = h.dom, h.cod, het.act_left.get(h.id, {})
         for a in a_cat.objects:
             table = rep.psi[(x, a)]
             if not table:
@@ -412,7 +412,7 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
             for g, c in table.items():
                 fhg = comp.get((fh, g)) if direct else None
                 lhs = target.get(fhg or a_cat.compose(fh, g))
-                rhs = het.act_l(h.id, c)
+                rhs = row.get(c) or het.act_l(h.id, c)
                 if lhs != rhs:
                     out.add("psi-naturality-left", (h.id, a, g),
                             f"psi(Fh;g) = {lhs}, psi(g).h = {rhs}")

@@ -100,6 +100,25 @@ def test_check_short_composition_triple_exits_two(capsys, tmp_path, category_doc
     assert "malformed category payload" in out
 
 
+@pytest.mark.parametrize("morphisms, identity, composition", [
+    # number ids, and (2, 2) missing, so a witness would hold numbers
+    ([1, 2], {"x": 1}, [[1, 1, 1], [1, 2, 2], [2, 1, 2]]),
+    # a string of three ids unpacks to the entry (i, i) -> i
+    (["i"], {"x": "i"}, ["iii"]),
+])
+def test_check_non_string_category_ids_exit_two(capsys, tmp_path, morphisms,
+                                                identity, composition):
+    payload = {"name": "odd", "objects": [{"id": "x", "label": "x"}],
+               "morphisms": [{"id": m, "dom": "x", "cod": "x"} for m in morphisms],
+               "identity": identity, "composition": composition}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(make_document("category", payload)))
+    for argv in (("check", str(path)), ("check", str(path), "--json")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert "malformed category payload" in out
+
+
 def test_check_deeply_nested_document_exits_two(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"format": "hetcat/1", "kind": "category", "meta": {}, "payload": '

@@ -2,6 +2,8 @@
 derived constructions (opposite, product, functor category)."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -81,29 +83,89 @@ def _reference_check_category(cat: FinCategory) -> LawReport:
 
 MUTATION_BASES = {
     "skeleton2": finset_skeleton(2),
+    "skeleton3": finset_skeleton(3),
     "P2": powerset_poset("P2", ("0", "1")),
     "span-over-1": functor_category(diagram_shape("span"), finset_skeleton(1)),
 }
+STRAY_PAIRS = {base: sorted((f.id, g.id) for f in cat.morphisms for g in cat.morphisms
+                            if f.cod != g.dom)
+               for base, cat in MUTATION_BASES.items()}
+
+
+def _mutant(base: str, data) -> FinCategory:
+    """The base category with one or two composition or identity entries changed."""
+    cat = MUTATION_BASES[base]
+    ids = [m.id for m in cat.morphisms]
+    comp, identity = dict(cat.comp), dict(cat.identity)
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(("rewire", "drop", "add", "swap", "identity")))
+        if kind == "identity":
+            identity[data.draw(st.sampled_from(cat.objects))] = data.draw(st.sampled_from(ids))
+        elif kind == "rewire":
+            comp[data.draw(st.sampled_from(sorted(comp)))] = data.draw(st.sampled_from(ids))
+        elif kind == "drop":
+            del comp[data.draw(st.sampled_from(sorted(comp)))]
+        elif kind == "add":
+            comp[data.draw(st.sampled_from(STRAY_PAIRS[base]))] = data.draw(st.sampled_from(ids))
+        else:
+            # another composite of the same type: every row stays total and
+            # well typed, so only the per-morphism comparison can see it
+            pair = data.draw(st.sampled_from(sorted(comp)))
+            h = cat.morphism(comp[pair])
+            same_type = [k for k in cat.hom(h.dom, h.cod) if k != h.id]
+            comp[pair] = data.draw(st.sampled_from(same_type or [h.id]))
+    return FinCategory("mutant", cat.objects, cat.morphisms, identity, comp)
 
 
 @settings(deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(MUTATION_BASES)), st.data())
 def test_associativity_witnesses_match_triple_reference(base, data):
-    cat = MUTATION_BASES[base]
-    ids = [m.id for m in cat.morphisms]
-    comp = dict(cat.comp)
-    for _ in range(data.draw(st.integers(1, 2))):
-        kind = data.draw(st.sampled_from(("rewire", "drop", "add")))
-        if kind == "rewire":
-            comp[data.draw(st.sampled_from(sorted(comp)))] = data.draw(st.sampled_from(ids))
-        elif kind == "drop":
-            del comp[data.draw(st.sampled_from(sorted(comp)))]
-        else:
-            stray = sorted((f, g) for f in ids for g in ids
-                           if cat.cod(f) != cat.dom(g))
-            comp[data.draw(st.sampled_from(stray))] = data.draw(st.sampled_from(ids))
-    mutant = FinCategory("mutant", cat.objects, cat.morphisms, dict(cat.identity), comp)
+    mutant = _mutant(base, data)
     assert check_category(mutant).violations == _reference_check_category(mutant).violations
+
+
+# -- id relabelling: a verdict may not depend on id text or table order -----
+
+def _relabelled(cat: FinCategory, seed: int) -> tuple[FinCategory, dict[str, str]]:
+    """`cat` with every id renamed and every table reordered by a seeded
+    shuffle, and the map from each new id back to the old one."""
+    rng = random.Random(seed)
+    objects, morphisms = list(cat.objects), list(cat.morphisms)
+    entries = list(cat.comp.items())
+    names = {}
+    for prefix, old in (("o", objects), ("m", [m.id for m in morphisms])):
+        new = [f"{prefix}{i}" for i in range(len(old))]
+        rng.shuffle(new)
+        names[prefix] = dict(zip(old, new))
+    for table in (objects, morphisms, entries):
+        rng.shuffle(table)
+    ob, mo = names["o"], names["m"]
+    relabelled = FinCategory(
+        "relabelled", tuple(map(ob.get, objects)),
+        tuple(Morphism(mo[m.id], ob[m.dom], ob[m.cod]) for m in morphisms),
+        {ob[x]: mo[i] for x, i in cat.identity.items()},
+        {(mo[f], mo[g]): mo[h] for (f, g), h in entries})
+    back = {new: old for rename in (ob, mo) for old, new in rename.items()}
+    return relabelled, back
+
+
+def _assert_relabelling_invariant(cat: FinCategory, seed: int) -> None:
+    relabelled, back = _relabelled(cat, seed)
+    found = Counter((v.law, tuple(map(back.get, v.witness)))
+                    for v in check_category(relabelled).violations)
+    assert found == Counter((v.law, v.witness) for v in check_category(cat).violations)
+
+
+@pytest.mark.parametrize("base", sorted(MUTATION_BASES))
+def test_relabelling_ids_keeps_the_verdict(base):
+    for seed in range(3):
+        _assert_relabelling_invariant(MUTATION_BASES[base], seed)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MUTATION_BASES)), st.data(), st.integers(0, 2**16))
+def test_relabelling_ids_keeps_the_violations_of_mutants(base, data, seed):
+    _assert_relabelling_invariant(_mutant(base, data), seed)
 
 
 def test_wrong_codomain_composite_is_detected(skeleton2):
