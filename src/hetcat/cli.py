@@ -105,6 +105,8 @@ def _het_checks(het: HetBifunctor, all_entries: bool = True) -> list[dict]:
 def cmd_check(args) -> int:
     doc = _read_document(args.path)
     kind, value = parse_document(doc)
+    subject = doc["meta"].get("name") or args.path
+    del doc             # the raw JSON is not needed during the checks
     checks: list[dict] = []
     if kind == "category":
         checks.append(_check_entry("category laws", check_category(value)))
@@ -123,8 +125,7 @@ def cmd_check(args) -> int:
     else:
         checks = _het_checks(value if kind == "bifunctor" else value[0])
     code = 0 if all(c["ok"] for c in checks) else 1
-    out = {"command": "check", "subject": doc["meta"].get("name") or args.path,
-           "checks": checks, "exit": code}
+    out = {"command": "check", "subject": subject, "checks": checks, "exit": code}
     _emit(out, args.json)
     return code
 

@@ -5,9 +5,9 @@ A comma category is tabulated once, over dense ints. Object i is the i-th
 source triple in sorted order; morphism n is the n-th commuting pair in
 enumeration order; composition is one int row per morphism. The string view
 (`base`, the projections, `objects_data`, `morphisms_data`) is built from
-the table on first access. The comma isomorphisms are decided on the int
-tables; only an isomorphism that fails materialises both string views and
-runs the string check, which names the witnesses.
+the table on first access, for callers that want a `FinCategory`. The comma
+isomorphisms are checked on the int tables alone, in one pass that decides
+and names each witness in the string view's ids.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
-from itertools import repeat
+from itertools import count, repeat
 from operator import sub
 
 from .adjunction import Adjunction
 from .errors import GuardExceeded, StructuralError
+# check_functor stays importable: bench/tracing.py rebinds hetcat.comma.check_functor
 from .fincat import FinCategory, FinFunctor, Morphism, check_functor, identity_functor
 from .het import HetBifunctor, hom_bifunctor
 from .report import LawReport
@@ -259,103 +260,76 @@ def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000) -> CommaCategory:
 
 def _comma_iso(first: CommaCategory, second: CommaCategory,
                object_map: dict[str, str], subject: str) -> LawReport:
-    """Verify that mapping objects by `object_map` and morphisms by their
+    """Check that mapping objects by `object_map` and morphisms by their
     (k, h) component pairs is a functorial isomorphism over the projections.
 
-    Decided on the int tables; the string check runs only when this fails,
-    to name the witnesses, so a failing report is the string check's own.
+    One pass over the int tables, naming each violation in the string
+    view's ids `o{i}`/`m{n}`. An object map that is not a bijection, or a
+    morphism with no counterpart, ends the check; identities, composition
+    and the projections on objects are then checked in full. A morphism's
+    image is found by its (dom, cod, k, h) key, so the map keeps dom, cod
+    and both components by construction.
     """
-    if _int_comma_iso(first, second, object_map):
-        return LawReport(subject)
-    return _comma_iso_witnesses(first, second, object_map, subject)
-
-
-def _int_comma_iso(first: CommaCategory, second: CommaCategory,
-                   object_map: dict[str, str]) -> bool:
-    """True only if `_comma_iso_witnesses` would report nothing."""
-    # the object map is a permutation
+    rep = LawReport(subject)
     n_obj = len(first.triples)
     to_int = dict(zip(second._oids, range(len(second.triples))))
     omap = list(map(to_int.get, map(object_map.get, first._oids)))
     if len(object_map) != n_obj or len(second.triples) != n_obj or \
             None in omap or len(set(omap)) != n_obj:
-        return False
-    # morphisms map through their (omap dom, omap cod, k, h) key, bijectively;
-    # this also preserves dom/cod and agrees with the projections on (k, h)
+        rep.add("object-bijection", (), "object correspondence is not a bijection")
+        return rep
     at = omap.__getitem__
     mor = list(map(second.index.get, zip(map(at, first.dom), map(at, first.cod),
                                          first.ks, first.hs)))
-    if None in mor or len(mor) != len(second.dom) or len(set(mor)) != len(mor):
-        return False
-    # identities are preserved
-    ident2 = second.ident
-    if any(n is not None and mor[n] != ident2[j]
-           for n, j in zip(first.ident, omap)):
-        return False
-    # the projections agree on objects
-    triples2 = second.triples
-    if any(t[:2] != triples2[j][:2] for t, j in zip(first.triples, omap)):
-        return False
-    # composition is preserved, one row at a time: n's row mapped through mor
-    # equals mor[n]'s row, re-indexed by position in the target's out-lists
-    # (a None in a target row never equals a mapped int)
-    if not first.complete:
-        return False
-    start1, start2 = first.start, second.start
-    perm = [tuple(map(sub, mor[a:b], repeat(start2[j])))
-            for a, b, j in zip(start1, start1[1:], omap)]
-    rows2 = second.rows
-    mor_at = mor.__getitem__
-    for n, (d, row) in enumerate(zip(first.cod, first.rows)):
-        if tuple(map(mor_at, row)) != tuple(map(rows2[mor[n]].__getitem__, perm[d])):
-            return False
-    return True
-
-
-def _comma_iso_witnesses(first: CommaCategory, second: CommaCategory,
-                         object_map: dict[str, str], subject: str) -> LawReport:
-    """The string form of `_comma_iso` on the materialised commas: every
-    violation, with its witness."""
-    rep = LawReport(subject)
-    if sorted(object_map) != sorted(first.base.objects) or \
-            sorted(object_map.values()) != sorted(second.base.objects):
-        rep.add("object-bijection", (), "object correspondence is not a bijection")
-        return rep.normalize()
-    # morphism correspondence: (k, h) valid between corresponding objects
-    second_index = {
-        (m.dom, m.cod, *second.morphisms_data[m.id]): m.id
-        for m in second.base.morphisms
-    }
-    mor_map = {}
-    for m in first.base.morphisms:
-        key = (object_map[m.dom], object_map[m.cod], *first.morphisms_data[m.id])
-        mid = second_index.get(key)
-        if mid is None:
-            rep.add("morphism-correspondence", (m.id,) + first.morphisms_data[m.id],
-                    "component pair is not a morphism of the second comma category")
-            continue
-        mor_map[m.id] = mid
-    if len(set(mor_map.values())) != len(mor_map) or \
-            len(mor_map) != len(second.base.morphisms):
+    if None in mor:
+        for n, (m, k, h) in enumerate(zip(mor, first.ks, first.hs)):
+            if m is None:
+                rep.add("morphism-correspondence", (f"m{n}", k, h),
+                        "component pair is not a morphism of the second comma category")
+    # the first comma's keys are distinct and omap is injective, so the
+    # matched images are distinct: counting them decides the bijection
+    matched = len(mor) - mor.count(None)
+    if matched != len(second.dom):
         rep.add("morphism-bijection", (),
-                f"{len(mor_map)} of {len(first.base.morphisms)} morphisms matched, "
-                f"target has {len(second.base.morphisms)}")
+                f"{matched} of {len(mor)} morphisms matched, target has {len(second.dom)}")
     if not rep.ok:
         return rep.normalize()
-    iso = FinFunctor(f"iso[{subject}]", first.base, second.base, object_map, mor_map)
-    rep.extend(check_functor(iso))
-    # commutes with both projection pairs
-    for oid, target in object_map.items():
-        if first.pi0.on_obj(oid) != second.pi0.on_obj(target) or \
-                first.pi1.on_obj(oid) != second.pi1.on_obj(target):
-            rep.add("projection-compatibility", (oid,),
+    ident2, triples2 = second.ident, second.triples
+    for i, (n, t, j) in enumerate(zip(first.ident, first.triples, omap)):
+        if n is not None and mor[n] != ident2[j]:
+            rep.add("identity-preservation", (f"o{i}",), f"image of m{n} is m{mor[n]}")
+        if t[:2] != triples2[j][:2]:
+            rep.add("projection-compatibility", (f"o{i}",),
                     "iso does not commute with the projections")
-    for mid, target in mor_map.items():
-        if first.pi0.on_mor(mid) != second.pi0.on_mor(target) or \
-                first.pi1.on_mor(mid) != second.pi1.on_mor(target):
-            rep.add("projection-compatibility", (mid,),
-                    "iso does not commute with the projections on morphisms")
+    # composition, one row at a time: n's row mapped through mor equals
+    # mor[n]'s row, re-indexed by position in the target's out-lists (a None
+    # in a target row never equals a mapped int); a row that differs, or any
+    # row of an incomplete first comma, is walked entry by entry
+    start1, start2, rows1, rows2 = first.start, second.start, first.rows, second.rows
+    perm = [tuple(map(sub, mor[a:b], repeat(start2[j])))
+            for a, b, j in zip(start1, start1[1:], omap)]
+    mor_at = mor.__getitem__
+    differ = range(len(rows1))
+    if first.complete:
+        differ = [n for n, d, row in zip(count(), first.cod, rows1)
+                  if tuple(map(mor_at, row)) != tuple(map(rows2[mor[n]].__getitem__, perm[d]))]
+    for n in differ:
+        d, image = first.cod[n], rows2[mor[n]]
+        for g, h, p in zip(count(start1[d]), rows1[n], perm[d]):
+            if h is not None and mor[h] != image[p]:
+                got = "None" if image[p] is None else f"m{image[p]}"
+                rep.add("composition-preservation", (f"m{n}", f"m{g}"),
+                        f"F(f then g) = m{mor[h]} but Ff then Fg = {got}")
     return rep.normalize()
+
+
+def _iso_along(first: CommaCategory, second: CommaCategory,
+               datum: Callable[[str, str, str], str], subject: str) -> LawReport:
+    """`_comma_iso` for the object map sending (x, a, d) of `first` to
+    (x, a, datum(x, a, d)) of `second`."""
+    omap = {oid: second.object_id(x, a, datum(x, a, d))
+            for oid, (x, a, d) in first.objects_data.items()}
+    return _comma_iso(first, second, omap, subject)
 
 
 def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
@@ -371,23 +345,14 @@ def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
     right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard)
     het_comma = comma_of_bifunctor(adj.het, guard)
     # (F, 1_A) -> (1_X, G) by transposing the connecting morphism
-    omap = {}
-    for oid, (x, a, g) in left_comma.objects_data.items():
-        f = adj.right.phi[(x, a)][adj.left.psi[(x, a)][g]]
-        omap[oid] = right_comma.object_id(x, a, f)
-    rep.extend(_comma_iso(left_comma, right_comma, omap,
+    rep.extend(_iso_along(left_comma, right_comma,
+                          lambda x, a, g: adj.right.phi[(x, a)][adj.left.psi[(x, a)][g]],
                           "(F,1) ~ (1,G) over the projections"))
     # het comma -> (F, 1_A) by the receiving-side transpose g(c)
-    omap = {}
-    for oid, (x, a, c) in het_comma.objects_data.items():
-        omap[oid] = left_comma.object_id(x, a, adj.g_of(c))
-    rep.extend(_comma_iso(het_comma, left_comma, omap,
+    rep.extend(_iso_along(het_comma, left_comma, lambda x, a, c: adj.g_of(c),
                           "het comma ~ (F,1) over the projections"))
     # het comma -> (1_X, G) by the sending-side transpose f(c)
-    omap = {}
-    for oid, (x, a, c) in het_comma.objects_data.items():
-        omap[oid] = right_comma.object_id(x, a, adj.f_of(c))
-    rep.extend(_comma_iso(het_comma, right_comma, omap,
+    rep.extend(_iso_along(het_comma, right_comma, lambda x, a, c: adj.f_of(c),
                           "het comma ~ (1,G) over the projections"))
     return rep.normalize()
 
@@ -396,11 +361,7 @@ def half_lawvere_iso_check(het: HetBifunctor, left_rep, guard: int = 10_000) -> 
     """One-sided form: a left representation alone makes the het comma
     isomorphic to (F, 1_A) over the projections."""
     left_comma = comma_of_functors(left_rep.functor, identity_functor(het.a_cat), guard)
-    het_comma = comma_of_bifunctor(het, guard)
-    omap = {}
-    for oid, (x, a, c) in het_comma.objects_data.items():
-        omap[oid] = left_comma.object_id(x, a, left_rep.psi_inv(x, a, c))
-    return _comma_iso(het_comma, left_comma, omap,
+    return _iso_along(comma_of_bifunctor(het, guard), left_comma, left_rep.psi_inv,
                       f"het comma ~ (F,1) for {het.name}")
 
 
@@ -408,8 +369,5 @@ def hom_comma_equivalence(cat: FinCategory, guard: int = 10_000) -> LawReport:
     """comma_of_bifunctor(hom) is isomorphic to comma_of_functors(1, 1)."""
     het_comma = comma_of_bifunctor(hom_bifunctor(cat), guard)
     fun_comma = comma_of_functors(identity_functor(cat), identity_functor(cat), guard)
-    omap = {}
-    for oid, (x, a, c) in het_comma.objects_data.items():
-        omap[oid] = fun_comma.object_id(x, a, c)
-    return _comma_iso(het_comma, fun_comma, omap,
+    return _iso_along(het_comma, fun_comma, lambda x, a, c: c,
                       f"hom comma ~ identity comma for {cat.name}")

@@ -213,20 +213,10 @@ def diagram_shape(name: str) -> FinCategory:
 
 def shape_is_connected(shape: FinCategory) -> bool:
     """Connectivity of the underlying undirected graph of the shape."""
-    if not shape.objects:
-        return True
-    adj: dict[str, set[str]] = {o: set() for o in shape.objects}
+    uf = _UnionFind(shape.objects)
     for m in shape.morphisms:
-        adj[m.dom].add(m.cod)
-        adj[m.cod].add(m.dom)
-    seen = {shape.objects[0]}
-    stack = [shape.objects[0]]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(shape.objects)
+        uf.union(m.dom, m.cod)
+    return len({uf.find(o) for o in shape.objects}) <= 1
 
 
 # ---------------------------------------------------------------------------

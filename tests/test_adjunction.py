@@ -2,18 +2,20 @@
 zig-zags, the four-bifunctor isomorphism, identities, and the round-trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcat import (Adjunction, HalfAdjunction, StructuralError, abstract_het,
                     adjunctive_image_square, adjunctive_square,
-                    adjunctive_square_from_transpose, build_adjunction,
+                    adjunctive_square_from_transpose, build_adjunction, build_het,
                     check_bifunctor, check_chimera_nat_trans, chimera_counit,
-                    chimera_unit, four_bifunctor_iso,
+                    chimera_unit, four_bifunctor_iso, lawvere_iso_check,
                     over_and_back_and_triangles, representation_roundtrip,
                     transpose, transpose_inv, z_bifunctor, zig_zag_factorize)
 from hetcat.adjunction import AbstractHet, ChimeraNatTrans
 from hetcat.fincat import (FinCategory, FinFunctor, Morphism, identity_functor,
                            pair_id)
-from hetcat.het import HetBifunctor
+from hetcat.het import HetBifunctor, LeftRepresentation, RightRepresentation
 from hetcat.instances import ur_adjunction
 
 
@@ -470,3 +472,69 @@ def test_abstract_het_matches_reference(request, skeleton2, adj_name):
 def test_roundtrip_ur_and_galois(ur_chain2, galois_lower_adj, galois_upper_adj):
     for adj in (ur_chain2, galois_lower_adj, galois_upper_adj):
         assert representation_roundtrip(adj).ok
+
+
+# -- generated posets against a closed-form oracle ------------------------------
+
+@st.composite
+def _posets(draw, prefix):
+    """A random poset of at most 5 points, as its order relation (a seeded
+    DAG, transitively closed) over ids whose sort order is not the DAG's."""
+    n = draw(st.integers(1, 5))
+    names = draw(st.permutations([f"{prefix}{i}" for i in range(n)]))
+    below = {(i, i) for i in range(n)}
+    below |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    for k in range(n):      # Warshall: add every path through k
+        below |= {(i, j) for i in range(n) for j in range(n)
+                  if (i, k) in below and (k, j) in below}
+    return names, {(names[i], names[j]) for i, j in below}
+
+
+def _poset_category(name, points, leq):
+    mor = {(p, q): f"{p}<={q}" for p, q in leq}
+    return FinCategory(
+        name, tuple(points), tuple(Morphism(m, p, q) for (p, q), m in mor.items()),
+        {p: mor[(p, p)] for p in points},
+        {(f, mor[(q, r)]): mor[(p, r)] for (p, q), f in mor.items()
+         for (q2, r) in leq if q2 == q})
+
+
+def _extremum(points, leq, least):
+    """The least (or greatest) of `points` under `leq`, or None."""
+    for p in points:
+        if all(((p, q) if least else (q, p)) in leq for q in points):
+            return p
+    return None
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_poset_relation_hets_match_the_closed_form_oracle(data):
+    xs, x_leq = data.draw(_posets("x"))
+    as_, a_leq = data.draw(_posets("a"))
+    # a relation down-closed in X and up-closed in A: the closure of a seed set
+    seed = data.draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(as_))))
+    rel = {(x, a) for x in xs for a in as_
+           if any((x, x2) in x_leq and (a2, a) in a_leq for x2, a2 in seed)}
+    x_cat, a_cat = _poset_category("X", xs, x_leq), _poset_category("A", as_, a_leq)
+    pair = {f"{x}R{a}": (x, a) for x, a in rel}
+    het = build_het("R", x_cat, a_cat,
+                    lambda x, a: (f"{x}R{a}",) if (x, a) in rel else (),
+                    lambda h, c: f"{x_cat.dom(h)}R{pair[c][1]}",
+                    lambda k, c: f"{pair[c][0]}R{a_cat.cod(k)}")
+    # F(x) is the least a with x R a; G(a) the greatest x with x R a
+    left = {x: _extremum([a for a in as_ if (x, a) in rel], a_leq, True) for x in xs}
+    right = {a: _extremum([x for x in xs if (x, a) in rel], x_leq, False) for a in as_}
+    left_ok, right_ok = None not in left.values(), None not in right.values()
+    result = build_adjunction(het)
+    assert isinstance(result.left, LeftRepresentation) == left_ok
+    assert isinstance(result.right, RightRepresentation) == right_ok
+    if left_ok:
+        assert result.left.functor.obj_map == left
+    if right_ok:
+        assert result.right.functor.obj_map == right
+    assert isinstance(result, Adjunction) == (left_ok and right_ok)
+    if isinstance(result, Adjunction):
+        for suite in (four_bifunctor_iso, over_and_back_and_triangles,
+                      lawvere_iso_check, representation_roundtrip):
+            assert suite(result).ok

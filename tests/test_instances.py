@@ -21,7 +21,7 @@ from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
                               skeleton_functor_to_diagram, ur_adjunction,
                               verify_elementwise)
 from hetcat.fincat import FinCategory, Morphism
-from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images
+from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images, shape_is_connected
 from hetcat.instances.galois import subset_id
 from hetcat.instances.limits import _cocone_id, _cone_id
 from hetcat.instances.preorder import _is_poset, _preorder_id, _preorders_on
@@ -1002,6 +1002,13 @@ def test_compose_cone_cocone_rejects_disconnected():
     cocone.check()
     with pytest.raises(StructuralError):
         compose_cone_cocone(cone, cocone)
+
+
+@pytest.mark.parametrize("shape_name", SHAPE_NAMES + ("empty",))
+def test_shape_is_connected(shape_name):
+    shape = FinCategory("empty", (), (), {}, {}) if shape_name == "empty" \
+        else diagram_shape(shape_name)
+    assert shape_is_connected(shape) == (shape_name != "discrete-2")
 
 
 def test_diagram_validation():
