@@ -9,6 +9,7 @@ Reports are deterministic; --json emits a machine-readable form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -511,6 +512,7 @@ def cmd_factorize(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hetcat",

@@ -4,10 +4,10 @@ executable form of the comma-category definition of an adjunction.
 A comma category is tabulated once, over dense ints. Object i is the i-th
 source triple in sorted order; morphism n is the n-th commuting pair in
 enumeration order; composition is one int row per morphism. The string view
-(`base`, the projections, `objects_data`, `morphisms_data`) is built from
-the table on first access, for callers that want a `FinCategory`. The comma
-isomorphisms are checked on the int tables alone, in one pass that decides
-and names each witness in the string view's ids.
+(`base`, the projections, `objects_data`, `morphisms_data`) is built on
+first access. The comma isomorphisms are checked on the int tables alone, in
+one pass that decides and names each witness in the string view's ids; two
+commas numbered alike are compared row for row, with no relabelling.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
-from itertools import count, repeat
-from operator import sub
+from itertools import compress, count, repeat
+from operator import attrgetter, ne, sub
 
 from .adjunction import Adjunction
 from .errors import GuardExceeded, StructuralError
@@ -133,13 +133,14 @@ def _out_homs(cat: FinCategory) -> dict[str, dict[str, list[str]]]:
 
 def _row_getters(cat: FinCategory) -> dict[str, Callable[[str], str | None]]:
     """f -> the `get` of {g: f then g}, over the composable entries of the
-    composition table."""
-    rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
-    mor = cat._mor
-    for (f, g), h in cat.comp.items():
-        if mor[f].cod == mor[g].dom:
-            rows[f][g] = h
-    return {f: row.get for f, row in rows.items()}
+    composition table. Built once per category and kept with it."""
+    if "_row_getters" not in cat.__dict__:
+        rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
+        for (f, g), h in cat.comp.items():
+            if cat._mor[f].cod == cat._mor[g].dom:
+                rows[f][g] = h
+        object.__setattr__(cat, "_row_getters", {f: row.get for f, row in rows.items()})
+    return cat._row_getters
 
 
 def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
@@ -251,8 +252,12 @@ def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000) -> CommaCategory:
         for c in het.cell(x, a)
     ]
 
+    act_left, act_right = het.act_left, het.act_right
     def commutes(src, dst, j, k):
-        return het.act_r(k, src[2]) == het.act_l(j, dst[2])
+        try:
+            return act_right[k][src[2]] == act_left[j][dst[2]]
+        except KeyError:        # a missing action: the checked calls raise
+            return het.act_r(k, src[2]) == het.act_l(j, dst[2])
 
     return _tabulate(f"comma[{het.name}]", het.x_cat, het.a_cat,
                      triples, commutes, guard)
@@ -267,8 +272,10 @@ def _comma_iso(first: CommaCategory, second: CommaCategory,
     view's ids `o{i}`/`m{n}`. An object map that is not a bijection, or a
     morphism with no counterpart, ends the check; identities, composition
     and the projections on objects are then checked in full. A morphism's
-    image is found by its (dom, cod, k, h) key, so the map keeps dom, cod
-    and both components by construction.
+    image is the morphism with its (dom, cod, k, h) key, so the map keeps
+    both components. Numbered alike (the identity object map and equal dom,
+    cod, ks, hs and start lists), that is the morphism itself, taken with no
+    lookup, and composition rows are compared as they stand.
     """
     rep = LawReport(subject)
     n_obj = len(first.triples)
@@ -278,9 +285,11 @@ def _comma_iso(first: CommaCategory, second: CommaCategory,
             None in omap or len(set(omap)) != n_obj:
         rep.add("object-bijection", (), "object correspondence is not a bijection")
         return rep
+    tables = attrgetter("dom", "cod", "ks", "hs", "start")
+    alike = omap == list(range(n_obj)) and tables(first) == tables(second)
     at = omap.__getitem__
-    mor = list(map(second.index.get, zip(map(at, first.dom), map(at, first.cod),
-                                         first.ks, first.hs)))
+    mor = list(range(len(first.dom))) if alike else list(map(
+        second.index.get, zip(map(at, first.dom), map(at, first.cod), first.ks, first.hs)))
     if None in mor:
         for n, (m, k, h) in enumerate(zip(mor, first.ks, first.hs)):
             if m is None:
@@ -301,18 +310,19 @@ def _comma_iso(first: CommaCategory, second: CommaCategory,
         if t[:2] != triples2[j][:2]:
             rep.add("projection-compatibility", (f"o{i}",),
                     "iso does not commute with the projections")
-    # composition, one row at a time: n's row mapped through mor equals
-    # mor[n]'s row, re-indexed by position in the target's out-lists (a None
-    # in a target row never equals a mapped int); a row that differs, or any
-    # row of an incomplete first comma, is walked entry by entry
+    # composition, one row at a time: n's row mapped through mor equals mor[n]'s
+    # row, re-indexed by position in the target's out-lists (numbered alike, n's
+    # own row; a None in a target row never equals a mapped int). A row that
+    # differs, or any row of an incomplete first comma, is walked entry by entry
     start1, start2, rows1, rows2 = first.start, second.start, first.rows, second.rows
     perm = [tuple(map(sub, mor[a:b], repeat(start2[j])))
             for a, b, j in zip(start1, start1[1:], omap)]
     mor_at = mor.__getitem__
     differ = range(len(rows1))
     if first.complete:
-        differ = [n for n, d, row in zip(count(), first.cod, rows1)
-                  if tuple(map(mor_at, row)) != tuple(map(rows2[mor[n]].__getitem__, perm[d]))]
+        differ = compress(count(), map(ne, rows1, rows2)) if alike else \
+            [n for n, d, row in zip(count(), first.cod, rows1)
+             if tuple(map(mor_at, row)) != tuple(map(rows2[mor[n]].__getitem__, perm[d]))]
     for n in differ:
         d, image = first.cod[n], rows2[mor[n]]
         for g, h, p in zip(count(start1[d]), rows1[n], perm[d]):

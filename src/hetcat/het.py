@@ -202,6 +202,14 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
 # universal elements and representations
 # ---------------------------------------------------------------------------
 
+def _right_row(het: HetBifunctor, gs, u: str) -> dict[str, str]:
+    """g -> u.g over gs, read from the action rows; a miss reruns the checked act_r."""
+    try:
+        return {g: het.act_right[g][u] for g in gs}
+    except KeyError:
+        return dict(zip(gs, map(het.act_r, gs, repeat(u))))
+
+
 def universal_element_check(het: HetBifunctor, x: str, b: str,
                             u: str) -> tuple[bool, tuple[str, str, int] | None]:
     """Is (b, u) a universal element for Het(x, -)?
@@ -214,12 +222,12 @@ def universal_element_check(het: HetBifunctor, x: str, b: str,
     """
     if het.cell_of(u) != (x, b):
         raise StructuralError(f"{het.name}: {u!r} is not in cell ({x}, {b})")
-    act_r, hom, cells = het.act_r, het.a_cat.hom, het.cells
+    hom, cells = het.a_cat.hom, het.cells
     for a in het.a_cat.objects:
         cell = cells[(x, a)]
         if not cell:
             continue
-        images = list(map(act_r, hom(b, a), repeat(u)))
+        images = _right_row(het, hom(b, a), u).values()
         distinct = set(images)
         if len(distinct) == len(images):
             # every count is 0 or 1
@@ -334,8 +342,8 @@ def _mediators(het: HetBifunctor, first: tuple[str, str],
     inverse. Two universal elements for one index always are."""
     (b0, u0), (b1, u1) = first, other
     cat = het.a_cat
-    forward = [g for g in cat.hom(b0, b1) if het.act_r(g, u0) == u1]
-    backward = [g for g in cat.hom(b1, b0) if het.act_r(g, u1) == u0]
+    forward = [g for g, c in _right_row(het, cat.hom(b0, b1), u0).items() if c == u1]
+    backward = [g for g, c in _right_row(het, cat.hom(b1, b0), u1).items() if c == u0]
     if len(forward) != 1 or len(backward) != 1:
         return forward, backward, False
     back, forth = cat.compose(forward[0], backward[0]), cat.compose(backward[0], forward[0])
@@ -528,15 +536,15 @@ def find_left_representation(
     for j in het.x_cat.morphisms:
         x, x2 = j.dom, j.cod
         target = het.act_l(j.id, chosen[x2][1])
-        gs = [g for g in het.a_cat.hom(obj_map[x], obj_map[x2])
-              if het.act_r(g, chosen[x][1]) == target]
+        gs = [g for g, c in _right_row(het, het.a_cat.hom(obj_map[x], obj_map[x2]),
+                                       chosen[x][1]).items() if c == target]
         if len(gs) != 1:
             raise KernelInvariantError(
                 f"morphism fill-in for {j.id} is not unique ({len(gs)} candidates)")
         mor_map[j.id] = gs[0]
     fun = FinFunctor(f"F[{het.name}]", het.x_cat, het.a_cat, obj_map, mor_map)
     psi = {
-        (x, a): {g: het.act_r(g, chosen[x][1]) for g in het.a_cat.hom(obj_map[x], a)}
+        (x, a): _right_row(het, het.a_cat.hom(obj_map[x], a), chosen[x][1])
         for x in het.x_cat.objects for a in het.a_cat.objects
     }
     rep = LeftRepresentation(het, fun, {x: u for x, (_, u) in chosen.items()},

@@ -203,7 +203,9 @@ def test_tabulation_matches_reference(monkeypatch, galois_lower_adj, galois_uppe
         builds += [(comma_of_functors, adj.F, identity_functor(adj.a_cat)),
                    (comma_of_functors, identity_functor(adj.x_cat), adj.G),
                    (comma_of_bifunctor, adj.het)]
-    built = [_build_with_reference(monkeypatch, build, *args) for build, *args in builds]
+    # each comma twice: the second build reads its categories' cached row getters
+    built = [_build_with_reference(monkeypatch, build, *args)
+             for build, *args in builds for _ in range(2)]
     for cc, _, ref in built:
         assert _string_view(cc) == _string_view(ref)
         assert cc.base == ref.base
@@ -248,6 +250,20 @@ def test_functor_comma_raises_on_missing_images_and_composites(skeleton1):
     bent = FinFunctor("bent", stray, stray, ident.obj_map, {**ident.mor_map, "1>1:0": "0>1:"})
     with pytest.raises(StructuralError, match="stray: 0>1: and 0>1: are not composable"):
         comma_of_functors(ident, bent)
+
+
+def test_het_comma_raises_on_missing_actions(skeleton1):
+    # squares are decided from the action rows; a miss falls back to the
+    # checked actions, which name the missing entry
+    het = hom_bifunctor(skeleton1)
+    right = {k: dict(row) for k, row in het.act_right.items()}
+    del right["0>1:"]["0>0:"]
+    with pytest.raises(StructuralError, match="right action of '0>1:' undefined at '0>0:'"):
+        comma_of_bifunctor(dataclasses.replace(het, act_right=right))
+    left = {h: dict(row) for h, row in het.act_left.items()}
+    del left["0>1:"]["1>1:0"]
+    with pytest.raises(StructuralError, match="left action of '0>1:' undefined at '1>1:0'"):
+        comma_of_bifunctor(dataclasses.replace(het, act_left=left))
 
 
 # -- the int iso check against the string check, witness for witness ------------
@@ -420,3 +436,62 @@ def test_iso_check_never_builds_the_string_view():
         for cc in (first, second):
             assert not {"base", "pi0", "pi1", "morphisms_data"} & set(vars(cc))
     assert reports[-1].violations == _reference_comma_iso(*failing).violations
+
+
+def test_numbered_alike_isos_need_no_index():
+    # with the second comma's index emptied, only an iso that relabels looks
+    # a morphism up: the numbered-alike ones still pass, the twisted ones
+    # (objects out of order) find no counterparts
+    alike, relabelled = 0, 0
+    for first, second, omap, subject in _recorded_isos():
+        report = _comma_iso(first, dataclasses.replace(second, index={}), omap, subject)
+        if "twisted" in first.name:
+            relabelled += 1
+            assert "morphism-correspondence" in {v.law for v in report.violations}
+        else:
+            alike += 1
+            assert report.ok
+    assert alike and relabelled
+
+
+def test_lawvere_iso_check_builds_each_row_getter_once(monkeypatch):
+    # fresh categories, so no earlier test has built their getters
+    gi = galois_connections({"0": "a", "1": "a", "2": "b"}, ("0", "1", "2"), ("a", "b"))
+    adj = build_adjunction(gi.lower_het)
+    calls = []
+    getters = comma_mod._row_getters
+
+    def recording(cat):
+        calls.append((cat, getters(cat)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(comma_mod, "_row_getters", recording)
+    assert lawvere_iso_check(adj).ok
+    # three per functor comma and two for the het comma, built once per category
+    assert len(calls) == 8
+    built = {id(cat): id(got) for cat, got in calls}
+    assert set(built) == {id(adj.x_cat), id(adj.a_cat)}
+    assert len({id(got) for _, got in calls}) == 2
+
+
+def test_swapped_components_leave_the_numbered_alike_path():
+    # two parallel morphisms of the first comma trade one component: the
+    # tables no longer agree, and the report is the string check's
+    swapped = 0
+    for first, second, omap, subject in _recorded_isos():
+        for field in ("ks", "hs"):
+            comps = getattr(first, field)
+            pair = next(((a, b) for a in range(len(comps)) for b in range(a)
+                         if (first.dom[a], first.cod[a]) == (first.dom[b], first.cod[b])
+                         and comps[a] != comps[b]), None)
+            if pair is None:
+                continue
+            comps = list(comps)
+            comps[pair[0]], comps[pair[1]] = comps[pair[1]], comps[pair[0]]
+            bent = dataclasses.replace(first, **{field: comps})
+            report = _comma_iso(bent, second, omap, subject)
+            assert not report.ok
+            assert report.violations == _reference_comma_iso(
+                bent, second, omap, subject).violations
+            swapped += 1
+    assert swapped
