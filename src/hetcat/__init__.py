@@ -18,10 +18,9 @@ from .comma import (CommaCategory, comma_of_bifunctor, comma_of_functors,
                     half_lawvere_iso_check, hom_comma_equivalence, lawvere_iso_check)
 from .errors import GuardExceeded, HetcatError, StructuralError
 from .fincat import (FinCategory, FinFunctor, FunctorCategory, Morphism, NatTrans,
-                     ProductCategory, check_category, check_functor, check_nat_trans,
-                     compose_functors, constant_functor, functor_category,
-                     identity_functor, identity_nat_trans, opposite, pair_id,
-                     product_category, product_projections)
+                     check_category, check_functor, check_nat_trans, compose_functors,
+                     constant_functor, functor_category, identity_functor,
+                     identity_nat_trans, opposite, pair_id)
 from .het import (CandidateFailure, HetBifunctor, KernelInvariantError,
                   LeftRepresentation, NonRepresentabilityWitness,
                   RightRepresentation, build_het, check_bifunctor,

@@ -357,11 +357,19 @@ def _demo_pointed(args):
     inst = instances.pointed_free_forgetful(args.n)
     result = build_adjunction(inst.het)
     checks = []
-    ok = _forced_half(result, "right", lambda left: left.functor == inst.free and all(
-        left.universal[k] == inst.insertions[k] for k in inst.sets.objects))
-    checks.append(_note_entry("free side represents with insertion-of-generators "
-                              "universals; underlying side escapes the grid",
-                              ok, _witness_notes(result)))
+
+    def free_ok(left):
+        return left.functor == inst.free and all(
+            left.universal[k] == inst.insertions[k] for k in inst.sets.objects)
+
+    if args.n:
+        checks.append(_note_entry("free side represents with insertion-of-generators "
+                                  "universals; underlying side escapes the grid",
+                                  _forced_half(result, "right", free_ok),
+                                  _witness_notes(result)))
+    else:       # on the grid {0} every cell holds one map: both sides represent
+        checks.append(_note_entry("free and underlying sides both represent on {0}",
+                                  isinstance(result, Adjunction) and free_ok(result.left), []))
     counting = all(
         len(inst.het.cell(k, a)) == inst.carrier_card[a] ** int(k)
         for k in inst.sets.objects for a in inst.pointed.objects)

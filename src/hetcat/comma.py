@@ -3,7 +3,8 @@ executable form of the comma-category definition of an adjunction.
 
 A comma category is tabulated once, over dense ints. Object i is the i-th
 source triple in sorted order; morphism n is the n-th commuting pair in
-enumeration order; composition is one int row per morphism. The string view
+enumeration order; composition is one int row per morphism, filled by
+`fincat.composition_rows` from the components (k, h). The string view
 (`base`, the projections, `objects_data`, `morphisms_data`) is built on
 first access. The comma isomorphisms are checked on the int tables alone, in
 one pass that decides and names each witness in the string view's ids; two
@@ -21,7 +22,8 @@ from operator import attrgetter, ne, sub
 from .adjunction import Adjunction
 from .errors import GuardExceeded, StructuralError
 # check_functor stays importable: bench/tracing.py rebinds hetcat.comma.check_functor
-from .fincat import FinCategory, FinFunctor, Morphism, check_functor, identity_functor
+from .fincat import (FinCategory, FinFunctor, Morphism, _row_getters, check_functor,
+                     composition_rows, composition_table, identity_functor)
 from .het import HetBifunctor, hom_bifunctor
 from .report import LawReport
 
@@ -93,12 +95,7 @@ class CommaCategory:
 
     @cached_property
     def base(self) -> FinCategory:
-        oids, mids, start = self._oids, self._mids, self.start
-        comp = {}
-        for m1, d, row in zip(mids, self.cod, self.rows):
-            for m2, m3 in zip(range(start[d], start[d + 1]), row):
-                if m3 is not None:
-                    comp[(m1, mids[m2])] = mids[m3]
+        oids, mids = self._oids, self._mids
         return FinCategory(
             name=self.name,
             objects=tuple(oids),
@@ -106,7 +103,7 @@ class CommaCategory:
                             for mid, s, d, k, h in zip(mids, self.dom, self.cod,
                                                        self.ks, self.hs)),
             identity={oids[i]: mids[n] for i, n in enumerate(self.ident) if n is not None},
-            comp=comp,
+            comp=composition_table(mids, self.cod, self.start, self.rows),
             obj_labels={oid: f"({t[0]},{t[1]},{t[2]})" for oid, t in zip(oids, self.triples)},
         )
 
@@ -129,18 +126,6 @@ def _out_homs(cat: FinCategory) -> dict[str, dict[str, list[str]]]:
     for m in cat.morphisms:
         out.setdefault(m.dom, {}).setdefault(m.cod, []).append(m.id)
     return out
-
-
-def _row_getters(cat: FinCategory) -> dict[str, Callable[[str], str | None]]:
-    """f -> the `get` of {g: f then g}, over the composable entries of the
-    composition table. Built once per category and kept with it."""
-    if "_row_getters" not in cat.__dict__:
-        rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
-        for (f, g), h in cat.comp.items():
-            if cat._mor[f].cod == cat._mor[g].dom:
-                rows[f][g] = h
-        object.__setattr__(cat, "_row_getters", {f: row.get for f, row in rows.items()})
-    return cat._row_getters
 
 
 def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
@@ -193,15 +178,8 @@ def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
     index = {key: n for n, key in enumerate(zip(dom, cod, ks, hs))}
     ident = [index.get((i, i, left_cat.id_of(t[0]), right_cat.id_of(t[1])))
              for i, t in enumerate(triples)]
-    # rows[n]: n then m for each m leaving cod n, looked up by (dom, cod, k, h)
-    outs = [(cod[a:b], ks[a:b], hs[a:b]) for a, b in zip(start, start[1:])]
-    left_get, right_get = _row_getters(left_cat), _row_getters(right_cat)
-    get = index.get
-    rows = []
-    for s, d, k, h in zip(dom, cod, ks, hs):
-        out_cod, out_k, out_h = outs[d]
-        rows.append(tuple(map(get, zip(repeat(s), out_cod, map(left_get[k], out_k),
-                                       map(right_get[h], out_h)))))
+    rows = composition_rows(dom, cod, (ks, hs), start,
+                            (_row_getters(left_cat), _row_getters(right_cat)), index)
     return CommaCategory(name, left_cat, right_cat, triples, dom, cod, ks, hs,
                          index, start, ident, rows)
 

@@ -66,9 +66,10 @@ def category_from_payload(payload: Any) -> FinCategory:
         if not set(map(type, ids)) <= {str}:
             raise TypeError("object, morphism and identity ids must be strings")
         name = _name(payload, "category")
+        # inside the try: an unhashable composite fails the construction's lookups
+        return FinCategory(name, objects, morphisms, identity, comp, labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed category payload: {exc}") from exc
-    return FinCategory(name, objects, morphisms, identity, comp, labels)
 
 
 def functor_to_payload(fun: FinFunctor) -> dict:

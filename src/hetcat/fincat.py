@@ -10,6 +10,10 @@ scale. Associativity still covers every composable triple, but compares one
 morphism f at a time: every "(f then g) then h" against every
 "f then (g then h)", gathered at C speed. Morphism identity is by id, never
 by label; labels are display-only and excluded from equality.
+
+Comma and functor categories are subcategories of a product: a morphism is a
+tuple of component morphisms, composed componentwise (CWM II.4, II.6). Both
+fill their composition tables through `composition_rows`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq, itemgetter
+from typing import Callable
 
 from .errors import GuardExceeded, StructuralError
 from .report import LawReport
@@ -65,9 +70,12 @@ class FinCategory:
         for x, i in self.identity.items():
             if x not in objset or i not in mor:
                 raise StructuralError(f"{self.name}: identity entry {x} -> {i} unresolved")
-        for (f, g), h in self.comp.items():
-            if f not in mor or g not in mor or h not in mor:
-                raise StructuralError(f"{self.name}: composition entry ({f}, {g}) -> {h} unresolved")
+        # one C-level set test; the entry-by-entry walk only to name a dangling id
+        if not mor.keys() >= {*chain.from_iterable(self.comp), *self.comp.values()}:
+            for (f, g), h in self.comp.items():
+                if f not in mor or g not in mor or h not in mor:
+                    raise StructuralError(
+                        f"{self.name}: composition entry ({f}, {g}) -> {h} unresolved")
 
     def _index(self) -> None:
         """The id and hom-set indexes; the construction checks rely on them."""
@@ -448,61 +456,54 @@ def pair_id(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class ProductCategory(FinCategory):
-    """Product category with componentwise structure and pair-id lookup."""
-
-    obj_pairs: dict[str, tuple[str, str]] = field(default_factory=dict)
-    mor_pairs: dict[str, tuple[str, str]] = field(default_factory=dict)
-
-    def obj_id(self, a: str, b: str) -> str:
-        return pair_id(a, b)
-
-    def mor_id(self, f: str, g: str) -> str:
-        return pair_id(f, g)
+def _row_getters(cat: FinCategory) -> dict[str, Callable[[str], str | None]]:
+    """f -> the `get` of {g: f then g}, over the composable entries of the
+    composition table. Built once per category and kept with it."""
+    if "_row_getters" not in cat.__dict__:
+        rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
+        for (f, g), h in cat.comp.items():
+            if cat._mor[f].cod == cat._mor[g].dom:
+                rows[f][g] = h
+        object.__setattr__(cat, "_row_getters", {f: row.get for f, row in rows.items()})
+    return cat._row_getters
 
 
-def product_category(left: FinCategory, right: FinCategory) -> ProductCategory:
-    """Product category: pairs of objects and morphisms, componentwise laws."""
-    objects = tuple(pair_id(a, b) for a in left.objects for b in right.objects)
-    morphisms = tuple(
-        Morphism(pair_id(f.id, g.id), pair_id(f.dom, g.dom), pair_id(f.cod, g.cod),
-                 label=f"({f.label or f.id},{g.label or g.id})")
-        for f in left.morphisms for g in right.morphisms
-    )
-    identity = {
-        pair_id(a, b): pair_id(left.id_of(a), right.id_of(b))
-        for a in left.objects for b in right.objects
-    }
-    comp = {(pair_id(f1, f2), pair_id(g1, g2)): pair_id(h1, h2)
-            for (f1, g1), h1 in left.comp.items() for (f2, g2), h2 in right.comp.items()}
-    return ProductCategory(
-        name=f"{left.name}x{right.name}",
-        objects=objects,
-        morphisms=morphisms,
-        identity=identity,
-        comp=comp,
-        obj_pairs={pair_id(a, b): (a, b) for a in left.objects for b in right.objects},
-        mor_pairs={pair_id(f.id, g.id): (f.id, g.id)
-                   for f in left.morphisms for g in right.morphisms},
-    )
+def composition_rows(dom, cod, slots, start, getters, index) -> list[tuple[int | None, ...]]:
+    """The composition rows of a category of component tuples.
+
+    Morphism n runs from object `dom[n]` to `cod[n]` with component
+    `slots[s][n]` in slot s, composed by the row getters `getters[s]`; those
+    leaving object i are `range(start[i], start[i + 1])`. Row n holds "n then
+    m" for each m leaving `cod[n]`, looked up in `index` by (dom[n], cod[m],
+    *slotwise composites), None where absent: one map/zip chain, with no
+    Python loop per morphism.
+    """
+    spans = list(zip(start, start[1:]))
+    out_cod = [cod[a:b] for a, b in spans]
+    composites = []
+    for slot, get in zip(slots, getters):
+        outs = [slot[a:b] for a, b in spans]
+        composites.append(map(map, map(get.__getitem__, slot), map(outs.__getitem__, cod)))
+    keys = map(zip, map(repeat, dom), map(out_cod.__getitem__, cod), *composites)
+    return list(map(tuple, map(map, repeat(index.get), keys)))
 
 
-def product_projections(prod: ProductCategory, left: FinCategory,
-                        right: FinCategory) -> tuple[FinFunctor, FinFunctor]:
-    p0, p1 = (FinFunctor(name=f"proj{i}", source=prod, target=factor,
-                         obj_map={o: prod.obj_pairs[o][i] for o in prod.objects},
-                         mor_map={m.id: prod.mor_pairs[m.id][i] for m in prod.morphisms})
-              for i, factor in enumerate((left, right)))
-    return p0, p1
+def composition_table(ids, cod, start, rows) -> dict[tuple[str, str], str]:
+    """The string composition table of `composition_rows`' rows, morphism n
+    named `ids[n]`; a pair with no composite has no entry."""
+    outs = [ids[a:b] for a, b in zip(start, start[1:])]
+    pairs = chain.from_iterable(map(zip, map(repeat, ids), map(outs.__getitem__, cod)))
+    return {pair: ids[h] for pair, h in zip(pairs, chain.from_iterable(rows))
+            if h is not None}
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FunctorCategory(FinCategory):
-    """Functor category whose objects carry their FinFunctor values."""
+    """Functor category whose objects carry their FinFunctor values and whose
+    morphisms carry their components, in shape-object order."""
 
     functors: dict[str, FinFunctor] = field(default_factory=dict)
-    transformations: dict[str, NatTrans] = field(default_factory=dict)
+    components: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def _enumerate_functors(shape: FinCategory, target: FinCategory):
@@ -545,14 +546,12 @@ def functor_category(shape: FinCategory, target: FinCategory,
                 f"objects (guard {guard})", estimate)
     funs = [FinFunctor(f"D{i}", shape, target, omap, mmap)
             for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target))]
-    objects = tuple(f.name for f in funs)
-    fun_by_id = {f.name: f for f in funs}
-    trans: dict[str, NatTrans] = {}
     morphisms: list[Morphism] = []
     identity: dict[str, str] = {}
-    comps_of: dict[str, tuple[str, ...]] = {}     # components in shape-object order
-    for ff in funs:
-        for hh in funs:
+    # morphism n: functor dom[n] to functor cod[n] with components combos[n]
+    dom, cod, combos, start = [], [], [], [0]
+    for i, ff in enumerate(funs):
+        for k, hh in enumerate(funs):
             pools = [target.hom(ff.on_obj(x), hh.on_obj(x)) for x in shape.objects]
             for combo in itertools.product(*pools):
                 comps = dict(zip(shape.objects, combo))
@@ -570,34 +569,28 @@ def functor_category(shape: FinCategory, target: FinCategory,
                         f"functor category over {target.name} has more than "
                         f"{guard} morphisms (guard {guard})", len(morphisms) + 1)
                 tid = f"t{len(morphisms)}"
-                trans[tid] = NatTrans(tid, ff, hh, comps)
-                comps_of[tid] = combo
+                dom.append(i)
+                cod.append(k)
+                combos.append(combo)
                 morphisms.append(Morphism(tid, ff.name, hh.name,
                                           label="(" + ",".join(combo) + ")"))
                 if ff.name == hh.name and all(
                         comps[x] == target.id_of(ff.on_obj(x)) for x in shape.objects):
                     identity[ff.name] = tid
-    comp: dict[tuple[str, str], str] = {}
-    # index transformations by (source functor, component tuple) for composite lookup
-    lookup = {(m.dom, m.cod, comps_of[m.id]): m.id for m in morphisms}
-    by_dom: dict[str, list[Morphism]] = {}
-    for m in morphisms:
-        by_dom.setdefault(m.dom, []).append(m)
-    tcomp = target.comp
-    for m1 in morphisms:
-        c1 = comps_of[m1.id]
-        for m2 in by_dom.get(m1.cod, ()):
-            c2 = comps_of[m2.id]
-            combo = tuple(tcomp[(a, b)] for a, b in zip(c1, c2))
-            comp[(m1.id, m2.id)] = lookup[(m1.dom, m2.cod, combo)]
+        start.append(len(morphisms))
+    ids = [m.id for m in morphisms]
+    # a composite is looked up by (source functor, target functor, components)
+    index = {(d, c, *combo): n for n, (d, c, combo) in enumerate(zip(dom, cod, combos))}
+    slots = list(zip(*combos))
+    rows = composition_rows(dom, cod, slots, start, [_row_getters(target)] * len(slots), index)
     return FunctorCategory(
         name=f"{target.name}^{shape.name}",
-        objects=objects,
+        objects=tuple(f.name for f in funs),
         morphisms=tuple(morphisms),
         identity=identity,
-        comp=comp,
+        comp=composition_table(ids, cod, start, rows),
         obj_labels={f.name: "[" + ",".join(f.on_obj(x) for x in shape.objects) + "]"
                     for f in funs},
-        functors=fun_by_id,
-        transformations=trans,
+        functors={f.name: f for f in funs},
+        components=dict(zip(ids, combos)),
     )

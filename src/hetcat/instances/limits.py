@@ -43,12 +43,6 @@ def _diagram_cards(shape: FinCategory, fun: FinFunctor) -> tuple[int, ...]:
     return tuple(skeleton_card(fun.on_obj(o)) for o in shape.objects)
 
 
-def _components(leg_maps, fcat: FunctorCategory, t: str, order) -> tuple[dict, ...]:
-    """The leg maps of t's components, in shape-object order."""
-    components = fcat.transformations[t].components
-    return tuple(leg_maps[components[o]] for o in order)
-
-
 def _diagonal(shape: FinCategory, skel: FinCategory,
               fcat: FunctorCategory) -> tuple[dict[str, str], FinFunctor | None]:
     """The constant diagram at each object of skel that has one in fcat, and
@@ -64,11 +58,7 @@ def _diagonal(shape: FinCategory, skel: FinCategory,
                 break
     if len(const_id) < len(skel.objects):
         return const_id, None
-    lookup = {
-        (m.dom, m.cod, tuple(fcat.transformations[m.id].components[o]
-                             for o in shape.objects)): m.id
-        for m in fcat.morphisms
-    }
+    lookup = {(m.dom, m.cod, fcat.components[m.id]): m.id for m in fcat.morphisms}
     return const_id, FinFunctor(
         "Delta", skel, fcat,
         obj_map=dict(const_id),
@@ -129,7 +119,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
              for g in skel.morphisms}
     het = leg_het(f"cones[{shape_name},n={n}]", skel, fcat, cells, legs,
                   lambda h: (before[h.id],) * len(order),
-                  lambda t: _components(after, fcat, t.id, order))
+                  lambda t: tuple(map(after.__getitem__, fcat.components[t.id])))
 
     # expected left adjoint: the constant-diagram functor
     const_id, delta = _diagonal(shape, skel, fcat)
@@ -147,7 +137,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
         obj_map = {did: str(card) for did, card in lim_cards.items()}
         mor_map = {}
         for t in fcat.morphisms:
-            comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
+            comps = list(map(fn_images, fcat.components[t.id]))
             src, dst = lim_tuples[t.dom], lim_tuples[t.cod]
             index = {tup: i for i, tup in enumerate(dst)}
             images = tuple(
@@ -231,14 +221,14 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     after = {h.id: _postcompose(fn_images(h.id), _functions(range(n + 1), skeleton_card(h.dom)))
              for h in skel.morphisms}
     het = leg_het(f"cocones[{shape_name},n={n}]", fcat, skel, cells, legs,
-                  lambda t: _components(before, fcat, t.id, order),
+                  lambda t: tuple(map(before.__getitem__, fcat.components[t.id])),
                   lambda h: (after[h.id],) * len(order))
 
     # expected left adjoint: the colimit functor (total by choice of bound)
     obj_map = {did: str(card) for did, card in colim_cards.items()}
     mor_map = {}
     for t in fcat.morphisms:
-        comps = {o: fn_images(fcat.transformations[t.id].components[o]) for o in order}
+        comps = dict(zip(order, map(fn_images, fcat.components[t.id])))
         src, dst = colim_results[t.dom], colim_results[t.cod]
         dst_index = {name: i for i, name in enumerate(dst.apex.elements)}
         images = []

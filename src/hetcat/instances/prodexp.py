@@ -11,7 +11,8 @@ any nonempty finite grid (the exponential squares cardinalities and the
 product doubles them, so their orbits leave every bound), which matches the
 reflective/coreflective halves being the honest content at finite scale. For
 |A| = 1 both functors are cardinality-preserving and the full adjunction is
-built and verified end to end.
+built and verified end to end; for |A| = 0 every cell holds exactly one map,
+so both readings are full adjunctions too.
 
 The element-level laws (the counit as evaluation, the unit as pairing, the
 cellwise hom-count equality) do not need totality and are verified directly
@@ -99,9 +100,10 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
     }
     exponential_partial = {str(m): str(m ** a_size) for m in range(n + 1)
                            if m ** a_size <= n}
-    coreflective_full = all(m ** a_size <= n for m in range(y_max + 1))
+    # with |A| = 0 every power m^0 is a point and every cell one map: both full
+    coreflective_full = a_size == 0 or all(m ** a_size <= n for m in range(y_max + 1))
     roots = {u ** a_size for u in range(n + 1)}
-    reflective_full = all(b in roots for b in range(amb_max + 1))
+    reflective_full = a_size == 0 or all(b in roots for b in range(amb_max + 1))
     return ProdExpInstance(a_size, x_skel, y_skel, coreflective,
                            product_functor, product_universals,
                            ambient, powers, reflective, inclusion,

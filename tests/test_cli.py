@@ -105,6 +105,9 @@ def test_check_short_composition_triple_exits_two(capsys, tmp_path, category_doc
     ([1, 2], {"x": 1}, [[1, 1, 1], [1, 2, 2], [2, 1, 2]]),
     # a string of three ids unpacks to the entry (i, i) -> i
     (["i"], {"x": "i"}, ["iii"]),
+    # an unhashable composite fails the construction's lookups
+    (["i"], {"x": "i"}, [["i", "i", ["i"]]]),
+    (["i"], {"x": "i"}, [["i", "i", {"x": 1}]]),
 ])
 def test_check_non_string_category_ids_exit_two(capsys, tmp_path, morphisms,
                                                 identity, composition):
@@ -420,6 +423,11 @@ def test_factorize_unknown_id_exits_two(capsys, galois_bundle):
     ("demo", "prodexp", "--n", "1", "--a", "2"),
     ("demo", "preorder", "--n", "1"),
     ("demo", "pointed", "--n", "1"),
+    # |A| = 0 and the grid {0}: every cell holds one map, so both sides represent
+    ("demo", "prodexp", "--n", "0", "--a", "0"),
+    ("demo", "prodexp", "--n", "1", "--a", "0"),
+    ("demo", "prodexp", "--n", "2", "--a", "0"),
+    ("demo", "pointed", "--n", "0"),
 ])
 def test_demos_run_green(capsys, argv):
     code, _ = run(capsys, *argv)

@@ -1,9 +1,11 @@
 """Category, functor, and natural-transformation law checking, plus the
-derived constructions (opposite, product, functor category)."""
+derived constructions (opposite, functor category), with the functor
+category checked against its pair-by-pair reference construction."""
 
 import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, NatTrans,
                     StructuralError, check_category, check_functor,
                     check_nat_trans, constant_functor, functor_category,
-                    identity_functor, identity_nat_trans, opposite,
-                    product_category, product_projections)
+                    identity_functor, identity_nat_trans, opposite)
+from hetcat.fincat import _enumerate_functors
 from hetcat.instances import diagram_shape, finset_skeleton
+from hetcat.instances.finset import SHAPE_NAMES
 from hetcat.instances.galois import powerset_poset
 from hetcat.report import LawReport
 
@@ -284,42 +287,6 @@ def test_opposite_hom_counts_on_skeleton(skeleton1):
     assert len(op.hom("1", "0")) == 1 and len(op.hom("0", "1")) == 0
 
 
-# -- product ----------------------------------------------------------------
-
-def test_product_with_terminal_is_isomorphic(chain2, terminal_cat):
-    prod = product_category(chain2, terminal_cat)
-    assert check_category(prod).ok
-    assert prod.n_objects == chain2.n_objects
-    assert prod.n_morphisms == chain2.n_morphisms
-    p0, p1 = product_projections(prod, chain2, terminal_cat)
-    assert check_functor(p0).ok and check_functor(p1).ok
-    # the projection to the first factor is bijective on morphisms
-    assert sorted(p0.mor_map.values()) == sorted(m.id for m in chain2.morphisms)
-
-
-def test_product_morphism_count(chain2, skeleton1):
-    prod = product_category(chain2, skeleton1)
-    assert prod.n_morphisms == chain2.n_morphisms * skeleton1.n_morphisms
-    assert check_category(prod).ok
-
-
-def test_graph_embedding_recovers_identity(galois, galois_lower_adj):
-    # x -> (x, Fx) into the product category, then the first projection
-    adj = galois_lower_adj
-    prod = product_category(galois.dom_poset, galois.cod_poset)
-    embed = FinFunctor(
-        "graph", galois.dom_poset, prod,
-        obj_map={x: prod.obj_id(x, adj.F.on_obj(x)) for x in galois.dom_poset.objects},
-        mor_map={m.id: prod.mor_id(m.id, adj.F.on_mor(m.id))
-                 for m in galois.dom_poset.morphisms},
-    )
-    assert check_functor(embed).ok
-    p0, _ = product_projections(prod, galois.dom_poset, galois.cod_poset)
-    assert all(p0.on_obj(embed.on_obj(x)) == x for x in galois.dom_poset.objects)
-    assert all(p0.on_mor(embed.on_mor(m.id)) == m.id
-               for m in galois.dom_poset.morphisms)
-
-
 # -- functor category -------------------------------------------------------
 
 def test_functor_category_over_terminal_shape(chain2):
@@ -336,10 +303,12 @@ def test_discrete_two_functor_count(skeleton1):
 
 
 def test_parallel_pair_functor_category_laws(skeleton1):
-    fcat = functor_category(diagram_shape("parallel-pair"), skeleton1)
+    shape = diagram_shape("parallel-pair")
+    fcat = functor_category(shape, skeleton1)
     assert check_category(fcat).ok
     for t in fcat.morphisms:
-        nt = fcat.transformations[t.id]
+        nt = NatTrans(t.id, fcat.functors[t.dom], fcat.functors[t.cod],
+                      dict(zip(shape.objects, fcat.components[t.id])))
         assert check_nat_trans(nt).ok
 
 
@@ -362,14 +331,126 @@ def test_nat_trans_count_matches_brute_force(skeleton2):
             assert len(fcat.hom(did, did2)) == brute
 
 
+def _reference_functor_category(shape: FinCategory, target: FinCategory,
+                                guard: int = 10_000):
+    """The functor category as built pair by pair, one validated NatTrans per
+    transformation, and each composite looked up in Python."""
+    # cheap refusal on the functor count before any enumeration
+    estimate = 0
+    for assignment in itertools.product(target.objects, repeat=len(shape.objects)):
+        omap = dict(zip(shape.objects, assignment))
+        prod = 1
+        for m in shape.morphisms:
+            if not shape.is_identity(m.id):
+                prod *= len(target.hom(omap[m.dom], omap[m.cod]))
+                if prod == 0:
+                    break
+        estimate += prod
+        if estimate > guard:
+            raise GuardExceeded(
+                f"functor category over {target.name} would have >= {estimate} "
+                f"objects (guard {guard})", estimate)
+    funs = [FinFunctor(f"D{i}", shape, target, omap, mmap)
+            for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target))]
+    objects = tuple(f.name for f in funs)
+    fun_by_id = {f.name: f for f in funs}
+    trans: dict[str, NatTrans] = {}
+    morphisms: list[Morphism] = []
+    identity: dict[str, str] = {}
+    comps_of: dict[str, tuple[str, ...]] = {}     # components in shape-object order
+    for ff in funs:
+        for hh in funs:
+            pools = [target.hom(ff.on_obj(x), hh.on_obj(x)) for x in shape.objects]
+            for combo in itertools.product(*pools):
+                comps = dict(zip(shape.objects, combo))
+                natural = True
+                for j in shape.morphisms:
+                    lhs = target.comp.get((comps[j.dom], hh.on_mor(j.id)))
+                    rhs = target.comp.get((ff.on_mor(j.id), comps[j.cod]))
+                    if lhs != rhs or lhs is None:
+                        natural = False
+                        break
+                if not natural:
+                    continue
+                if len(morphisms) >= guard:
+                    raise GuardExceeded(
+                        f"functor category over {target.name} has more than "
+                        f"{guard} morphisms (guard {guard})", len(morphisms) + 1)
+                tid = f"t{len(morphisms)}"
+                trans[tid] = NatTrans(tid, ff, hh, comps)
+                comps_of[tid] = combo
+                morphisms.append(Morphism(tid, ff.name, hh.name,
+                                          label="(" + ",".join(combo) + ")"))
+                if ff.name == hh.name and all(
+                        comps[x] == target.id_of(ff.on_obj(x)) for x in shape.objects):
+                    identity[ff.name] = tid
+    comp: dict[tuple[str, str], str] = {}
+    # index transformations by (source functor, component tuple) for composite lookup
+    lookup = {(m.dom, m.cod, comps_of[m.id]): m.id for m in morphisms}
+    by_dom: dict[str, list[Morphism]] = {}
+    for m in morphisms:
+        by_dom.setdefault(m.dom, []).append(m)
+    tcomp = target.comp
+    for m1 in morphisms:
+        c1 = comps_of[m1.id]
+        for m2 in by_dom.get(m1.cod, ()):
+            c2 = comps_of[m2.id]
+            combo = tuple(tcomp[(a, b)] for a, b in zip(c1, c2))
+            comp[(m1.id, m2.id)] = lookup[(m1.dom, m2.cod, combo)]
+    return SimpleNamespace(
+        name=f"{target.name}^{shape.name}",
+        objects=objects,
+        morphisms=tuple(morphisms),
+        identity=identity,
+        comp=comp,
+        obj_labels={f.name: "[" + ",".join(f.on_obj(x) for x in shape.objects) + "]"
+                    for f in funs},
+        functors=fun_by_id,
+        transformations=trans,
+    )
+
+
+# span over FinSet<=2 is left out: the reference alone takes about 2 s
+@pytest.mark.parametrize("shape_name, n", [
+    *[(name, n) for name in SHAPE_NAMES for n in (0, 1)],
+    ("terminal", 2), ("discrete-2", 2), ("parallel-pair", 2)])
+def test_functor_category_matches_reference(shape_name, n):
+    shape, target = diagram_shape(shape_name), finset_skeleton(n)
+    got = functor_category(shape, target)
+    want = _reference_functor_category(shape, target)
+    assert got.name == want.name
+    assert got.objects == want.objects
+    assert ([(m.id, m.dom, m.cod, m.label) for m in got.morphisms]
+            == [(m.id, m.dom, m.cod, m.label) for m in want.morphisms])
+    assert list(got.identity.items()) == list(want.identity.items())
+    assert list(got.comp.items()) == list(want.comp.items())
+    assert got.obj_labels == want.obj_labels
+    assert got.functors == want.functors
+    assert got.components == {t: tuple(nt.components[x] for x in shape.objects)
+                              for t, nt in want.transformations.items()}
+
+
+def test_functor_category_over_a_non_category_is_flagged():
+    # a composite missing from the target leaves the pairs that need it out of
+    # the table, for check_category to name, instead of raising; over the
+    # terminal shape the report is the target's, read through the components
+    skel = finset_skeleton(2)
+    comp = dict(skel.comp)
+    del comp[("0>1:", "1>2:0")]
+    broken = FinCategory("broken", skel.objects, skel.morphisms, dict(skel.identity), comp)
+    fcat = functor_category(diagram_shape("terminal"), broken)
+    found = [(v.law, tuple(fcat.components[t][0] for t in v.witness))
+             for v in check_category(fcat).violations]
+    assert ("composition-totality", ("0>1:", "1>2:0")) in found
+    assert found == [(v.law, v.witness) for v in check_category(broken).violations]
+
+
 def test_functor_category_guard():
     with pytest.raises(GuardExceeded) as err:
         functor_category(diagram_shape("parallel-pair"), finset_skeleton(2), guard=10)
     assert err.value.estimate > 10
 
 
-def test_product_and_functor_category_reprs_are_one_line(skeleton1):
+def test_functor_category_repr_is_one_line(skeleton1):
     fcat = functor_category(diagram_shape("parallel-pair"), skeleton1)
     assert repr(fcat) == "FinCategory('FinSet<=1^parallel-pair', 3 objects, 6 morphisms)"
-    prod = product_category(skeleton1, skeleton1)
-    assert repr(prod) == "FinCategory('FinSet<=1xFinSet<=1', 4 objects, 9 morphisms)"

@@ -293,7 +293,7 @@ def _reference_cone_tables(inst):
             for did in fcat.objects for cid in cells[(h.cod, did)]}
     act_right = {}
     for t in fcat.morphisms:
-        comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
+        comps = list(map(fn_images, fcat.components[t.id]))
         act_right[t.id] = {
             cid: id_of[(w, t.cod, tuple(tuple(comps[i][v] for v in leg)
                                         for i, leg in enumerate(legs_of[cid])))]
@@ -323,7 +323,7 @@ def _reference_cocone_tables(inst):
         for did in fcat.objects for z in skel.objects))
     act_left = {}
     for t in fcat.morphisms:
-        comps = [fn_images(fcat.transformations[t.id].components[o]) for o in order]
+        comps = list(map(fn_images, fcat.components[t.id]))
         act_left[t.id] = {
             cid: id_of[(t.dom, z, tuple(tuple(legs_of[cid][i][e] for e in comps[i])
                                         for i in range(len(order))))]
