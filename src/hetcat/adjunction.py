@@ -228,9 +228,10 @@ class AdjunctiveSquare:
 def adjunctive_square(adj: Adjunction, a: str, f: str) -> AdjunctiveSquare:
     """Complete the adjunctive square determined by f: x -> Ga.
 
-    The bottom is forced to be the transpose g = f*; commutativity is checked
-    componentwise, and the anti-diagonal (Gg, Ff) must make both triangles
-    commute.
+    The bottom is forced to be the transpose g = f*, "Ff then eps_a";
+    commutativity is checked componentwise, the second component against the
+    het's own transpose of e_a . f, and the anti-diagonal (Gg, Ff) must make
+    both triangles commute.
     """
     xc, ac = adj.x_cat, adj.a_cat
     x = xc.dom(f)
@@ -241,7 +242,7 @@ def adjunctive_square(adj: Adjunction, a: str, f: str) -> AdjunctiveSquare:
     if xc.compose(adj.eta(x), Gg) != f:
         rep.add("square-first-component", (f, g),
                 "eta_x then Gg differs from f")
-    if ac.compose(Ff, adj.eps(a)) != g:
+    if ac.compose(Ff, adj.eps(a)) != adj.g_of(adj.het.act_l(f, adj.e(a))):
         rep.add("square-second-component", (f, g),
                 "Ff then eps_a differs from g")
     return AdjunctiveSquare(
@@ -521,7 +522,8 @@ def over_and_back_and_triangles(adj: Adjunction) -> LawReport:
 def factorization_failures(adj: Adjunction, x: str, a: str, f: str,
                            g: str) -> list[tuple[str, str]]:
     """The over-across-and-back equations, for f: x -> Ga and g: Fx -> a its
-    transpose, that fail, as (law, detail)."""
+    transpose, that fail, as (law, detail). Callers compute g as "Ff then
+    eps_a", so that law is checked against the het's transpose of e_a . f."""
     xc, ac, F, G = adj.x_cat, adj.a_cat, adj.F, adj.G
     eta, eps = adj.eta(x), adj.eps(a)
     equations = (
@@ -529,8 +531,8 @@ def factorization_failures(adj: Adjunction, x: str, a: str, f: str,
          "eta_x then G(f*) differs from f"),
         (xc.compose_many(eta, G.on_mor(F.on_mor(f)), G.on_mor(eps)) == f,
          "factorization-over-across-f", "eta_x then GFf then G(eps_a) differs from f"),
-        (ac.compose(F.on_mor(f), eps) == g, "factorization-counit",
-         "Ff then eps_a differs from f*"),
+        (ac.compose(F.on_mor(f), eps) == adj.g_of(adj.het.act_l(f, adj.e(a))),
+         "factorization-counit", "Ff then eps_a differs from f*"),
         (ac.compose_many(F.on_mor(eta), F.on_mor(G.on_mor(g)), eps) == g,
          "factorization-over-across-g", "F(eta_x) then FG(f*) then eps_a differs from f*"),
     )

@@ -91,7 +91,7 @@ def functor_from_payload(payload: Any) -> FinFunctor:
             dict(payload["object_map"]),
             dict(payload["morphism_map"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:   # a non-object has no .get
         raise DocumentError(f"malformed functor payload: {exc}") from exc
 
 
@@ -122,7 +122,7 @@ def nat_trans_from_payload(payload: Any) -> NatTrans:
                                   dict(spec["morphism_map"])))
         return NatTrans(payload.get("name", "nattrans"), fns[0], fns[1],
                         dict(payload["components"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed nattrans payload: {exc}") from exc
 
 

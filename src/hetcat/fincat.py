@@ -13,7 +13,10 @@ by label; labels are display-only and excluded from equality.
 
 Comma and functor categories are subcategories of a product: a morphism is a
 tuple of component morphisms, composed componentwise (CWM II.4, II.6). Both
-fill their composition tables through `composition_rows`.
+fill their composition tables through `composition_rows`. One generator,
+`natural_transformations`, lists the functor category's morphisms and the
+cones and cocones of `instances.limits`: transformations from and to a
+constant diagram.
 """
 
 from __future__ import annotations
@@ -521,6 +524,27 @@ def _enumerate_functors(shape: FinCategory, target: FinCategory):
                 yield omap, mmap
 
 
+def natural_transformations(shape: FinCategory, target: FinCategory,
+                            F: FinFunctor, H: FinFunctor):
+    """Each natural transformation F => H as its components in shape-object
+    order: of the product of the hom-sets target.hom(Fx, Hx), in hom order,
+    the tuples whose every square, identities included, has both composites
+    recorded and equal. F and H are read only through their object and
+    morphism maps, so their own target need only share its ids with target."""
+    comp = target.comp
+    place = {x: i for i, x in enumerate(shape.objects)}
+    squares = [(place[j.dom], H.mor_map[j.id], F.mor_map[j.id], place[j.cod])
+               for j in shape.morphisms]
+    pools = [target.hom(F.obj_map[x], H.obj_map[x]) for x in shape.objects]
+    for combo in itertools.product(*pools):
+        for x, hj, fj, x2 in squares:
+            lhs = comp.get((combo[x], hj))
+            if lhs is None or lhs != comp.get((fj, combo[x2])):
+                break
+        else:
+            yield combo
+
+
 def functor_category(shape: FinCategory, target: FinCategory,
                      guard: int = 10_000) -> FunctorCategory:
     """The category of all functors shape -> target and all natural transformations.
@@ -551,19 +575,9 @@ def functor_category(shape: FinCategory, target: FinCategory,
     # morphism n: functor dom[n] to functor cod[n] with components combos[n]
     dom, cod, combos, start = [], [], [], [0]
     for i, ff in enumerate(funs):
+        unit = tuple(target.id_of(ff.on_obj(x)) for x in shape.objects)
         for k, hh in enumerate(funs):
-            pools = [target.hom(ff.on_obj(x), hh.on_obj(x)) for x in shape.objects]
-            for combo in itertools.product(*pools):
-                comps = dict(zip(shape.objects, combo))
-                natural = True
-                for j in shape.morphisms:
-                    lhs = target.comp.get((comps[j.dom], hh.on_mor(j.id)))
-                    rhs = target.comp.get((ff.on_mor(j.id), comps[j.cod]))
-                    if lhs != rhs or lhs is None:
-                        natural = False
-                        break
-                if not natural:
-                    continue
+            for combo in natural_transformations(shape, target, ff, hh):
                 if len(morphisms) >= guard:
                     raise GuardExceeded(
                         f"functor category over {target.name} has more than "
@@ -574,8 +588,7 @@ def functor_category(shape: FinCategory, target: FinCategory,
                 combos.append(combo)
                 morphisms.append(Morphism(tid, ff.name, hh.name,
                                           label="(" + ",".join(combo) + ")"))
-                if ff.name == hh.name and all(
-                        comps[x] == target.id_of(ff.on_obj(x)) for x in shape.objects):
+                if i == k and combo == unit:
                     identity[ff.name] = tid
         start.append(len(morphisms))
     ids = [m.id for m in morphisms]

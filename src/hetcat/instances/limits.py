@@ -1,11 +1,14 @@
 """The diagonal/limit and colimit/diagonal adjunctions at finite scale.
 
 Heteromorphisms from a set to a diagram are cones; from a diagram to a set,
-cocones. Cells are tabulated exhaustively over a finite-set skeleton and the
-functor category of diagrams, and the adjoints are recovered by the generic
-representability search, then compared against the direct limit and colimit
-computations. Cells keep each element's legs, and `leg_het` fills the action
-tables by sending every leg through a per-morphism dict of leg images.
+cocones. A cone w => D is a natural transformation from the constant diagram
+at w to D, a cocone D => z one from D to the constant diagram at z (CWM
+III.3-4), so the cells are listed by `natural_transformations`, which also
+lists the morphisms of the functor category of diagrams. The adjoints are
+recovered by the generic representability search, then compared against the
+direct limit and colimit computations. Cells keep each element's legs, and
+`leg_het` fills the action tables by sending every leg through a
+per-morphism dict of leg images.
 
 Finiteness caveat: a representing object for Het(-, D) is a set of the same
 cardinality as the limit of D, and limits of discrete diagrams multiply
@@ -17,10 +20,10 @@ then built only when total.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from ..fincat import FinCategory, FinFunctor, FunctorCategory, functor_category
+from ..fincat import (FinCategory, FinFunctor, FunctorCategory, constant_functor,
+                      functor_category, natural_transformations)
 from ..het import HetBifunctor
 from .finset import (_functions, _postcompose, _precompose, diagram_shape,
                      finset_skeleton, fn_id, fn_images, leg_het, limit_of,
@@ -39,21 +42,19 @@ def _cocone_id(did: str, z: str, legs: Legs) -> str:
     return f"cc:{did}>{z}:{body}"
 
 
-def _diagram_cards(shape: FinCategory, fun: FinFunctor) -> tuple[int, ...]:
-    return tuple(skeleton_card(fun.on_obj(o)) for o in shape.objects)
+def _legs(shape: FinCategory, skel: FinCategory, F: FinFunctor, H: FinFunctor) -> list[Legs]:
+    """Each transformation F => H into skel as its components' image tuples."""
+    return [tuple(map(fn_images, t)) for t in natural_transformations(shape, skel, F, H)]
 
 
-def _diagonal(shape: FinCategory, skel: FinCategory,
-              fcat: FunctorCategory) -> tuple[dict[str, str], FinFunctor | None]:
-    """The constant diagram at each object of skel that has one in fcat, and
-    the constant-diagram functor skel -> fcat when every object has one."""
-    non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
+def _diagonal(shape: FinCategory, skel: FinCategory, fcat: FunctorCategory,
+              deltas: dict[str, FinFunctor]) -> tuple[dict[str, str], FinFunctor | None]:
+    """The diagram in fcat equal to each constant functor deltas[w], where
+    one is, and the constant-diagram functor skel -> fcat when all are."""
     const_id = {}
-    for wobj in skel.objects:
-        target = {o: wobj for o in shape.objects}
+    for wobj, delta in deltas.items():
         for did, fun in fcat.functors.items():
-            if fun.obj_map == target and all(fun.on_mor(m.id) == skel.id_of(wobj)
-                                             for m in non_id):
+            if fun.obj_map == delta.obj_map and fun.mor_map == delta.mor_map:
                 const_id[wobj] = did
                 break
     if len(const_id) < len(skel.objects):
@@ -62,8 +63,7 @@ def _diagonal(shape: FinCategory, skel: FinCategory,
     return const_id, FinFunctor(
         "Delta", skel, fcat,
         obj_map=dict(const_id),
-        mor_map={h.id: lookup[(const_id[h.dom], const_id[h.cod],
-                               tuple(h.id for _ in shape.objects))]
+        mor_map={h.id: lookup[(const_id[h.dom], const_id[h.cod], (h.id,) * len(shape.objects))]
                  for h in skel.morphisms},
     )
 
@@ -89,26 +89,14 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
     skel = finset_skeleton(n)
     fcat = functor_category(shape, skel, guard=guard)
     order = shape.objects
-    non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
+    deltas = {w: constant_functor(shape, skel, w) for w in skel.objects}
 
-    def cones_of(w: int, did: str) -> list[Legs]:
-        fun = fcat.functors[did]
-        cards = _diagram_cards(shape, fun)
-        arrows = {m.id: fn_images(fun.on_mor(m.id)) for m in non_id}
-        pools = [itertools.product(range(c), repeat=w) for c in cards]
-        out = []
-        idx = {o: i for i, o in enumerate(order)}
-        for combo in itertools.product(*pools):
-            if all(arrows[m.id][combo[idx[m.dom]][i]] == combo[idx[m.cod]][i]
-                   for m in non_id for i in range(w)):
-                out.append(tuple(combo))
-        return out
-
+    # a cone w => D is a transformation from the constant diagram at w to D
     cells: dict[tuple[str, str], tuple[str, ...]] = {}
     legs: dict[tuple[str, str], list[Legs]] = {}
     for wobj in skel.objects:
-        for did in fcat.objects:
-            legs[(wobj, did)] = found = cones_of(skeleton_card(wobj), did)
+        for did, fun in fcat.functors.items():
+            legs[(wobj, did)] = found = _legs(shape, skel, deltas[wobj], fun)
             cells[(wobj, did)] = tuple(_cone_id(wobj, did, cone) for cone in found)
 
     # a leg w -> c is a function of the skeleton: h: w' -> w acts by "h then
@@ -122,7 +110,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
                   lambda t: tuple(map(after.__getitem__, fcat.components[t.id])))
 
     # expected left adjoint: the constant-diagram functor
-    const_id, delta = _diagonal(shape, skel, fcat)
+    const_id, delta = _diagonal(shape, skel, fcat, deltas)
 
     # expected right adjoint via the direct limit computation
     lim_cards = {}
@@ -146,11 +134,8 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
             mor_map[t.id] = fn_id(len(src), len(dst), images)
         lim = FinFunctor("Lim", fcat, skel, obj_map, mor_map)
 
-    identity_cones = {}
-    for wobj in skel.objects:
-        w = skeleton_card(wobj)
-        ident: Legs = tuple(tuple(range(w)) for _ in order)
-        identity_cones[wobj] = _cone_id(wobj, const_id[wobj], ident)
+    identity_cones = {w: _cone_id(w, const_id[w], (tuple(range(skeleton_card(w))),) * len(order))
+                      for w in skel.objects}
     projection_cones = {}
     for did in fcat.objects:
         card = lim_cards[did]
@@ -184,7 +169,6 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     diag_skel = finset_skeleton(n)
     fcat = functor_category(shape, diag_skel, guard=guard)
     order = shape.objects
-    non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
 
     colim_results = {}
     for did, fun in fcat.functors.items():
@@ -193,25 +177,15 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     colim_cards = {did: r.apex.size for did, r in colim_results.items()}
     bound = max([n] + list(colim_cards.values()))
     skel = finset_skeleton(bound)
+    deltas = {z: constant_functor(shape, skel, z) for z in skel.objects}
 
-    def cocones_of(did: str, z: int) -> list[Legs]:
-        fun = fcat.functors[did]
-        cards = _diagram_cards(shape, fun)
-        arrows = {m.id: fn_images(fun.on_mor(m.id)) for m in non_id}
-        pools = [itertools.product(range(z), repeat=c) for c in cards]
-        idx = {o: i for i, o in enumerate(order)}
-        out = []
-        for combo in itertools.product(*pools):
-            if all(combo[idx[m.cod]][arrows[m.id][e]] == combo[idx[m.dom]][e]
-                   for m in non_id for e in range(cards[idx[m.dom]])):
-                out.append(tuple(combo))
-        return out
-
+    # a cocone D => z is a transformation from D to the constant diagram at
+    # z; D's morphism ids are ids of the larger skeleton too
     cells: dict[tuple[str, str], tuple[str, ...]] = {}
     legs: dict[tuple[str, str], list[Legs]] = {}
-    for did in fcat.objects:
+    for did, fun in fcat.functors.items():
         for zobj in skel.objects:
-            legs[(did, zobj)] = found = cocones_of(did, skeleton_card(zobj))
+            legs[(did, zobj)] = found = _legs(shape, skel, fun, deltas[zobj])
             cells[(did, zobj)] = tuple(_cocone_id(did, zobj, cocone) for cocone in found)
 
     # a leg c -> z is a function of the skeleton: a transformation acts by
@@ -242,21 +216,17 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
 
     # expected right adjoint: the constant-diagram functor, total iff bound == n
     escape = tuple(z for z in skel.objects if skeleton_card(z) > n)
-    const_id, delta = _diagonal(shape, skel, fcat)
+    const_id, delta = _diagonal(shape, skel, fcat, deltas)
 
     injection_cocones = {}
     for did in fcat.objects:
         res = colim_results[did]
         index = {name: i for i, name in enumerate(res.apex.elements)}
-        cards = _diagram_cards(shape, fcat.functors[did])
-        legs = tuple(
-            tuple(index[res.cocone.legs[o][str(e)]] for e in range(cards[i]))
-            for i, o in enumerate(order))
+        legs = tuple(tuple(map(index.__getitem__, res.cocone.legs[o].values()))
+                     for o in order)
         injection_cocones[did] = _cocone_id(did, str(res.apex.size), legs)
-    identity_cocones = {}
-    for zobj in diag_skel.objects:
-        z = skeleton_card(zobj)
-        legs: Legs = tuple(tuple(range(z)) for _ in order)
-        identity_cocones[zobj] = _cocone_id(const_id[zobj], zobj, legs)
+    identity_cocones = {
+        z: _cocone_id(const_id[z], z, (tuple(range(skeleton_card(z))),) * len(order))
+        for z in diag_skel.objects}
     return ColimitsInstance(shape, fcat, skel, het, colim, delta,
                             colim_cards, escape, injection_cocones, identity_cocones)

@@ -1,6 +1,8 @@
 """Adjunction assembly and every derived structure: transposes, squares,
 zig-zags, the four-bifunctor isomorphism, identities, and the round-trip."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -472,6 +474,62 @@ def test_abstract_het_matches_reference(request, skeleton2, adj_name):
 def test_roundtrip_ur_and_galois(ur_chain2, galois_lower_adj, galois_upper_adj):
     for adj in (ur_chain2, galois_lower_adj, galois_upper_adj):
         assert representation_roundtrip(adj).ok
+
+
+# -- negative controls: corrupted copies of a valid adjunction ------------------
+
+def _laws(report):
+    return {v.law for v in report.violations}
+
+
+def _suite_laws(adj):
+    """The laws each suite reports, by suite; squares and zig-zags over every
+    f: x -> Ga and every heteromorphism."""
+    squares = [adjunctive_square(adj, a, f) for x in adj.x_cat.objects
+               for a in adj.a_cat.objects for f in adj.x_cat.hom(x, adj.G.on_obj(a))]
+    return {
+        "four": _laws(four_bifunctor_iso(adj)),
+        "identities": _laws(over_and_back_and_triangles(adj)),
+        "squares": set().union(*(_laws(sq.report) for sq in squares)),
+        "roundtrip": _laws(representation_roundtrip(adj)),
+        "lawvere": _laws(lawvere_iso_check(adj)),
+        "zigzag": set().union(*(_laws(zig_zag_factorize(adj, c).report)
+                                for c in adj.het.elements)),
+    }
+
+
+def test_law_suites_report_a_corrupted_counit(skeleton2):
+    adj = ur_adjunction(skeleton2)
+    bad = dataclasses.replace(adj, counit=dataclasses.replace(
+        adj.counit, components={**adj.counit.components, "2": "2>2:0,0"}))
+    assert _suite_laws(bad) == {
+        "four": set(),
+        "identities": {"factorization-unit", "factorization-over-across-f",
+                       "factorization-counit", "triangular-identity-F",
+                       "triangular-identity-G", "e1-form", "over-and-back-F",
+                       "chimera-counit-composite"},
+        "squares": {"square-first-component", "square-second-component"},
+        "roundtrip": {"recovered-counit", "recovered-sending-universal"},
+        "lawvere": set(),
+        "zigzag": {"lower-triangle", "zig-zag-action-top"},
+    }
+
+
+def test_law_suites_report_a_corrupted_psi(skeleton2):
+    adj = ur_adjunction(skeleton2)
+    psi = adj.left.psi[("1", "2")]
+    g0, g1 = list(psi)[:2]
+    bad = dataclasses.replace(adj, left=dataclasses.replace(adj.left, psi={
+        **adj.left.psi, ("1", "2"): {**psi, g0: psi[g1], g1: psi[g0]}}))
+    assert _suite_laws(bad) == {
+        "four": {"z-naturality-left", "z-naturality-right"},
+        "identities": {"factorization-counit"},
+        "squares": {"square-second-component"},
+        "roundtrip": set(),
+        "lawvere": {"morphism-correspondence", "morphism-bijection"},
+        "zigzag": {"left-factorization", "upper-triangle", "lower-triangle",
+                   "zig-zag-action-bottom"},
+    }
 
 
 # -- generated posets against a closed-form oracle ------------------------------

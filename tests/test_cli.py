@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import hetcat.cli
 from hetcat.cli import main
 from hetcat.documents import (bifunctor_to_payload, bundle_to_payload,
-                              category_to_payload, dumps_document, loads_document,
-                              make_document)
-from hetcat.fincat import FinCategory, Morphism
+                              category_to_payload, dumps_document, functor_to_payload,
+                              loads_document, make_document, nat_trans_to_payload)
+from hetcat.fincat import FinCategory, Morphism, identity_functor, identity_nat_trans
+from hetcat.instances import finset_skeleton
 from hetcat.het import HetBifunctor, KernelInvariantError, build_het, hom_bifunctor
 
 
@@ -120,6 +121,55 @@ def test_check_non_string_category_ids_exit_two(capsys, tmp_path, morphisms,
         code, out = run(capsys, *argv)
         assert code == 2
         assert "malformed category payload" in out
+
+
+def _identity_functor_and_nattrans():
+    """The identity functor of FinSet<=2 and its identity transformation, as
+    payloads."""
+    one = identity_functor(finset_skeleton(2))
+    return functor_to_payload(one), nat_trans_to_payload(identity_nat_trans(one))
+
+
+def _check_both(capsys, tmp_path, kind, payload):
+    """`check` on the document, as (exit code, output) in text and in --json."""
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(make_document(kind, payload)))
+    return run(capsys, "check", str(path)), run(capsys, "check", str(path), "--json")
+
+
+def test_check_functor_and_nattrans_documents(capsys, tmp_path):
+    functor, nattrans = _identity_functor_and_nattrans()
+    for kind, payload, names in (
+            ("functor", functor, ["source category", "target category", "functor laws"]),
+            ("nattrans", nattrans, ["source category", "target category",
+                                    "source functor", "target functor", "naturality"])):
+        (code, _), (json_code, out) = _check_both(capsys, tmp_path, kind, payload)
+        assert code == json_code == 0
+        assert [(c["name"], c["ok"]) for c in json.loads(out)["checks"]] == \
+            [(name, True) for name in names]
+    # one function of the identity functor sent to another
+    functor["morphism_map"]["1>2:0"] = "1>2:1"
+    # components of 1_{FinSet<=2} that are not natural
+    nattrans["components"] = {"0": "0>0:", "1": "1>1:0", "2": "2>2:0,0"}
+    for kind, payload, entry, law in (
+            ("functor", functor, "functor laws", "composition-preservation"),
+            ("nattrans", nattrans, "naturality", "naturality")):
+        (code, text), (json_code, out) = _check_both(capsys, tmp_path, kind, payload)
+        assert code == json_code == 1
+        assert law in text
+        failed = [c for c in json.loads(out)["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == [entry]
+        assert {v["law"] for v in failed[0]["violations"]} == {law}
+
+
+@pytest.mark.parametrize("kind", ["functor", "nattrans"])
+def test_check_array_functor_payload_exits_two(capsys, tmp_path, kind):
+    functor, nattrans = _identity_functor_and_nattrans()
+    payload = (list(functor.values()) if kind == "functor" else
+               dict(nattrans, source_functor=list(nattrans["source_functor"].values())))
+    for code, out in _check_both(capsys, tmp_path, kind, payload):
+        assert code == 2
+        assert f"malformed {kind} payload" in out
 
 
 def test_check_deeply_nested_document_exits_two(capsys, tmp_path):

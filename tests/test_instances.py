@@ -952,6 +952,8 @@ def test_prodexp_singleton_exponent_is_identityish(prodexp21):
     assert isinstance(core, Adjunction) and isinstance(refl, Adjunction)
     assert all(core.F.on_obj(k) == k for k in prodexp21.x_skel.objects)
     assert all(refl.G.on_obj(p) == p[2:] for p in prodexp21.powers.objects)
+    assert core.left.universal == prodexp21.product_universals
+    assert refl.right.universal == prodexp21.inclusion_universals
 
 
 def test_prodexp_two_halves(prodexp22):
@@ -959,10 +961,12 @@ def test_prodexp_two_halves(prodexp22):
     assert isinstance(core, HalfAdjunction)
     assert core.failed_sides() == ("right",)
     assert core.left.functor == prodexp22.product_functor
+    assert core.left.universal == prodexp22.product_universals
     refl = build_adjunction(prodexp22.reflective_het)
     assert isinstance(refl, HalfAdjunction)
     assert refl.failed_sides() == ("left",)
     assert refl.right.functor == prodexp22.inclusion_functor
+    assert refl.right.universal == prodexp22.inclusion_universals
 
 
 def test_prodexp_cell_counting(prodexp22):
