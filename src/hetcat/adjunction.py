@@ -623,17 +623,19 @@ class AbstractHet:
 
 def _embedded_copy(cat: FinCategory, name: str, obj, mor) -> tuple[FinCategory, FinFunctor]:
     """The copy of cat whose object and morphism ids are renamed by obj and
-    mor, with the embedding of cat onto it."""
+    mor, with the embedding of cat onto it. Each id is renamed once."""
+    obj_map = {x: obj(x) for x in cat.objects}
+    mor_map = {m.id: mor(m.id) for m in cat.morphisms}
     hat = FinCategory(
         name=f"{cat.name}-hat",
-        objects=tuple(map(obj, cat.objects)),
-        morphisms=tuple(Morphism(mor(m.id), obj(m.dom), obj(m.cod)) for m in cat.morphisms),
-        identity={obj(x): mor(cat.id_of(x)) for x in cat.objects},
-        comp={(mor(f), mor(g)): mor(h) for (f, g), h in cat.comp.items()},
+        objects=tuple(obj_map.values()),
+        morphisms=tuple(Morphism(mor_map[m.id], obj_map[m.dom], obj_map[m.cod])
+                        for m in cat.morphisms),
+        identity={obj_map[x]: mor_map[cat.id_of(x)] for x in cat.objects},
+        comp={(mor_map[f], mor_map[g]): mor_map[h] for (f, g), h in cat.comp.items()},
     )
     return hat, FinFunctor(name=name, source=cat, target=hat,
-                           obj_map={x: obj(x) for x in cat.objects},
-                           mor_map={m.id: mor(m.id) for m in cat.morphisms})
+                           obj_map=obj_map, mor_map=mor_map)
 
 
 def abstract_het(adj: Adjunction) -> AbstractHet:

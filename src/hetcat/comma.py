@@ -4,7 +4,13 @@ executable form of the comma-category definition of an adjunction.
 A comma category is tabulated once, over dense ints. Object i is the i-th
 source triple in sorted order; morphism n is the n-th commuting pair in
 enumeration order; composition is one int row per morphism, filled by
-`fincat.composition_rows` from the components (k, h). The string view
+`fincat.composition_rows` from the components (k, h). Those rows and the
+`index` depend only on the morphism tables and the two component
+categories, so a comma built with a `sibling` over the same categories
+(`is`) and with equal `dom`, `cod`, `ks`, `hs` and `start` shares the
+sibling's `index` and `rows`; the enumeration, its commuting-square test and
+`ident` are still each comma's own. The equivalence checks pass each comma
+the one built just before it. The string view
 (`base`, the projections, `objects_data`, `morphisms_data`) is built on
 first access. The comma isomorphisms are checked on the int tables alone, in
 one pass that decides and names each witness in the string view's ids; two
@@ -128,9 +134,13 @@ def _out_homs(cat: FinCategory) -> dict[str, dict[str, list[str]]]:
     return out
 
 
+_TABLES = attrgetter("dom", "cod", "ks", "hs", "start")
+
+
 def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
               triples: list[tuple[str, str, str]],
-              commutes, guard: int) -> CommaCategory:
+              commutes, guard: int, *, sibling: CommaCategory | None = None
+              ) -> CommaCategory:
     """Shared construction: enumerate morphism pairs over the given objects.
 
     `commutes(src_triple, dst_triple, k, h)` decides whether the pair (k, h)
@@ -138,7 +148,8 @@ def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
     by source, destination by destination in object order, k then h in hom
     order, and only where both homs are non-empty: destinations are reached
     through the out-homs of the two source categories, not by scanning all
-    pairs of objects.
+    pairs of objects. With equal tables over the same categories as
+    `sibling`, the index and composition rows are the sibling's own.
     """
     triples = sorted(triples)
     if len(triples) > guard:
@@ -175,21 +186,26 @@ def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
                         raise GuardExceeded(
                             f"{name}: morphism count exceeds guard {guard}", len(dom))
         start.append(len(dom))
-    index = {key: n for n, key in enumerate(zip(dom, cod, ks, hs))}
+    if sibling is not None and sibling.left_cat is left_cat and \
+            sibling.right_cat is right_cat and _TABLES(sibling) == (dom, cod, ks, hs, start):
+        index, rows = sibling.index, sibling.rows
+    else:
+        index = {key: n for n, key in enumerate(zip(dom, cod, ks, hs))}
+        rows = composition_rows(dom, cod, (ks, hs), start,
+                                (_row_getters(left_cat), _row_getters(right_cat)), index)
     ident = [index.get((i, i, left_cat.id_of(t[0]), right_cat.id_of(t[1])))
              for i, t in enumerate(triples)]
-    rows = composition_rows(dom, cod, (ks, hs), start,
-                            (_row_getters(left_cat), _row_getters(right_cat)), index)
     return CommaCategory(name, left_cat, right_cat, triples, dom, cod, ks, hs,
                          index, start, ident, rows)
 
 
-def comma_of_functors(left: FinFunctor, right: FinFunctor,
-                      guard: int = 10_000) -> CommaCategory:
+def comma_of_functors(left: FinFunctor, right: FinFunctor, guard: int = 10_000, *,
+                      sibling: CommaCategory | None = None) -> CommaCategory:
     """The comma category of two functors into a shared target.
 
     Objects are triples (a, b, m) with m: left(a) -> right(b); a morphism
-    (k, h) requires "m then right(h)" to equal "left(k) then m'".
+    (k, h) requires "m then right(h)" to equal "left(k) then m'". A
+    `sibling` lends its derived tables where they are equal (`_tabulate`).
     """
     if left.target != right.target:
         raise StructuralError("comma_of_functors: functors have different targets")
@@ -215,14 +231,16 @@ def comma_of_functors(left: FinFunctor, right: FinFunctor,
         return lhs == rhs
 
     return _tabulate(f"({left.name},{right.name})",
-                     left.source, right.source, triples, commutes, guard)
+                     left.source, right.source, triples, commutes, guard, sibling=sibling)
 
 
-def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000) -> CommaCategory:
+def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000, *,
+                       sibling: CommaCategory | None = None) -> CommaCategory:
     """The comma category of a het-bifunctor: objects are its elements.
 
     A morphism from c to c' is a pair (j, k) with k.c = c'.j, the commuting
-    square condition stated in the actions.
+    square condition stated in the actions. A `sibling` lends its derived
+    tables where they are equal (`_tabulate`).
     """
     triples = [
         (x, a, c)
@@ -238,7 +256,7 @@ def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000) -> CommaCategory:
             return het.act_r(k, src[2]) == het.act_l(j, dst[2])
 
     return _tabulate(f"comma[{het.name}]", het.x_cat, het.a_cat,
-                     triples, commutes, guard)
+                     triples, commutes, guard, sibling=sibling)
 
 
 def _comma_iso(first: CommaCategory, second: CommaCategory,
@@ -263,8 +281,7 @@ def _comma_iso(first: CommaCategory, second: CommaCategory,
             None in omap or len(set(omap)) != n_obj:
         rep.add("object-bijection", (), "object correspondence is not a bijection")
         return rep
-    tables = attrgetter("dom", "cod", "ks", "hs", "start")
-    alike = omap == list(range(n_obj)) and tables(first) == tables(second)
+    alike = omap == list(range(n_obj)) and _TABLES(first) == _TABLES(second)
     at = omap.__getitem__
     mor = list(range(len(first.dom))) if alike else list(map(
         second.index.get, zip(map(at, first.dom), map(at, first.cod), first.ks, first.hs)))
@@ -326,12 +343,13 @@ def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
 
     The object correspondence comes from the transpose bijections: a triple
     (x, a, g) matches (x, a, g*) and both match the heteromorphism with those
-    transposes.
+    transposes. Each comma takes the one built before it as its sibling.
     """
     rep = LawReport(f"comma-category equivalence of {adj.het.name}")
     left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat), guard)
-    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard)
-    het_comma = comma_of_bifunctor(adj.het, guard)
+    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard,
+                                    sibling=left_comma)
+    het_comma = comma_of_bifunctor(adj.het, guard, sibling=right_comma)
     # (F, 1_A) -> (1_X, G) by transposing the connecting morphism
     rep.extend(_iso_along(left_comma, right_comma,
                           lambda x, a, g: adj.right.phi[(x, a)][adj.left.psi[(x, a)][g]],
@@ -349,13 +367,14 @@ def half_lawvere_iso_check(het: HetBifunctor, left_rep, guard: int = 10_000) -> 
     """One-sided form: a left representation alone makes the het comma
     isomorphic to (F, 1_A) over the projections."""
     left_comma = comma_of_functors(left_rep.functor, identity_functor(het.a_cat), guard)
-    return _iso_along(comma_of_bifunctor(het, guard), left_comma, left_rep.psi_inv,
-                      f"het comma ~ (F,1) for {het.name}")
+    return _iso_along(comma_of_bifunctor(het, guard, sibling=left_comma), left_comma,
+                      left_rep.psi_inv, f"het comma ~ (F,1) for {het.name}")
 
 
 def hom_comma_equivalence(cat: FinCategory, guard: int = 10_000) -> LawReport:
     """comma_of_bifunctor(hom) is isomorphic to comma_of_functors(1, 1)."""
     het_comma = comma_of_bifunctor(hom_bifunctor(cat), guard)
-    fun_comma = comma_of_functors(identity_functor(cat), identity_functor(cat), guard)
+    fun_comma = comma_of_functors(identity_functor(cat), identity_functor(cat), guard,
+                                  sibling=het_comma)
     return _iso_along(het_comma, fun_comma, lambda x, a, c: c,
                       f"hom comma ~ identity comma for {cat.name}")

@@ -56,12 +56,12 @@ def category_from_payload(payload: Any) -> FinCategory:
         morphisms = tuple(
             Morphism(m["id"], m["dom"], m["cod"], m.get("label", ""))
             for m in payload["morphisms"])
-        identity = dict(payload["identity"])
+        identity = _string_map(payload["identity"], "identity")
         if not set(map(type, payload["composition"])) <= {list}:  # "fgh" unpacks too
             raise TypeError("composition entries must be [f, g, h] arrays")
         comp = {(f, g): h for f, g, h in payload["composition"]}
         # only string composition ids can resolve against these
-        ids = chain(objects, identity, identity.values(),
+        ids = chain(objects, identity,
                     chain.from_iterable(map(attrgetter("id", "dom", "cod"), morphisms)))
         if not set(map(type, ids)) <= {str}:
             raise TypeError("object, morphism and identity ids must be strings")
@@ -88,8 +88,8 @@ def functor_from_payload(payload: Any) -> FinFunctor:
             payload.get("name", "functor"),
             category_from_payload(payload["source"]),
             category_from_payload(payload["target"]),
-            dict(payload["object_map"]),
-            dict(payload["morphism_map"]),
+            _string_map(payload["object_map"], "object_map"),
+            _string_map(payload["morphism_map"], "morphism_map"),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:   # a non-object has no .get
         raise DocumentError(f"malformed functor payload: {exc}") from exc
@@ -118,10 +118,10 @@ def nat_trans_from_payload(payload: Any) -> NatTrans:
         for key in ("source_functor", "target_functor"):
             spec = payload[key]
             fns.append(FinFunctor(spec.get("name", key), src_cat, tgt_cat,
-                                  dict(spec["object_map"]),
-                                  dict(spec["morphism_map"])))
+                                  _string_map(spec["object_map"], "object_map"),
+                                  _string_map(spec["morphism_map"], "morphism_map")))
         return NatTrans(payload.get("name", "nattrans"), fns[0], fns[1],
-                        dict(payload["components"]))
+                        _string_map(payload["components"], "components"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed nattrans payload: {exc}") from exc
 
@@ -155,9 +155,10 @@ def _string_tuple(value: Any) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _string_map(value: Any) -> dict[str, str]:
+def _string_map(value: Any, what: str) -> dict[str, str]:
+    # a JSON array of pairs would pass dict(...), but the schema has an object
     if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise TypeError("an action mapping must be a JSON object of strings")
+        raise TypeError(f"{what} must be a JSON object of strings")
     return dict(value)
 
 
@@ -166,8 +167,10 @@ def bifunctor_from_payload(payload: Any) -> HetBifunctor:
         x_cat = category_from_payload(payload["x_category"])
         a_cat = category_from_payload(payload["a_category"])
         cells = {(c["x"], c["a"]): _string_tuple(c["elements"]) for c in payload["cells"]}
-        act_left = {e["morphism"]: _string_map(e["mapping"]) for e in payload["act_left"]}
-        act_right = {e["morphism"]: _string_map(e["mapping"]) for e in payload["act_right"]}
+        act_left = {e["morphism"]: _string_map(e["mapping"], "an action mapping")
+                    for e in payload["act_left"]}
+        act_right = {e["morphism"]: _string_map(e["mapping"], "an action mapping")
+                     for e in payload["act_right"]}
         name = _name(payload, "bifunctor")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed bifunctor payload: {exc}") from exc

@@ -172,6 +172,32 @@ def test_check_array_functor_payload_exits_two(capsys, tmp_path, kind):
         assert f"malformed {kind} payload" in out
 
 
+@pytest.mark.parametrize("kind, path, message", [
+    ("category", ("identity",), "malformed category payload: identity"),
+    ("functor", ("object_map",), "malformed functor payload: object_map"),
+    ("functor", ("morphism_map",), "malformed functor payload: morphism_map"),
+    ("functor", ("source", "identity"), "malformed category payload: identity"),
+    ("nattrans", ("source_functor", "object_map"), "malformed nattrans payload: object_map"),
+    ("nattrans", ("target_functor", "morphism_map"),
+     "malformed nattrans payload: morphism_map"),
+    ("nattrans", ("components",), "malformed nattrans payload: components"),
+], ids=["category-identity", "functor-object-map", "functor-morphism-map",
+        "functor-source-identity", "nattrans-object-map", "nattrans-morphism-map",
+        "nattrans-components"])
+def test_check_map_written_as_pairs_exits_two(capsys, tmp_path, kind, path, message):
+    functor, nattrans = _identity_functor_and_nattrans()
+    payload = {"category": functor["source"], "functor": functor, "nattrans": nattrans}[kind]
+    *outer, field = path
+    holder = payload
+    for key in outer:
+        holder = holder[key]
+    # the same map as a JSON array of [key, value] pairs
+    holder[field] = [list(pair) for pair in holder[field].items()]
+    for code, out in _check_both(capsys, tmp_path, kind, payload):
+        assert code == 2
+        assert f"{message} must be a JSON object of strings" in out
+
+
 def test_check_deeply_nested_document_exits_two(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"format": "hetcat/1", "kind": "category", "meta": {}, "payload": '

@@ -165,9 +165,9 @@ def _build_with_reference(monkeypatch, build, *args):
     """Build a comma and, from the same arguments, its reference."""
     calls = []
 
-    def recording(*targs):
+    def recording(*targs, **kwargs):
         calls.append(targs)
-        return _TABULATE(*targs)
+        return _TABULATE(*targs, **kwargs)
 
     monkeypatch.setattr(comma_mod, "_tabulate", recording)
     cc = build(*args)
@@ -313,6 +313,17 @@ def _reference_comma_iso(first, second, object_map, subject):
     return rep.normalize()
 
 
+def _twisted_het():
+    """Hom of FinSet<=2 with its cells listed in reverse, so the search picks
+    the twist 2 -> 2 as a universal element and the transposes permute
+    objects out of order."""
+    skeleton2 = finset_skeleton(2)
+    return build_het("twisted", skeleton2, skeleton2,
+                     cell_fn=lambda x, a: tuple(reversed(skeleton2.hom(x, a))),
+                     act_left_fn=skeleton2.compose,
+                     act_right_fn=lambda k, c: skeleton2.compose(c, k))
+
+
 @functools.lru_cache(maxsize=None)
 def _recorded_isos():
     """Every (first, second, object map, subject) the comma checks compare."""
@@ -324,17 +335,11 @@ def _recorded_isos():
         return check(*args)
 
     skeleton2 = finset_skeleton(2)
-    # cells listed in reverse, so the search picks the twist 2 -> 2 as a
-    # universal element and the transposes permute objects out of order
-    twisted = build_het("twisted", skeleton2, skeleton2,
-                        cell_fn=lambda x, a: tuple(reversed(skeleton2.hom(x, a))),
-                        act_left_fn=skeleton2.compose,
-                        act_right_fn=lambda k, c: skeleton2.compose(c, k))
     comma_mod._comma_iso = recording
     try:
         gi = galois_connections({"0": "a", "1": "a", "2": "b"}, ("0", "1", "2"), ("a", "b"))
         assert lawvere_iso_check(build_adjunction(gi.lower_het)).ok
-        assert lawvere_iso_check(build_adjunction(twisted)).ok
+        assert lawvere_iso_check(build_adjunction(_twisted_het())).ok
         pointed = pointed_free_forgetful(1)
         assert half_lawvere_iso_check(pointed.het,
                                       find_left_representation(pointed.het)).ok
@@ -467,8 +472,10 @@ def test_lawvere_iso_check_builds_each_row_getter_once(monkeypatch):
 
     monkeypatch.setattr(comma_mod, "_row_getters", recording)
     assert lawvere_iso_check(adj).ok
-    # three per functor comma and two for the het comma, built once per category
-    assert len(calls) == 8
+    # three for (F, 1_A): its target and both components; (1_X, G) and the
+    # het comma share its rows, so one more for (1_X, G)'s target; built
+    # once per category
+    assert len(calls) == 4
     built = {id(cat): id(got) for cat, got in calls}
     assert set(built) == {id(adj.x_cat), id(adj.a_cat)}
     assert len({id(got) for _, got in calls}) == 2
@@ -495,3 +502,37 @@ def test_swapped_components_leave_the_numbered_alike_path():
                 bent, second, omap, subject).violations
             swapped += 1
     assert swapped
+
+
+def test_shared_rows_equal_rows_derived_from_each_comma_own_tables():
+    # every comma the checks compare, the twisted ones too, holds the rows
+    # and index its own tables give
+    commas = {id(cc): cc for first, second, _, _ in _recorded_isos()
+              for cc in (first, second)}
+    shared = 0
+    for cc in commas.values():
+        index = {key: n for n, key in enumerate(zip(cc.dom, cc.cod, cc.ks, cc.hs))}
+        getters = (comma_mod._row_getters(cc.left_cat), comma_mod._row_getters(cc.right_cat))
+        assert cc.index == index
+        assert cc.rows == comma_mod.composition_rows(
+            cc.dom, cc.cod, (cc.ks, cc.hs), cc.start, getters, index)
+        shared += any(cc.rows is other.rows for other in commas.values() if other is not cc)
+    assert shared
+
+
+@pytest.mark.parametrize("het, derived", [("galois", 1), ("twisted", 3)])
+def test_lawvere_iso_check_derives_rows_once_per_table(monkeypatch, galois_lower_adj,
+                                                       het, derived):
+    # numbered-alike commas share one derivation; the twisted commas are
+    # numbered apart, so each derives its own
+    adj = galois_lower_adj if het == "galois" else build_adjunction(_twisted_het())
+    calls = []
+    rows = comma_mod.composition_rows
+
+    def recording(*args):
+        calls.append(args)
+        return rows(*args)
+
+    monkeypatch.setattr(comma_mod, "composition_rows", recording)
+    assert lawvere_iso_check(adj).ok
+    assert len(calls) == derived
