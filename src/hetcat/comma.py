@@ -12,14 +12,15 @@ sibling's `index` and `rows`; the enumeration, its commuting-square test and
 `ident` are still each comma's own. The equivalence checks pass each comma
 the one built just before it. The string view
 (`base`, the projections, `objects_data`, `morphisms_data`) is built on
-first access. The comma isomorphisms are checked on the int tables alone, in
-one pass that decides and names each witness in the string view's ids; two
-commas numbered alike are compared row for row, with no relabelling.
+first access. The comma isomorphisms map objects by int and are checked on
+the int tables alone, in one pass that decides and names each witness in the
+string view's ids; two commas numbered alike are compared row for row, with
+no relabelling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 from itertools import compress, count, repeat
@@ -45,7 +46,8 @@ class CommaCategory:
     maps (dom, cod, k, h) back to n. The morphisms leaving object i are
     `range(start[i], start[i + 1])`. `ident[i]` is the identity of object i
     (None if none commutes), and `rows[n]` holds the composite of n with each
-    morphism leaving `cod[n]`, in order (None where there is none).
+    morphism leaving `cod[n]`, in order (None where there is none);
+    `complete` says no row holds None, computed on first access.
 
     `base`, `pi0`, `pi1`, `objects_data` and `morphisms_data` are the string
     view, with objects `o{i}` and morphisms `m{n}`, built on first access.
@@ -63,25 +65,14 @@ class CommaCategory:
     start: list[int]
     ident: list[int | None]
     rows: list[tuple[int | None, ...]]
-    complete: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "complete", all(None not in row for row in self.rows))
-        oid_of: dict[tuple[str, str, str], int] = {}
-        for i, triple in enumerate(self.triples):
-            oid_of.setdefault(triple, i)
-        object.__setattr__(self, "_oid_of", oid_of)
 
     def __repr__(self) -> str:
         return (f"CommaCategory({self.name!r}, {len(self.triples)} objects, "
                 f"{len(self.dom)} morphisms)")
 
-    def object_id(self, left: str, right: str, datum: str) -> str:
-        try:
-            return f"o{self._oid_of[(left, right, datum)]}"
-        except KeyError:
-            raise StructuralError(
-                f"comma category has no object ({left}, {right}, {datum})") from None
+    @cached_property
+    def complete(self) -> bool:
+        return all(None not in row for row in self.rows)
 
     @cached_property
     def _oids(self) -> list[str]:
@@ -126,14 +117,6 @@ class CommaCategory:
                           dict(zip(self._mids, self.hs)))
 
 
-def _out_homs(cat: FinCategory) -> dict[str, dict[str, list[str]]]:
-    """x -> y -> hom(x, y), in morphism order, for every non-empty hom."""
-    out: dict[str, dict[str, list[str]]] = {}
-    for m in cat.morphisms:
-        out.setdefault(m.dom, {}).setdefault(m.cod, []).append(m.id)
-    return out
-
-
 _TABLES = attrgetter("dom", "cod", "ks", "hs", "start")
 
 
@@ -155,7 +138,7 @@ def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
     if len(triples) > guard:
         raise GuardExceeded(
             f"{name}: {len(triples)} objects exceeds guard {guard}", len(triples))
-    left_out, right_out = _out_homs(left_cat), _out_homs(right_cat)
+    left_out, right_out = left_cat._hom, right_cat._hom
     by_pair: dict[tuple[str, str], list[int]] = {}
     for i, t in enumerate(triples):
         by_pair.setdefault(t[:2], []).append(i)
@@ -260,25 +243,24 @@ def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000, *,
 
 
 def _comma_iso(first: CommaCategory, second: CommaCategory,
-               object_map: dict[str, str], subject: str) -> LawReport:
-    """Check that mapping objects by `object_map` and morphisms by their
-    (k, h) component pairs is a functorial isomorphism over the projections.
+               omap: list[int], subject: str) -> LawReport:
+    """Check that mapping object i of `first` to object `omap[i]` of `second`
+    and morphisms by their (k, h) component pairs is a functorial isomorphism
+    over the projections.
 
     One pass over the int tables, naming each violation in the string
-    view's ids `o{i}`/`m{n}`. An object map that is not a bijection, or a
-    morphism with no counterpart, ends the check; identities, composition
-    and the projections on objects are then checked in full. A morphism's
-    image is the morphism with its (dom, cod, k, h) key, so the map keeps
-    both components. Numbered alike (the identity object map and equal dom,
-    cod, ks, hs and start lists), that is the morphism itself, taken with no
-    lookup, and composition rows are compared as they stand.
+    view's ids `o{i}`/`m{n}`. An object map that is not a bijection onto
+    `range(len(second.triples))`, or a morphism with no counterpart, ends the
+    check; identities, composition and the projections on objects are then
+    checked in full. A morphism's image is the morphism with its (dom, cod,
+    k, h) key, so the map keeps both components. Numbered alike (the
+    identity object map and equal dom, cod, ks, hs and start lists), that is
+    the morphism itself, taken with no lookup, and composition rows are
+    compared as they stand.
     """
     rep = LawReport(subject)
     n_obj = len(first.triples)
-    to_int = dict(zip(second._oids, range(len(second.triples))))
-    omap = list(map(to_int.get, map(object_map.get, first._oids)))
-    if len(object_map) != n_obj or len(second.triples) != n_obj or \
-            None in omap or len(set(omap)) != n_obj:
+    if len(omap) != n_obj or len(second.triples) != n_obj or set(omap) != set(range(n_obj)):
         rep.add("object-bijection", (), "object correspondence is not a bijection")
         return rep
     alike = omap == list(range(n_obj)) and _TABLES(first) == _TABLES(second)
@@ -332,8 +314,11 @@ def _iso_along(first: CommaCategory, second: CommaCategory,
                datum: Callable[[str, str, str], str], subject: str) -> LawReport:
     """`_comma_iso` for the object map sending (x, a, d) of `first` to
     (x, a, datum(x, a, d)) of `second`."""
-    omap = {oid: second.object_id(x, a, datum(x, a, d))
-            for oid, (x, a, d) in first.objects_data.items()}
+    keys = [(x, a, datum(x, a, d)) for x, a, d in first.triples]
+    omap = list(map({t: i for i, t in enumerate(second.triples)}.get, keys))
+    if None in omap:
+        raise StructuralError("comma category has no object ({}, {}, {})".format(
+            *keys[omap.index(None)]))
     return _comma_iso(first, second, omap, subject)
 
 

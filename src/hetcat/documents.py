@@ -65,6 +65,8 @@ def category_from_payload(payload: Any) -> FinCategory:
                     chain.from_iterable(map(attrgetter("id", "dom", "cod"), morphisms)))
         if not set(map(type, ids)) <= {str}:
             raise TypeError("object, morphism and identity ids must be strings")
+        if not set(map(type, chain(labels.values(), map(attrgetter("label"), morphisms)))) <= {str}:
+            raise TypeError("object and morphism labels must be strings")
         name = _name(payload, "category")
         # inside the try: an unhashable composite fails the construction's lookups
         return FinCategory(name, objects, morphisms, identity, comp, labels)
@@ -85,7 +87,7 @@ def functor_to_payload(fun: FinFunctor) -> dict:
 def functor_from_payload(payload: Any) -> FinFunctor:
     try:
         return FinFunctor(
-            payload.get("name", "functor"),
+            _name(payload, "functor"),
             category_from_payload(payload["source"]),
             category_from_payload(payload["target"]),
             _string_map(payload["object_map"], "object_map"),
@@ -117,10 +119,10 @@ def nat_trans_from_payload(payload: Any) -> NatTrans:
         fns = []
         for key in ("source_functor", "target_functor"):
             spec = payload[key]
-            fns.append(FinFunctor(spec.get("name", key), src_cat, tgt_cat,
+            fns.append(FinFunctor(_name(spec, key), src_cat, tgt_cat,
                                   _string_map(spec["object_map"], "object_map"),
                                   _string_map(spec["morphism_map"], "morphism_map")))
-        return NatTrans(payload.get("name", "nattrans"), fns[0], fns[1],
+        return NatTrans(_name(payload, "nattrans"), fns[0], fns[1],
                         _string_map(payload["components"], "components"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed nattrans payload: {exc}") from exc
@@ -141,7 +143,7 @@ def bifunctor_to_payload(het: HetBifunctor) -> dict:
 
 
 def _name(payload: dict, default: str) -> str:
-    # a name reaches `opposite` and `dual`, which append to it
+    # a name reaches `opposite` and `dual`, which append to it, and the reports
     name = payload.get("name", default)
     if not isinstance(name, str):
         raise TypeError(f"name must be a string, got {type(name).__name__}")
@@ -197,6 +199,9 @@ def bundle_from_payload(payload: Any) -> tuple[HetBifunctor, dict]:
         expected = payload.get("expected", {})
         if not isinstance(expected, dict):
             raise TypeError(f"expected must be a JSON object, got {type(expected).__name__}")
+        for key in ("left_object_map", "right_object_map"):
+            if key in expected:
+                _string_map(expected[key], f"expected.{key}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed adjunction bundle: {exc}") from exc
     return het, expected
@@ -316,6 +321,10 @@ def loads_document(text: str) -> dict:
         raise DocumentError("document has no payload")
     if not isinstance(doc.get("meta"), dict):
         raise DocumentError("document meta is missing or not a JSON object")
+    try:
+        _name(doc["meta"], "")
+    except TypeError as exc:
+        raise DocumentError(f"malformed document meta: {exc}") from exc
     return doc
 
 

@@ -81,11 +81,13 @@ class FinCategory:
                         f"{self.name}: composition entry ({f}, {g}) -> {h} unresolved")
 
     def _index(self) -> None:
-        """The id and hom-set indexes; the construction checks rely on them."""
+        """The id index, which the construction checks read, and the hom-sets
+        by domain, then codomain: `_hom[x][y]` is hom(x, y) in morphism order,
+        with no entry for an empty hom."""
         mor = {m.id: m for m in self.morphisms}
-        hom: dict[tuple[str, str], list[str]] = {}
+        hom: dict[str, dict[str, list[str]]] = {}
         for m in self.morphisms:
-            hom.setdefault((m.dom, m.cod), []).append(m.id)
+            hom.setdefault(m.dom, {}).setdefault(m.cod, []).append(m.id)
         object.__setattr__(self, "_mor", mor)
         object.__setattr__(self, "_hom", hom)
 
@@ -126,7 +128,7 @@ class FinCategory:
         return self.identity.get(m.dom) == mid
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(self._hom.get((x, y), ()))
+        return tuple(self._hom.get(x, {}).get(y, ()))
 
     def compose(self, f: str, g: str) -> str:
         """Diagrammatic composite "f then g"."""

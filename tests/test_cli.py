@@ -198,6 +198,38 @@ def test_check_map_written_as_pairs_exits_two(capsys, tmp_path, kind, path, mess
         assert f"{message} must be a JSON object of strings" in out
 
 
+_LABELS = "malformed category payload: object and morphism labels must be strings"
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("functor", lambda d: d["payload"].update(name=3),
+     "malformed functor payload: name must be a string, got int"),
+    ("nattrans", lambda d: d["payload"].update(name=[]),
+     "malformed nattrans payload: name must be a string, got list"),
+    ("nattrans", lambda d: d["payload"]["source_functor"].update(name={"x": [1]}),
+     "malformed nattrans payload: name must be a string, got dict"),
+    ("nattrans", lambda d: d["payload"]["target_functor"].update(name=None),
+     "malformed nattrans payload: name must be a string, got NoneType"),
+    ("category", lambda d: d["payload"]["objects"][0].update(label=0), _LABELS),
+    ("category", lambda d: d["payload"]["morphisms"][0].update(label=["x"]), _LABELS),
+    ("functor", lambda d: d["payload"]["target"]["objects"][1].update(label=True), _LABELS),
+    ("category", lambda d: d["meta"].update(name={"x": [1]}),
+     "malformed document meta: name must be a string, got dict"),
+], ids=["functor-name", "nattrans-name", "source-functor-name", "target-functor-name",
+        "object-label", "morphism-label", "functor-target-label", "meta-name"])
+def test_check_non_string_name_or_label_exits_two(capsys, tmp_path, kind, edit, message):
+    functor, nattrans = _identity_functor_and_nattrans()
+    doc = make_document(kind, {"category": functor["source"], "functor": functor,
+                               "nattrans": nattrans}[kind])
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    for json_flag in ((), ("--json",)):
+        code, out = run(capsys, "check", str(path), *json_flag)
+        assert code == 2
+        assert message in out
+
+
 def test_check_deeply_nested_document_exits_two(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"format": "hetcat/1", "kind": "category", "meta": {}, "payload": '
@@ -335,7 +367,14 @@ def _set_mapping_value(payload):
      "malformed bifunctor payload: name must be a string, got int"),
     (lambda p: p.update(expected=2.5),
      "malformed adjunction bundle: expected must be a JSON object, got float"),
-], ids=["mapping-value", "category-name", "bifunctor-name", "expected"])
+    (lambda p: p["expected"].update(left_object_map=[["0", "a"]]),
+     "malformed adjunction bundle: expected.left_object_map must be a JSON object of strings"),
+    (lambda p: p["expected"].update(right_object_map="0"),
+     "malformed adjunction bundle: expected.right_object_map must be a JSON object of strings"),
+    (lambda p: p["expected"]["left_object_map"].update({"0": 1}),
+     "malformed adjunction bundle: expected.left_object_map must be a JSON object of strings"),
+], ids=["mapping-value", "category-name", "bifunctor-name", "expected", "expected-left-array",
+        "expected-right-string", "expected-left-value"])
 @pytest.mark.parametrize("argv", [("check",), ("adjoint",), ("factorize", "c:{0}=>{a}")],
                          ids=["check", "adjoint", "factorize"])
 def test_malformed_bundle_fields_exit_two(capsys, tmp_path, galois_bundle, edit, message,

@@ -3,6 +3,7 @@ formulation of an adjunction."""
 
 import dataclasses
 import functools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -88,6 +89,28 @@ def test_half_lawvere_on_pointed(pointed2):
     rep = find_left_representation(pointed2.het)
     assert isinstance(rep, LeftRepresentation)
     assert half_lawvere_iso_check(pointed2.het, rep).ok
+
+
+def test_iso_along_a_datum_with_no_object_is_structural(galois_lower_adj, pointed2):
+    adj = galois_lower_adj
+    het_comma = comma_of_bifunctor(adj.het)
+    left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat))
+    x, a, _ = het_comma.triples[0]
+    with pytest.raises(StructuralError,
+                       match=re.escape(f"comma category has no object ({x}, {a}, nowhere)")):
+        comma_mod._iso_along(het_comma, left_comma, lambda x, a, c: "nowhere", "datum")
+    # a psi whose key for one element lies outside Hom(Fx, a): its inverse
+    # sends the element to a morphism that connects no object of (F, 1_A)
+    het = pointed2.het
+    rep = find_left_representation(het)
+    (x, a), table = next(((x, a), t) for (x, a), t in rep.psi.items() if t)
+    g, c = next(iter(table.items()))
+    stray = next(m.id for m in het.a_cat.morphisms
+                 if m.id not in het.a_cat.hom(rep.functor.on_obj(x), a))
+    psi = {**rep.psi, (x, a): {stray if key == g else key: d for key, d in table.items()}}
+    with pytest.raises(StructuralError,
+                       match=re.escape(f"comma category has no object ({x}, {a}, {stray})")):
+        half_lawvere_iso_check(het, dataclasses.replace(rep, psi=psi))
 
 
 def test_comma_guard(galois_lower_adj):
@@ -268,9 +291,11 @@ def test_het_comma_raises_on_missing_actions(skeleton1):
 
 # -- the int iso check against the string check, witness for witness ------------
 
-def _reference_comma_iso(first, second, object_map, subject):
+def _reference_comma_iso(first, second, omap, subject):
     """The string form of `_comma_iso` on the materialised commas: every
-    violation, with its witness."""
+    violation, with its witness. Object i goes to object `omap[i]`, named
+    `o{i}` and `o{omap[i]}` in the string view."""
+    object_map = {f"o{i}": f"o{j}" for i, j in enumerate(omap)}
     rep = LawReport(subject)
     if sorted(object_map) != sorted(first.base.objects) or \
             sorted(object_map.values()) != sorted(second.base.objects):
@@ -367,9 +392,11 @@ def _mutate_table(cc, kind, data):
 @given(st.data())
 def test_int_iso_report_matches_string_check(data):
     first, second, omap, subject = data.draw(st.sampled_from(_recorded_isos()))
-    omap = dict(omap)
-    keys = list(omap)
-    targets = list(second.objects_data) + ["o-1"]
+    omap = list(omap)
+    keys = range(len(omap))
+    # -1 is no object of the second comma; a redirect at len(omap) adds a key
+    # that is no object of the first
+    targets = list(range(len(second.triples))) + [-1]
     for _ in range(data.draw(st.integers(1, 2))):
         kind = data.draw(st.sampled_from(
             ("swap", "redirect", "drop", "rewire", "drop-identity")))
@@ -377,8 +404,8 @@ def test_int_iso_report_matches_string_check(data):
             a, b = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys))
             omap[a], omap[b] = omap[b], omap[a]
         elif kind == "redirect":
-            key = data.draw(st.sampled_from(keys + ["o-1"]))
-            omap[key] = data.draw(st.sampled_from(targets))
+            key = data.draw(st.integers(0, len(omap)))
+            omap[key:key + 1] = [data.draw(st.sampled_from(targets))]
         elif data.draw(st.booleans()):
             first = _mutate_table(first, kind, data)
         else:
@@ -406,15 +433,16 @@ def test_int_iso_sees_isolated_objects(monkeypatch, skeleton2):
             lambda s, d, k, h: s not in ends and d not in ends and commutes(s, d, k, h),
             guard)
 
-    omap = {oid: fun_comma.object_id(*t) for oid, t in het_comma.objects_data.items()}
-    a, b, c = (het_comma.object_id(*t) for t in ends)
-    swapped = dict(omap)
+    fun_at = {t: i for i, t in enumerate(fun_comma.triples)}
+    omap = [fun_at[t] for t in het_comma.triples]
+    a, b, c = map(het_comma.triples.index, ends)
+    swapped = list(omap)
     swapped[a], swapped[c] = omap[c], omap[a]
-    merged = dict(omap)
+    merged = list(omap)
     merged[a] = omap[b]
     # one-to-one but not onto: the first side lacks the isolated (0, 0) object
     short = isolated(het_args, drop=ends[2:])
-    into = {oid: fun_comma.object_id(*t) for oid, t in short.objects_data.items()}
+    into = [fun_at[t] for t in short.triples]
     for first, second, object_map, law in [
             (short, isolated(fun_args), into, "object-bijection"),
             (isolated(het_args), isolated(fun_args), swapped, "projection-compatibility"),
@@ -439,7 +467,8 @@ def test_iso_check_never_builds_the_string_view():
     assert "composition-preservation" in {v.law for v in reports[-1].violations}
     for first, second, _, _ in isos + [failing]:
         for cc in (first, second):
-            assert not {"base", "pi0", "pi1", "morphisms_data"} & set(vars(cc))
+            assert not {"base", "pi0", "pi1", "objects_data", "morphisms_data",
+                        "_oids"} & set(vars(cc))
     assert reports[-1].violations == _reference_comma_iso(*failing).violations
 
 

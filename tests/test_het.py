@@ -1,6 +1,7 @@
 """Het-bifunctor laws and the representability machinery, checked against
 independent brute-force oracles."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hetcat import (CandidateFailure, FinCategory, FinFunctor, HetBifunctor,
                     KernelInvariantError, LeftRepresentation, NonRepresentabilityWitness,
-                    RightRepresentation, StructuralError, build_het,
+                    RightRepresentation, StructuralError, build_adjunction, build_het,
                     check_bifunctor, check_functor, check_left_representation,
                     check_right_representation, co_universal_element_check,
                     compare_left_representation, compare_right_representation,
@@ -20,6 +21,7 @@ from hetcat.instances import (colimits_adjunction, finset_skeleton,
                               pointed_free_forgetful, preorder_adjunction_chain,
                               product_exponential)
 from hetcat.report import LawReport
+from test_fincat import _relabelled
 
 
 # -- hom bifunctor ------------------------------------------------------------
@@ -720,6 +722,68 @@ def test_check_bifunctor_matches_reference(name, n_mutations, data):
         het = _mutate_actions(het, data)
     # a report equals down to law, witness and detail; a raise down to its message
     assert _call(check_bifunctor, het) == _call(_reference_check_bifunctor, het)
+
+
+# -- id relabelling: the search may not depend on id text or table order ------
+
+def _relabelled_het(het, seed):
+    """`het` over `_relabelled` copies of its categories, with every element
+    renamed and every cell and action table shuffled by a seeded shuffle;
+    and the maps from each new id back to the old one, for X, A and the
+    elements."""
+    x_cat, back_x = _relabelled(het.x_cat, 3 * seed)
+    a_cat, back_a = _relabelled(het.a_cat, 3 * seed + 1)
+    rng = random.Random(3 * seed + 2)
+    new = [f"c{i}" for i in range(len(het.elements))]
+    rng.shuffle(new)
+    el = dict(zip(het.elements, new))
+    to_x, to_a = ({old: new for new, old in back.items()} for back in (back_x, back_a))
+
+    def shuffled(pairs):
+        pairs = list(pairs)
+        rng.shuffle(pairs)
+        return pairs
+
+    cells = {(to_x[x], to_a[a]): tuple(shuffled(map(el.get, elems)))
+             for (x, a), elems in shuffled(het.cells.items())}
+    left, right = ({to[m]: dict(shuffled((el[c], el[d]) for c, d in row.items()))
+                    for m, row in shuffled(table.items())}
+                   for table, to in ((het.act_left, to_x), (het.act_right, to_a)))
+    back_c = {new: old for old, new in el.items()}
+    return HetBifunctor("relabelled", x_cat, a_cat, cells, left, right), back_x, back_a, back_c
+
+
+def _failed_sides(result):
+    return [side for side in ("left", "right")
+            if isinstance(getattr(result, side), NonRepresentabilityWitness)]
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_relabelling_ids_keeps_the_search_verdict(name):
+    # a represented side maps back to the original's adjoint up to the
+    # canonical isomorphism; a failed side's index, mapped back, has no
+    # universal element in the original, whichever index the scan met first
+    het = POOL[name]
+    found = build_adjunction(het)
+    for seed in range(3):
+        relabelled, back_x, back_a, back_c = _relabelled_het(het, seed)
+        result = build_adjunction(relabelled)
+        assert _failed_sides(result) == _failed_sides(found)
+        for side, source, target, back_s, back_t, compare in (
+                ("left", het.x_cat, het.a_cat, back_x, back_a, compare_left_representation),
+                ("right", het.a_cat, het.x_cat, back_a, back_x, compare_right_representation)):
+            got = getattr(result, side)
+            if isinstance(got, NonRepresentabilityWitness):
+                index, scanned = back_s[got.index_object], het if side == "left" else dual(het)
+                assert not any(universal_element_check(scanned, index, b, u)[0]
+                               for b in scanned.a_cat.objects for u in scanned.cell(index, b))
+                continue
+            fun = got.functor
+            mapped = FinFunctor("mapped", source, target,
+                                {back_s[x]: back_t[y] for x, y in fun.obj_map.items()},
+                                {back_s[f]: back_t[g] for f, g in fun.mor_map.items()})
+            universals = {back_s[x]: back_c[u] for x, u in got.universal.items()}
+            assert compare(getattr(found, side), mapped, universals).ok
 
 
 # -- negative controls for the representation checkers ------------------------
