@@ -14,6 +14,7 @@ arbitrary object pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 from .errors import StructuralError
@@ -657,6 +658,7 @@ def abstract_het(adj: Adjunction) -> AbstractHet:
     a_of, k_of = ({v: k for k, v in m.items()} for m in (embed_a.obj_map, embed_a.mor_map))
     pair_of: dict[str, tuple[str, str]] = {}      # element (f, f*) -> (f, a)
 
+    @cache
     def transposed(f: str, a: str) -> str:
         return pair_id(f, transpose_inv(adj, a, f))
 

@@ -185,7 +185,7 @@ def cmd_adjoint(args) -> int:
     out["chimera_unit"] = {x: adj.h(x) for x in adj.x_cat.objects}
     out["chimera_counit"] = {a: adj.e(a) for a in adj.a_cat.objects}
     for side, fun in (("left", adj.F), ("right", adj.G)):
-        if expected.get(f"{side}_object_map"):
+        if f"{side}_object_map" in expected:
             ok = expected[f"{side}_object_map"] == fun.obj_map
             checks.append(_note_entry(f"expected {side} adjoint", ok,
                                       [] if ok else ["object map differs from expectation"]))

@@ -194,14 +194,17 @@ def bundle_to_payload(het: HetBifunctor,
 
 
 def bundle_from_payload(payload: Any) -> tuple[HetBifunctor, dict]:
+    """The het and its `expected` object, whose only keys may be
+    left_object_map and right_object_map; `adjoint` compares each one present."""
     try:
         het = bifunctor_from_payload(payload["bifunctor"])
         expected = payload.get("expected", {})
         if not isinstance(expected, dict):
             raise TypeError(f"expected must be a JSON object, got {type(expected).__name__}")
-        for key in ("left_object_map", "right_object_map"):
-            if key in expected:
-                _string_map(expected[key], f"expected.{key}")
+        for key, value in expected.items():
+            if key not in ("left_object_map", "right_object_map"):
+                raise ValueError(f"unknown key expected.{key}")
+            _string_map(value, f"expected.{key}")
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed adjunction bundle: {exc}") from exc
     return het, expected

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Union
 
 from .errors import StructuralError
@@ -147,7 +147,8 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
     Action entries that are missing or land in the wrong cell are structural
     errors and raise; only genuine law violations are reported. Each side is
     checked by the same loops: the left action is contravariant (h: x' -> x
-    sends cell (x, a) to (x', a)), the right one covariant.
+    sends cell (x, a) to (x', a)), the right one covariant. The bimodule pass
+    walks the non-empty cells only: an empty cell holds no instance.
     """
     rep = LawReport(f"bifunctor {het.name}")
     xc, ac = het.x_cat, het.a_cat
@@ -186,15 +187,20 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                 if image != two:
                     rep.add(f"{side}-functoriality", (f, g, c),
                             f"act({fg})({c}) = {image}, stepwise = {two}")
-    # bimodule associativity (k.c).h = k.(c.h)
+    # bimodule associativity (k.c).h = k.(c.h), over the non-empty cells at cod h
+    nonempty = {x: [(a, cell) for a in ac.objects if (cell := het.cells[(x, a)])]
+                for x in xc.objects}
     for h in xc.morphisms:
-        for k in ac.morphisms:
-            for c in het.cell(h.cod, k.dom):
-                lhs = het.act_left[h.id].get(het.act_right[k.id].get(c))
-                rhs = het.act_right[k.id].get(het.act_left[h.id].get(c))
-                if lhs != rhs or lhs is None:
-                    rep.add("bimodule-associativity", (h.id, k.id, c),
-                            f"(k.c).h = {lhs}, k.(c.h) = {rhs}")
+        left = het.act_left[h.id]
+        for a, cell in nonempty[h.cod]:
+            for k in chain.from_iterable(ac._hom.get(a, {}).values()):
+                right = het.act_right[k]
+                for c in cell:
+                    lhs = left.get(right.get(c))
+                    rhs = right.get(left.get(c))
+                    if lhs != rhs or lhs is None:
+                        rep.add("bimodule-associativity", (h.id, k, c),
+                                f"(k.c).h = {lhs}, k.(c.h) = {rhs}")
     return rep.normalize()
 
 
@@ -361,11 +367,15 @@ def _as_dual_left(rep: RightRepresentation) -> LeftRepresentation:
 
 
 def check_left_representation(rep: LeftRepresentation) -> LawReport:
-    """Verify psi bijectivity, naturality in both variables, and functor laws."""
+    """Verify psi bijectivity, naturality in both variables, and functor laws.
+
+    The naturality passes walk the non-empty psi tables only, indexed once
+    per x: an empty table holds no instance of either law.
+    """
     het, fun = rep.het, rep.functor
     out = LawReport(f"left representation of {het.name}")
     out.extend(check_functor(fun))
-    a_cat, comp, act_right = het.a_cat, het.a_cat.comp, het.act_right
+    a_cat, comp, act_right, psi = het.a_cat, het.a_cat.comp, het.act_right, rep.psi
     misplaced = set()
     for x in het.x_cat.objects:
         hx = rep.universal[x]
@@ -376,47 +386,54 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
     # Fx -> a, so the naturality loops read the composition table directly for
     # pairs that compose; elsewhere, and on a miss, `compose` raises its error
     hom_keyed = set()
+    tables: dict[str, list[tuple[str, dict[str, str]]]] = {}   # x -> non-empty (a, psi)
     for x in het.x_cat.objects:
+        homs_out, u = a_cat._hom.get(fun.on_obj(x), {}), rep.universal[x]
+        tables[x] = []
         for a in a_cat.objects:
-            table = rep.psi[(x, a)]
-            homs = a_cat.hom(fun.on_obj(x), a)
-            if set(table) != set(homs):
+            table, cell = psi[(x, a)], het.cells[(x, a)]
+            if not table and not cell and a not in homs_out:
+                continue        # hom-keyed, and no naturality instance reads it
+            if table:
+                tables[x].append((a, table))
+            if set(table) != set(homs_out.get(a, ())):
                 out.add("psi-domain", (x, a), "psi not defined on exactly Hom(Fx, a)")
                 continue
             hom_keyed.add((x, a))
             images = list(table.values())
-            if sorted(images) != sorted(het.cell(x, a)):
+            if sorted(images) != sorted(cell):
                 out.add("psi-bijective", (x, a),
-                        f"psi image {sorted(images)} != cell {sorted(het.cell(x, a))}")
+                        f"psi image {sorted(images)} != cell {sorted(cell)}")
             if x in misplaced:
                 continue        # u.g may be undefined; the placement names the fault
-            u = rep.universal[x]
             for g, c in table.items():
                 if (act_right.get(g, {}).get(u) or het.act_r(g, u)) != c:
                     out.add("psi-formula", (x, a, g), "psi(g) != u.g")
-    # naturality of psi in a: psi(g then k) = k.psi(g)
-    for x in het.x_cat.objects:
-        for k in a_cat.morphisms:
-            a, a2, row = k.dom, k.cod, act_right.get(k.id, {})
+    # naturality of psi in a: psi(g then k) = k.psi(g), for each k leaving a
+    for x, nonempty in tables.items():
+        for a, table in nonempty:
             direct = (x, a) in hom_keyed
-            target = rep.psi[(x, a2)]
-            for g, c in rep.psi[(x, a)].items():
-                gk = comp.get((g, k.id)) if direct else None
-                lhs = target.get(gk or a_cat.compose(g, k.id))
-                rhs = row.get(c) or het.act_r(k.id, c)
-                if lhs != rhs:
-                    out.add("psi-naturality-right", (x, k.id, g),
-                            f"psi(g;k) = {lhs}, k.psi(g) = {rhs}")
+            for a2, ks in a_cat._hom.get(a, {}).items():
+                target = psi[(x, a2)]
+                for k in ks:
+                    row = act_right.get(k, {})
+                    for g, c in table.items():
+                        gk = comp.get((g, k)) if direct else None
+                        lhs = target.get(gk or a_cat.compose(g, k))
+                        rhs = row.get(c) or het.act_r(k, c)
+                        if lhs != rhs:
+                            out.add("psi-naturality-right", (x, k, g),
+                                    f"psi(g;k) = {lhs}, k.psi(g) = {rhs}")
     # naturality of psi in x: psi_{x'}(Fh then g) = psi_x(g).h for h: x' -> x
     for h in het.x_cat.morphisms:
         x2, x, row = h.dom, h.cod, het.act_left.get(h.id, {})
-        for a in a_cat.objects:
-            table = rep.psi[(x, a)]
-            if not table:
-                continue
-            fh = fun.on_mor(h.id)
-            direct = (x, a) in hom_keyed and a_cat.cod(fh) == fun.on_obj(x)
-            target = rep.psi[(x2, a)]
+        if not tables[x]:
+            continue
+        fh = fun.on_mor(h.id)
+        fh_direct = a_cat.cod(fh) == fun.on_obj(x)
+        for a, table in tables[x]:
+            direct = fh_direct and (x, a) in hom_keyed
+            target = psi[(x2, a)]
             for g, c in table.items():
                 fhg = comp.get((fh, g)) if direct else None
                 lhs = target.get(fhg or a_cat.compose(fh, g))

@@ -373,8 +373,10 @@ def _set_mapping_value(payload):
      "malformed adjunction bundle: expected.right_object_map must be a JSON object of strings"),
     (lambda p: p["expected"]["left_object_map"].update({"0": 1}),
      "malformed adjunction bundle: expected.left_object_map must be a JSON object of strings"),
+    (lambda p: p["expected"].update(left_objet_map={"0": "zz"}),
+     "malformed adjunction bundle: unknown key expected.left_objet_map"),
 ], ids=["mapping-value", "category-name", "bifunctor-name", "expected", "expected-left-array",
-        "expected-right-string", "expected-left-value"])
+        "expected-right-string", "expected-left-value", "expected-misspelt-key"])
 @pytest.mark.parametrize("argv", [("check",), ("adjoint",), ("factorize", "c:{0}=>{a}")],
                          ids=["check", "adjoint", "factorize"])
 def test_malformed_bundle_fields_exit_two(capsys, tmp_path, galois_bundle, edit, message,
@@ -386,6 +388,19 @@ def test_malformed_bundle_fields_exit_two(capsys, tmp_path, galois_bundle, edit,
     code, out = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2
     assert message in out
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_empty_expected_object_map_is_compared(capsys, tmp_path, galois_bundle, side):
+    doc = loads_document(open(galois_bundle).read())
+    doc["payload"]["expected"][f"{side}_object_map"] = {}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "adjoint", str(path), "--json")
+    assert code == 1
+    failing = [c for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failing == [{"name": f"expected {side} adjoint", "ok": False, "violations": [],
+                        "notes": ["object map differs from expectation"]}]
 
 
 def test_kernel_invariant_failure_exits_two(capsys, monkeypatch, galois_bundle):

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, NatTrans,
                     StructuralError, check_category, check_functor,
-                    check_nat_trans, constant_functor, functor_category,
-                    identity_functor, identity_nat_trans, opposite)
+                    check_nat_trans, constant_functor, find_left_representation,
+                    functor_category, identity_functor, identity_nat_trans, opposite)
 from hetcat.fincat import _enumerate_functors
-from hetcat.instances import diagram_shape, finset_skeleton
+from hetcat.instances import diagram_shape, finset_skeleton, galois_connections
 from hetcat.instances.finset import SHAPE_NAMES
 from hetcat.instances.galois import powerset_poset
 from hetcat.report import LawReport
@@ -226,6 +226,95 @@ def test_redirected_morphism_image_fails(skeleton2):
     assert not report.ok
     assert any(v.law in ("composition-preservation", "identity-preservation")
                for v in report.violations)
+
+
+# -- check_functor against the entry-by-entry original -------------------------
+
+def _reference_check_functor(fun: FinFunctor) -> LawReport:
+    """Empty report iff the functor preserves dom/cod, identities, and composition."""
+    rep = LawReport(f"functor {fun.name}")
+    src, tgt = fun.source, fun.target
+    for x in src.objects:
+        if x not in fun.obj_map:
+            rep.add("object-totality", (x,), "object map not total")
+    for m in src.morphisms:
+        if m.id not in fun.mor_map:
+            rep.add("morphism-totality", (m.id,), "morphism map not total")
+            continue
+        image = tgt.morphism(fun.on_mor(m.id))
+        ex_dom, ex_cod = fun.obj_map.get(m.dom), fun.obj_map.get(m.cod)
+        if ex_dom is not None and ex_cod is not None and (image.dom != ex_dom or image.cod != ex_cod):
+            rep.add("dom-cod-preservation", (m.id,),
+                    f"image has type {image.dom} -> {image.cod}, expected {ex_dom} -> {ex_cod}")
+    for x in src.objects:
+        if x in fun.obj_map and x in src.identity:
+            ix = src.id_of(x)
+            if ix in fun.mor_map and fun.on_mor(ix) != tgt.identity.get(fun.on_obj(x)):
+                rep.add("identity-preservation", (x,),
+                        f"image of {ix} is {fun.on_mor(ix)}")
+    mor_map = fun.mor_map
+    tcomp = tgt.comp
+    for (f, g), h in src.comp.items():
+        ff = mor_map.get(f)
+        gg = mor_map.get(g)
+        hh = mor_map.get(h)
+        if ff is None or gg is None or hh is None:
+            continue            # totality violations already recorded
+        if tcomp.get((ff, gg)) != hh:
+            rep.add("composition-preservation", (f, g),
+                    f"F(f then g) = {hh} but Ff then Fg = {tcomp.get((ff, gg))}")
+    return rep.normalize()
+
+
+def _functor_bases() -> dict[str, FinFunctor]:
+    skel = finset_skeleton(2)
+    galois = galois_connections({"0": "a", "1": "a", "2": "b"}, ("0", "1", "2"), ("a", "b"))
+    return {
+        "identity-skeleton2": identity_functor(skel),
+        "identity-skeleton2-op": identity_functor(opposite(skel)),
+        "constant-parallel-pair": constant_functor(diagram_shape("parallel-pair"), skel, "2"),
+        "direct-image": find_left_representation(galois.lower_het).functor,
+    }
+
+
+FUNCTOR_BASES = _functor_bases()
+
+
+def _mutant_functor(base: str, data) -> FinFunctor:
+    """The base functor with one or two morphism-map entries rewired or dropped,
+    or one image sent where the image of a composable successor cannot follow."""
+    fun = FUNCTOR_BASES[base]
+    src, tgt, mor_map = fun.source, fun.target, dict(fun.mor_map)
+    tgt_ids = [m.id for m in tgt.morphisms]
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(("rewire", "drop", "uncomposable")))
+        if kind == "rewire" and mor_map:
+            mor_map[data.draw(st.sampled_from(sorted(mor_map)))] = \
+                data.draw(st.sampled_from(tgt_ids))
+        elif kind == "drop" and mor_map:
+            del mor_map[data.draw(st.sampled_from(sorted(mor_map)))]
+        elif kind == "uncomposable":
+            pairs = sorted((f, g) for f, g in src.comp
+                           if f != g and f in mor_map and g in mor_map)
+            f, g = data.draw(st.sampled_from(pairs))
+            start = tgt.dom(mor_map[g])
+            off = [k for k in tgt_ids if tgt.cod(k) != start]
+            if off:
+                mor_map[f] = data.draw(st.sampled_from(off))
+                assert (mor_map[f], mor_map[g]) not in tgt.comp
+    return FinFunctor("mutant", src, tgt, dict(fun.obj_map), mor_map)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(FUNCTOR_BASES)), st.data())
+def test_check_functor_matches_entry_reference(base, data):
+    mutant = _mutant_functor(base, data)
+    assert check_functor(mutant).violations == _reference_check_functor(mutant).violations
+
+
+def test_check_functor_bases_pass():
+    for fun in FUNCTOR_BASES.values():
+        assert check_functor(fun).ok and _reference_check_functor(fun).ok
 
 
 def test_identity_nat_trans_passes(skeleton2):

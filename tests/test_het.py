@@ -563,6 +563,138 @@ def test_right_checks_match_reference_on_corrupted_reps(name, n_corruptions, dat
             [(v.law, v.witness) for v in want.violations]
 
 
+# -- the left self-check against the all-pairs original ------------------------
+
+def _reference_check_left_representation(rep):
+    """Verify psi bijectivity, naturality in both variables, and functor laws."""
+    het, fun = rep.het, rep.functor
+    out = LawReport(f"left representation of {het.name}")
+    out.extend(check_functor(fun))
+    a_cat, comp, act_right = het.a_cat, het.a_cat.comp, het.act_right
+    misplaced = set()
+    for x in het.x_cat.objects:
+        hx = rep.universal[x]
+        if het.cell_of(hx) != (x, fun.on_obj(x)):
+            out.add("universal-placement", (x, hx), "h_x not in cell (x, Fx)")
+            misplaced.add(x)
+    # cells whose psi is defined on exactly Hom(Fx, a): there every g runs
+    # Fx -> a, so the naturality loops read the composition table directly for
+    # pairs that compose; elsewhere, and on a miss, `compose` raises its error
+    hom_keyed = set()
+    for x in het.x_cat.objects:
+        for a in a_cat.objects:
+            table = rep.psi[(x, a)]
+            homs = a_cat.hom(fun.on_obj(x), a)
+            if set(table) != set(homs):
+                out.add("psi-domain", (x, a), "psi not defined on exactly Hom(Fx, a)")
+                continue
+            hom_keyed.add((x, a))
+            images = list(table.values())
+            if sorted(images) != sorted(het.cell(x, a)):
+                out.add("psi-bijective", (x, a),
+                        f"psi image {sorted(images)} != cell {sorted(het.cell(x, a))}")
+            if x in misplaced:
+                continue        # u.g may be undefined; the placement names the fault
+            u = rep.universal[x]
+            for g, c in table.items():
+                if (act_right.get(g, {}).get(u) or het.act_r(g, u)) != c:
+                    out.add("psi-formula", (x, a, g), "psi(g) != u.g")
+    # naturality of psi in a: psi(g then k) = k.psi(g)
+    for x in het.x_cat.objects:
+        for k in a_cat.morphisms:
+            a, a2, row = k.dom, k.cod, act_right.get(k.id, {})
+            direct = (x, a) in hom_keyed
+            target = rep.psi[(x, a2)]
+            for g, c in rep.psi[(x, a)].items():
+                gk = comp.get((g, k.id)) if direct else None
+                lhs = target.get(gk or a_cat.compose(g, k.id))
+                rhs = row.get(c) or het.act_r(k.id, c)
+                if lhs != rhs:
+                    out.add("psi-naturality-right", (x, k.id, g),
+                            f"psi(g;k) = {lhs}, k.psi(g) = {rhs}")
+    # naturality of psi in x: psi_{x'}(Fh then g) = psi_x(g).h for h: x' -> x
+    for h in het.x_cat.morphisms:
+        x2, x, row = h.dom, h.cod, het.act_left.get(h.id, {})
+        for a in a_cat.objects:
+            table = rep.psi[(x, a)]
+            if not table:
+                continue
+            fh = fun.on_mor(h.id)
+            direct = (x, a) in hom_keyed and a_cat.cod(fh) == fun.on_obj(x)
+            target = rep.psi[(x2, a)]
+            for g, c in table.items():
+                fhg = comp.get((fh, g)) if direct else None
+                lhs = target.get(fhg or a_cat.compose(fh, g))
+                rhs = row.get(c) or het.act_l(h.id, c)
+                if lhs != rhs:
+                    out.add("psi-naturality-left", (h.id, a, g),
+                            f"psi(Fh;g) = {lhs}, psi(g).h = {rhs}")
+    return out.normalize()
+
+
+LEFT_REPS = {name: rep for name, het in POOL.items()
+             if isinstance(rep := find_left_representation(het), LeftRepresentation)}
+
+
+def _corrupt_left(rep, data):
+    """One corruption that changes the rep, as _corrupt_right does for phi:
+    rewired entries keep their types where they can. "cell-extra" puts a new
+    element, with no actions, in an empty cell of the het."""
+    het, fun = rep.het, rep.functor
+    ac, mids = het.a_cat, [m.id for m in het.a_cat.morphisms]
+    kind = data.draw(st.sampled_from(("psi-rewire", "psi-drop", "psi-extra", "universal",
+                                      "functor-mor", "functor-obj", "cell-extra")))
+    psi = {cell: dict(t) for cell, t in rep.psi.items()}
+    universal, obj_map, mor_map = dict(rep.universal), dict(fun.obj_map), dict(fun.mor_map)
+    entries = sorted((cell, g) for cell, t in psi.items() for g in t)
+    if kind == "psi-rewire" and entries:
+        cell, g = data.draw(st.sampled_from(entries))
+        psi[cell][g] = _draw_other(data, psi[cell][g], het.cell(*cell), sorted(het.elements))
+    elif kind == "psi-drop" and entries:
+        cell, g = data.draw(st.sampled_from(entries))
+        del psi[cell][g]
+    elif kind == "psi-extra" and het.elements:
+        cell = data.draw(st.sampled_from(sorted(psi)))
+        psi[cell][data.draw(st.sampled_from(mids))] = \
+            data.draw(st.sampled_from(sorted(het.elements)))
+    elif kind == "universal":
+        x = data.draw(st.sampled_from(sorted(universal)))
+        universal[x] = _draw_other(
+            data, universal[x], [c for b in ac.objects for c in het.cell(x, b)],
+            sorted(het.elements))
+    elif kind == "functor-mor":
+        j = het.x_cat.morphism(data.draw(st.sampled_from(sorted(mor_map))))
+        mor_map[j.id] = _draw_other(
+            data, mor_map[j.id], ac.hom(fun.on_obj(j.dom), fun.on_obj(j.cod)), mids)
+    elif kind == "functor-obj":
+        x = data.draw(st.sampled_from(sorted(obj_map)))
+        obj_map[x] = _draw_other(data, obj_map[x], ac.objects, ())
+    elif empty := sorted(cell for cell, elems in het.cells.items() if not elems):
+        cells = dict(het.cells)
+        cells[data.draw(st.sampled_from(empty))] = (f"extra{len(het.elements)}",)
+        het = HetBifunctor(het.name, het.x_cat, ac, cells, het.act_left, het.act_right)
+    corrupted = FinFunctor(fun.name, fun.source, fun.target, obj_map, mor_map)
+    return LeftRepresentation(het, corrupted, universal, psi, rep.equivalent_universals)
+
+
+def _left_report(check, rep):
+    """Every (law, witness, detail), or StructuralError if the check raises."""
+    try:
+        return [(v.law, v.witness, v.detail) for v in check(rep).violations]
+    except StructuralError:
+        return StructuralError
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LEFT_REPS)), st.integers(0, 2), st.data())
+def test_left_check_matches_reference_on_corrupted_reps(name, n_corruptions, data):
+    rep = LEFT_REPS[name]
+    for _ in range(n_corruptions):
+        rep = _corrupt_left(rep, data)
+    assert _left_report(check_left_representation, rep) == \
+        _left_report(_reference_check_left_representation, rep)
+
+
 def _reference_universal_element_check(het, x, b, u):
     """One count over hom(b, a) per element c: O(|cell| * |hom|) per a."""
     if het.cell_of(u) != (x, b):
