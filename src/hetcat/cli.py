@@ -231,24 +231,20 @@ def _demo_galois(args):
     eq = gi.lower_het.cells == gi.lower_het_via_preimage.cells
     checks.append(_note_entry("direct-image and preimage formulas agree cellwise", eq,
                               [] if eq else ["the two relation readings differ"]))
-    lower = build_adjunction(gi.lower_het)
-    upper = build_adjunction(gi.upper_het)
     extras = {"f_star": dict(gi.f_star)}
-    for name, adj, fmap, gmap in (
-            ("lower connection", lower, gi.direct_image, gi.preimage),
-            ("upper connection", upper, gi.preimage, gi.f_star)):
+    for side, het, fmap, gmap in (("lower", gi.lower_het, gi.direct_image, gi.preimage),
+                                  ("upper", gi.upper_het, gi.preimage, gi.f_star)):
+        name, adj = f"{side} connection", build_adjunction(het)
         if not isinstance(adj, Adjunction):
             checks.append(_note_entry(f"{name} birepresentable", False,
                                       _witness_notes(adj)))
             continue
         ok = adj.F.obj_map == fmap and adj.G.obj_map == gmap
         checks.append(_note_entry(f"{name} recovers the formula adjoints", ok, []))
-        sup_ok = all(adj.G.obj_map[a] == gi.sup_formula_right_adjoint(
-            "lower" if name.startswith("lower") else "upper", a)
-            for a in adj.a_cat.objects)
-        inf_ok = all(adj.F.obj_map[x] == gi.inf_formula_left_adjoint(
-            "lower" if name.startswith("lower") else "upper", x)
-            for x in adj.x_cat.objects)
+        sup_ok = all(adj.G.obj_map[a] == gi.sup_formula_right_adjoint(side, a)
+                     for a in adj.a_cat.objects)
+        inf_ok = all(adj.F.obj_map[x] == gi.inf_formula_left_adjoint(side, x)
+                     for x in adj.x_cat.objects)
         checks.append(_note_entry(f"{name} matches sup/inf oracles",
                                   sup_ok and inf_ok, []))
         checks += _full_suite(adj, args.guard)

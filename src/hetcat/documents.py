@@ -74,26 +74,30 @@ def category_from_payload(payload: Any) -> FinCategory:
         raise DocumentError(f"malformed category payload: {exc}") from exc
 
 
+def _functor_maps(fun: FinFunctor) -> dict:
+    return {"name": fun.name, "object_map": dict(fun.obj_map),
+            "morphism_map": dict(fun.mor_map)}
+
+
+def _functor_of(spec: Any, default: str, source: FinCategory,
+                target: FinCategory) -> FinFunctor:
+    """The functor source -> target whose name and maps `spec` holds, as
+    `_functor_maps` writes them."""
+    return FinFunctor(_name(spec, default), source, target,
+                      _string_map(spec["object_map"], "object_map"),
+                      _string_map(spec["morphism_map"], "morphism_map"))
+
+
 def functor_to_payload(fun: FinFunctor) -> dict:
-    return {
-        "name": fun.name,
-        "source": category_to_payload(fun.source),
-        "target": category_to_payload(fun.target),
-        "object_map": dict(fun.obj_map),
-        "morphism_map": dict(fun.mor_map),
-    }
+    return {**_functor_maps(fun), "source": category_to_payload(fun.source),
+            "target": category_to_payload(fun.target)}
 
 
 def functor_from_payload(payload: Any) -> FinFunctor:
     try:
-        return FinFunctor(
-            _name(payload, "functor"),
-            category_from_payload(payload["source"]),
-            category_from_payload(payload["target"]),
-            _string_map(payload["object_map"], "object_map"),
-            _string_map(payload["morphism_map"], "morphism_map"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:   # a non-object has no .get
+        return _functor_of(payload, "functor", category_from_payload(payload["source"]),
+                           category_from_payload(payload["target"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"malformed functor payload: {exc}") from exc
 
 
@@ -102,12 +106,8 @@ def nat_trans_to_payload(nt: NatTrans) -> dict:
         "name": nt.name,
         "source_category": category_to_payload(nt.source.source),
         "target_category": category_to_payload(nt.source.target),
-        "source_functor": {"name": nt.source.name,
-                           "object_map": dict(nt.source.obj_map),
-                           "morphism_map": dict(nt.source.mor_map)},
-        "target_functor": {"name": nt.target.name,
-                           "object_map": dict(nt.target.obj_map),
-                           "morphism_map": dict(nt.target.mor_map)},
+        "source_functor": _functor_maps(nt.source),
+        "target_functor": _functor_maps(nt.target),
         "components": dict(nt.components),
     }
 
@@ -116,15 +116,11 @@ def nat_trans_from_payload(payload: Any) -> NatTrans:
     try:
         src_cat = category_from_payload(payload["source_category"])
         tgt_cat = category_from_payload(payload["target_category"])
-        fns = []
-        for key in ("source_functor", "target_functor"):
-            spec = payload[key]
-            fns.append(FinFunctor(_name(spec, key), src_cat, tgt_cat,
-                                  _string_map(spec["object_map"], "object_map"),
-                                  _string_map(spec["morphism_map"], "morphism_map")))
+        fns = [_functor_of(payload[key], key, src_cat, tgt_cat)
+               for key in ("source_functor", "target_functor")]
         return NatTrans(_name(payload, "nattrans"), fns[0], fns[1],
                         _string_map(payload["components"], "components"))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:   # a non-object has no .get
         raise DocumentError(f"malformed nattrans payload: {exc}") from exc
 
 

@@ -22,6 +22,7 @@ constant diagram.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
@@ -511,11 +512,20 @@ class FunctorCategory(FinCategory):
     components: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
-def _enumerate_functors(shape: FinCategory, target: FinCategory):
+def _enumerate_functors(shape: FinCategory, target: FinCategory, guard: int):
+    """Each functor shape -> target as its object and morphism maps. Refuses
+    (GuardExceeded, with the estimate) once the candidate morphism maps of the
+    object assignments walked so far number more than `guard`."""
     non_id = [m for m in shape.morphisms if not shape.is_identity(m.id)]
+    estimate = 0
     for assignment in itertools.product(target.objects, repeat=len(shape.objects)):
         omap = dict(zip(shape.objects, assignment))
         pools = [target.hom(omap[m.dom], omap[m.cod]) for m in non_id]
+        estimate += math.prod(map(len, pools))
+        if estimate > guard:
+            raise GuardExceeded(
+                f"functor category over {target.name} would have >= {estimate} "
+                f"objects (guard {guard})", estimate)
         for choice in itertools.product(*pools):
             mmap = {shape.id_of(x): target.id_of(omap[x]) for x in shape.objects}
             mmap.update({m.id: c for m, c in zip(non_id, choice)})
@@ -555,23 +565,8 @@ def functor_category(shape: FinCategory, target: FinCategory,
     bound on natural transformations exceeds `guard`; the category of diagrams
     explodes quickly and the guard keeps constructions at desk scale.
     """
-    # cheap refusal on the functor count before any enumeration
-    estimate = 0
-    for assignment in itertools.product(target.objects, repeat=len(shape.objects)):
-        omap = dict(zip(shape.objects, assignment))
-        prod = 1
-        for m in shape.morphisms:
-            if not shape.is_identity(m.id):
-                prod *= len(target.hom(omap[m.dom], omap[m.cod]))
-                if prod == 0:
-                    break
-        estimate += prod
-        if estimate > guard:
-            raise GuardExceeded(
-                f"functor category over {target.name} would have >= {estimate} "
-                f"objects (guard {guard})", estimate)
     funs = [FinFunctor(f"D{i}", shape, target, omap, mmap)
-            for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target))]
+            for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target, guard))]
     morphisms: list[Morphism] = []
     identity: dict[str, str] = {}
     # morphism n: functor dom[n] to functor cod[n] with components combos[n]

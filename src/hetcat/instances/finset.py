@@ -177,38 +177,31 @@ def skeleton_card(obj: str) -> int:
 # diagram shapes
 # ---------------------------------------------------------------------------
 
-SHAPE_NAMES = ("terminal", "discrete-2", "parallel-pair", "span")
+# each shape's objects and non-identity arrows (id, dom, cod); no two arrows
+# compose, so the identities and their composites complete each table
+_SHAPES = {
+    "terminal": (("t",), ()),
+    "discrete-2": (("i", "j"), ()),
+    "parallel-pair": (("s", "t"), (("alpha", "s", "t"), ("beta", "s", "t"))),
+    "span": (("m", "l", "r"), (("f", "m", "l"), ("g", "m", "r"))),
+}
+SHAPE_NAMES = tuple(_SHAPES)
 
 
 def diagram_shape(name: str) -> FinCategory:
-    """The built-in diagram categories."""
-    if name == "terminal":
-        return FinCategory("terminal", ("t",), (Morphism("1t", "t", "t"),),
-                           {"t": "1t"}, {("1t", "1t"): "1t"})
-    if name == "discrete-2":
-        return FinCategory(
-            "discrete-2", ("i", "j"),
-            (Morphism("1i", "i", "i"), Morphism("1j", "j", "j")),
-            {"i": "1i", "j": "1j"},
-            {("1i", "1i"): "1i", ("1j", "1j"): "1j"})
-    if name == "parallel-pair":
-        mors = (Morphism("1s", "s", "s"), Morphism("1t", "t", "t"),
-                Morphism("alpha", "s", "t"), Morphism("beta", "s", "t"))
-        comp = {("1s", "1s"): "1s", ("1t", "1t"): "1t",
-                ("1s", "alpha"): "alpha", ("alpha", "1t"): "alpha",
-                ("1s", "beta"): "beta", ("beta", "1t"): "beta"}
-        return FinCategory("parallel-pair", ("s", "t"), mors, {"s": "1s", "t": "1t"}, comp)
-    if name == "span":
-        mors = (Morphism("1m", "m", "m"), Morphism("1l", "l", "l"),
-                Morphism("1r", "r", "r"), Morphism("f", "m", "l"),
-                Morphism("g", "m", "r"))
-        comp = {("1m", "1m"): "1m", ("1l", "1l"): "1l", ("1r", "1r"): "1r",
-                ("1m", "f"): "f", ("f", "1l"): "f",
-                ("1m", "g"): "g", ("g", "1r"): "g"}
-        return FinCategory("span", ("m", "l", "r"), mors,
-                           {"m": "1m", "l": "1l", "r": "1r"}, comp)
-    raise StructuralError(f"unknown diagram shape {name!r}; "
-                          f"choose one of {', '.join(SHAPE_NAMES)}")
+    """The built-in diagram categories: the identity 1o at each object o,
+    then the arrows; the composites of the identities, then of each arrow."""
+    if name not in _SHAPES:
+        raise StructuralError(f"unknown diagram shape {name!r}; "
+                              f"choose one of {', '.join(SHAPE_NAMES)}")
+    objects, arrows = _SHAPES[name]
+    identity = {o: "1" + o for o in objects}
+    comp = {(i, i): i for i in identity.values()}
+    for f, d, c in arrows:
+        comp[identity[d], f] = comp[f, identity[c]] = f
+    morphisms = [Morphism(i, o, o) for o, i in identity.items()]
+    morphisms += [Morphism(*arrow) for arrow in arrows]
+    return FinCategory(name, objects, tuple(morphisms), identity, comp)
 
 
 def shape_is_connected(shape: FinCategory) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import GuardExceeded
+from ..errors import GuardExceeded, StructuralError
 from ..fincat import FinCategory, Morphism
 from ..het import HetBifunctor, build_het
 
@@ -77,29 +77,26 @@ class GaloisInstance:
     preimage: dict[str, str]                # expected G of the lower / F of the upper
     f_star: dict[str, str]                  # expected G of the upper connection
 
+    def _connection(self, het: str):
+        """The lower or upper connection's sending poset, receiving poset,
+        expected F and G, and the universe of its receiving powerset."""
+        if het == "lower":
+            return (self.dom_poset, self.cod_poset, self.direct_image, self.preimage,
+                    self.t_universe)
+        return self.cod_poset, self.dom_poset, self.preimage, self.f_star, self.s_universe
+
     def sup_formula_right_adjoint(self, het: str, a: str) -> str:
         """Independent oracle: Ga = sup{ x : Fx <= a }, computed as a union."""
-        if het == "lower":
-            members = [x for x in self.dom_poset.objects
-                       if _subset(self.direct_image[x], a)]
-            return _union_id(members)
-        members = [a2 for a2 in self.cod_poset.objects
-                   if _subset(self.preimage[a2], a)]
-        return _union_id(members)
+        X, _, F, _, _ = self._connection(het)
+        return _union_id([x for x in X.objects if _subset(F[x], a)])
 
     def inf_formula_left_adjoint(self, het: str, x: str) -> str:
         """Independent oracle: Fx = inf{ a : x <= Ga }, computed as an intersection."""
-        if het == "lower":
-            members = [a for a in self.cod_poset.objects
-                       if _subset(x, self.preimage[a])]
-            universe = self.t_universe
-        else:
-            members = [x2 for x2 in self.dom_poset.objects
-                       if _subset(x, self.f_star[x2])]
-            universe = self.s_universe
+        _, A, _, G, universe = self._connection(het)
         out = frozenset(universe)
-        for m in members:
-            out &= _parse(m)
+        for a in A.objects:
+            if _subset(x, G[a]):
+                out &= _parse(a)
         return subset_id(out)
 
 
@@ -128,7 +125,7 @@ def galois_connections(f_map: dict[str, str], s_universe: tuple[str, ...],
             f"powerset carriers |S|={len(s_universe)}, |T|={len(t_universe)} exceed "
             f"guards ({s_guard}, {t_guard})", 2 ** max(len(s_universe), len(t_universe)))
     if set(f_map) != set(s_universe) or not set(f_map.values()) <= set(t_universe):
-        raise GuardExceeded("f is not a function from S to T", 0)
+        raise StructuralError("f is not a function from S to T")
     ps = powerset_poset("P(S)", s_universe)
     pt = powerset_poset("P(T)", t_universe)
 

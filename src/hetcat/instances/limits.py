@@ -32,14 +32,10 @@ from .finset import (_functions, _postcompose, _precompose, diagram_shape,
 Legs = tuple[tuple[int, ...], ...]
 
 
-def _cone_id(w: str, did: str, legs: Legs) -> str:
+def _leg_id(tag: str, src: str, dst: str, legs: Legs) -> str:
+    """The id of the cone (tag "cn") or cocone (tag "cc") src => dst with these legs."""
     body = "|".join(",".join(str(v) for v in leg) for leg in legs)
-    return f"cn:{w}>{did}:{body}"
-
-
-def _cocone_id(did: str, z: str, legs: Legs) -> str:
-    body = "|".join(",".join(str(v) for v in leg) for leg in legs)
-    return f"cc:{did}>{z}:{body}"
+    return f"{tag}:{src}>{dst}:{body}"
 
 
 def _legs(shape: FinCategory, skel: FinCategory, F: FinFunctor, H: FinFunctor) -> list[Legs]:
@@ -97,7 +93,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
     for wobj in skel.objects:
         for did, fun in fcat.functors.items():
             legs[(wobj, did)] = found = _legs(shape, skel, deltas[wobj], fun)
-            cells[(wobj, did)] = tuple(_cone_id(wobj, did, cone) for cone in found)
+            cells[(wobj, did)] = tuple(_leg_id("cn", wobj, did, cone) for cone in found)
 
     # a leg w -> c is a function of the skeleton: h: w' -> w acts by "h then
     # leg", a transformation by "leg then its component"
@@ -134,15 +130,16 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
             mor_map[t.id] = fn_id(len(src), len(dst), images)
         lim = FinFunctor("Lim", fcat, skel, obj_map, mor_map)
 
-    identity_cones = {w: _cone_id(w, const_id[w], (tuple(range(skeleton_card(w))),) * len(order))
-                      for w in skel.objects}
+    identity_cones = {
+        w: _leg_id("cn", w, const_id[w], (tuple(range(skeleton_card(w))),) * len(order))
+        for w in skel.objects}
     projection_cones = {}
     for did in fcat.objects:
         card = lim_cards[did]
         if card <= n:
             legs = tuple(tuple(int(tup[i]) for tup in lim_tuples[did])
                          for i in range(len(order)))
-            projection_cones[did] = _cone_id(str(card), did, legs)
+            projection_cones[did] = _leg_id("cn", str(card), did, legs)
     return LimitsInstance(shape, skel, fcat, het, delta, lim,
                           lim_cards, escape, identity_cones, projection_cones)
 
@@ -186,7 +183,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     for did, fun in fcat.functors.items():
         for zobj in skel.objects:
             legs[(did, zobj)] = found = _legs(shape, skel, fun, deltas[zobj])
-            cells[(did, zobj)] = tuple(_cocone_id(did, zobj, cocone) for cocone in found)
+            cells[(did, zobj)] = tuple(_leg_id("cc", did, zobj, cocone) for cocone in found)
 
     # a leg c -> z is a function of the skeleton: a transformation acts by
     # "its component then leg", h: z -> z' by "leg then h"
@@ -224,9 +221,9 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
         index = {name: i for i, name in enumerate(res.apex.elements)}
         legs = tuple(tuple(map(index.__getitem__, res.cocone.legs[o].values()))
                      for o in order)
-        injection_cocones[did] = _cocone_id(did, str(res.apex.size), legs)
+        injection_cocones[did] = _leg_id("cc", did, str(res.apex.size), legs)
     identity_cocones = {
-        z: _cocone_id(const_id[z], z, (tuple(range(skeleton_card(z))),) * len(order))
+        z: _leg_id("cc", const_id[z], z, (tuple(range(skeleton_card(z))),) * len(order))
         for z in diag_skel.objects}
     return ColimitsInstance(shape, fcat, skel, het, colim, delta,
                             colim_cards, escape, injection_cocones, identity_cocones)

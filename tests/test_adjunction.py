@@ -17,8 +17,10 @@ from hetcat import (Adjunction, HalfAdjunction, StructuralError, abstract_het,
 from hetcat.adjunction import AbstractHet, ChimeraNatTrans
 from hetcat.fincat import (FinCategory, FinFunctor, Morphism, identity_functor,
                            pair_id)
-from hetcat.het import HetBifunctor, LeftRepresentation, RightRepresentation
+from hetcat.het import (HetBifunctor, KernelInvariantError, LeftRepresentation,
+                        RightRepresentation, compare_left_representation)
 from hetcat.instances import ur_adjunction
+from hetcat.instances.finset import fn_images
 
 
 # -- build ---------------------------------------------------------------------
@@ -482,15 +484,20 @@ def _laws(report):
     return {v.law for v in report.violations}
 
 
+def _square_laws(square, adj, seeds):
+    return set().union(*(_laws(square(adj, a, f).report) for a, f in seeds))
+
+
 def _suite_laws(adj):
-    """The laws each suite reports, by suite; squares and zig-zags over every
-    f: x -> Ga and every heteromorphism."""
-    squares = [adjunctive_square(adj, a, f) for x in adj.x_cat.objects
-               for a in adj.a_cat.objects for f in adj.x_cat.hom(x, adj.G.on_obj(a))]
+    """The laws each suite reports, by suite; squares, image squares and
+    zig-zags over every f: x -> Ga and every heteromorphism."""
+    seeds = [(a, f) for x in adj.x_cat.objects for a in adj.a_cat.objects
+             for f in adj.x_cat.hom(x, adj.G.on_obj(a))]
     return {
         "four": _laws(four_bifunctor_iso(adj)),
         "identities": _laws(over_and_back_and_triangles(adj)),
-        "squares": set().union(*(_laws(sq.report) for sq in squares)),
+        "squares": _square_laws(adjunctive_square, adj, seeds),
+        "image squares": _square_laws(adjunctive_image_square, adj, seeds),
         "roundtrip": _laws(representation_roundtrip(adj)),
         "lawvere": _laws(lawvere_iso_check(adj)),
         "zigzag": set().union(*(_laws(zig_zag_factorize(adj, c).report)
@@ -509,6 +516,7 @@ def test_law_suites_report_a_corrupted_counit(skeleton2):
                        "triangular-identity-G", "e1-form", "over-and-back-F",
                        "chimera-counit-composite"},
         "squares": {"square-first-component", "square-second-component"},
+        "image squares": {"image-square-second-component"},
         "roundtrip": {"recovered-counit", "recovered-sending-universal"},
         "lawvere": set(),
         "zigzag": {"lower-triangle", "zig-zag-action-top"},
@@ -525,11 +533,135 @@ def test_law_suites_report_a_corrupted_psi(skeleton2):
         "four": {"z-naturality-left", "z-naturality-right"},
         "identities": {"factorization-counit"},
         "squares": {"square-second-component"},
+        "image squares": set(),
         "roundtrip": set(),
         "lawvere": {"morphism-correspondence", "morphism-bijection"},
         "zigzag": {"left-factorization", "upper-triangle", "lower-triangle",
                    "zig-zag-action-bottom"},
     }
+
+
+def _with(value, path, entries):
+    """value with the dict at the dotted attribute path updated by entries."""
+    head, _, rest = path.partition(".")
+    inner = getattr(value, head)
+    return dataclasses.replace(
+        value, **{head: _with(inner, rest, entries) if rest else {**inner, **entries}})
+
+
+def test_law_suites_report_a_corrupted_unit(skeleton2):
+    bad = _with(ur_adjunction(skeleton2), "unit.components", {"2": "2>2:0,0"})
+    assert _suite_laws(bad) == {
+        "four": set(),
+        "identities": {"factorization-unit", "factorization-over-across-f",
+                       "factorization-over-across-g", "triangular-identity-F",
+                       "triangular-identity-G", "h2-form", "over-and-back-G",
+                       "chimera-unit-composite"},
+        "squares": {"square-first-component"},
+        "image squares": {"image-square-second-component"},
+        "roundtrip": {"recovered-sending-universal", "recovered-unit"},
+        "lawvere": set(),
+        "zigzag": {"upper-triangle", "zig-zag-action-bottom"},
+    }
+
+
+def test_law_suites_report_a_non_injective_phi(skeleton2):
+    # both elements of cell (1, 2) sent to 1>2:0
+    bad = _with(ur_adjunction(skeleton2), "right.phi",
+                {("1", "2"): {"1>2:0": "1>2:0", "1>2:1": "1>2:0"}})
+    assert _suite_laws(bad) == {
+        "four": {"phi-bijective", "z-naturality-left", "z-naturality-right"},
+        "identities": set(),
+        "squares": set(),
+        "image squares": set(),
+        "roundtrip": set(),
+        "lawvere": {"object-bijection"},
+        "zigzag": {"right-factorization", "upper-triangle", "lower-triangle",
+                   "zig-zag-action-top"},
+    }
+
+
+def test_law_suites_report_a_left_adjoint_that_moves_an_identity(skeleton2):
+    # F sends 1_2 to the swap of 2: the recovered F and the receiving
+    # universals of the round trip differ, and z(e_2) is (G eps_2, swap)
+    bad = _with(ur_adjunction(skeleton2), "left.functor.mor_map", {"2>2:0,1": "2>2:1,0"})
+    assert _suite_laws(bad) == {
+        "four": {"z-naturality-left", "z-naturality-right"},
+        "identities": {"factorization-unit", "factorization-over-across-f",
+                       "factorization-over-across-g", "factorization-counit",
+                       "triangular-identity-F", "over-and-back-F", "e1-form"},
+        "squares": {"square-first-component", "square-second-component"},
+        "image squares": {"image-square-second-component"},
+        "roundtrip": {"recovered-left-adjoint", "embedding-comparison-F",
+                      "recovered-sending-universal", "recovered-receiving-universal"},
+        "lawvere": {"morphism-correspondence", "morphism-bijection"},
+        "zigzag": {"lower-triangle", "zig-zag-action-top"},
+    }
+    assert [v.detail for v in over_and_back_and_triangles(bad).violations
+            if v.law == "e1-form"] == ["z(e_a) second component is 2>2:1,0, expected identity"]
+
+
+def test_four_bifunctor_iso_reports_cells_the_representations_miss(skeleton2):
+    # the functions of rank at most 1 form a sub-bifunctor of Hom; its cell
+    # (2, 2) holds the 2 constants of the 4 functions that psi and phi pair
+    adj = ur_adjunction(skeleton2)
+    rank_one = build_het(
+        "rank<=1", skeleton2, skeleton2,
+        lambda x, a: tuple(f for f in skeleton2.hom(x, a) if len(set(fn_images(f))) <= 1),
+        skeleton2.compose, lambda k, c: skeleton2.compose(c, k))
+    report = four_bifunctor_iso(dataclasses.replace(adj, het=rank_one))
+    assert {(v.law, v.witness) for v in report.violations} == {
+        (law, ("2", "2")) for law in ("psi-cardinality", "phi-cardinality",
+                                      "psi-bijective", "phi-bijective")}
+
+
+def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
+    # F and G both send 1>2:1 to 1>2:0, so both elements of cell (1, 2) twist
+    # to (1>2:0, 1>2:0)
+    adj = ur_adjunction(skeleton2)
+    for side in ("left", "right"):
+        adj = _with(adj, f"{side}.functor.mor_map", {"1>2:1": "1>2:0"})
+    report = four_bifunctor_iso(adj)
+    assert _laws(report) == {"z-bijective", "z-naturality-left", "z-naturality-right"}
+    assert [v.witness for v in report.violations if v.law == "z-bijective"] == [("1", "2")]
+
+
+def test_image_squares_report_a_right_adjoint_that_moves_an_identity(skeleton2):
+    # a G that is not a functor breaks both components; the round trip cannot
+    # run on it, since its abstract het then fails the bifunctor laws
+    bad = _with(ur_adjunction(skeleton2), "right.functor.mor_map", {"2>2:0,1": "2>2:1,0"})
+    seeds = [(a, f) for a in bad.a_cat.objects for x in bad.x_cat.objects
+             for f in bad.x_cat.hom(x, bad.G.on_obj(a))]
+    assert _square_laws(adjunctive_image_square, bad, seeds) == {
+        "image-square-first-component", "image-square-second-component"}
+    with pytest.raises(KernelInvariantError):
+        representation_roundtrip(bad)
+
+
+def test_roundtrip_reports_an_abstract_het_without_a_left_adjoint(skeleton2):
+    # G constant at 0, with counit the maps out of 0: Hom(x, G-) is empty
+    # for x = 1, so no object of the embedded copy represents it on the left
+    adj = ur_adjunction(skeleton2)
+    to_zero = dataclasses.replace(adj.G, obj_map={a: "0" for a in skeleton2.objects},
+                                  mor_map={m.id: "0>0:" for m in skeleton2.morphisms})
+    bad = dataclasses.replace(_with(adj, "counit.components",
+                                    {a: f"0>{a}:" for a in skeleton2.objects}),
+                              right=dataclasses.replace(adj.right, functor=to_zero))
+    assert _laws(representation_roundtrip(bad)) == {"roundtrip-representability"}
+
+
+def test_compare_left_representation_reports_a_misplaced_or_non_universal_element(skeleton2):
+    adj = ur_adjunction(skeleton2)
+    # 0>1: lies in cell (0, 1), not (1, F1)
+    misplaced = compare_left_representation(adj.left, adj.F, {**adj.left.universal, "1": "0>1:"})
+    assert [(v.law, v.witness) for v in misplaced.violations] == [
+        ("expected-universal-placement", ("1", "0>1:"))]
+    # 1>2:0 in cell (1, 2) factors through 1_1 and back by 1>2:0 and 2>1:0,0,
+    # whose composite on 2 is the constant 2>2:0,0, not an identity
+    expected = dataclasses.replace(adj.F, obj_map={**adj.F.obj_map, "1": "2"})
+    report = compare_left_representation(adj.left, expected,
+                                         {**adj.left.universal, "1": "1>2:0"})
+    assert [(v.law, v.witness) for v in report.violations] == [("comparison-iso", ("1",))]
 
 
 # -- generated posets against a closed-form oracle ------------------------------

@@ -440,7 +440,7 @@ def _reference_functor_category(shape: FinCategory, target: FinCategory,
                 f"functor category over {target.name} would have >= {estimate} "
                 f"objects (guard {guard})", estimate)
     funs = [FinFunctor(f"D{i}", shape, target, omap, mmap)
-            for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target))]
+            for i, (omap, mmap) in enumerate(_enumerate_functors(shape, target, guard))]
     objects = tuple(f.name for f in funs)
     fun_by_id = {f.name: f for f in funs}
     trans: dict[str, NatTrans] = {}
@@ -538,6 +538,20 @@ def test_functor_category_guard():
     with pytest.raises(GuardExceeded) as err:
         functor_category(diagram_shape("parallel-pair"), finset_skeleton(2), guard=10)
     assert err.value.estimate > 10
+
+
+# the functor estimate trips in all but the last case, where the 3 functors
+# fit and the 6 morphisms do not
+@pytest.mark.parametrize("shape_name, n, guard", [
+    ("terminal", 3, 3), ("discrete-2", 2, 5), ("parallel-pair", 2, 10),
+    ("span", 2, 30), ("parallel-pair", 1, 4)])
+def test_functor_category_guard_matches_reference(shape_name, n, guard):
+    shape, target = diagram_shape(shape_name), finset_skeleton(n)
+    with pytest.raises(GuardExceeded) as new:
+        functor_category(shape, target, guard=guard)
+    with pytest.raises(GuardExceeded) as ref:
+        _reference_functor_category(shape, target, guard=guard)
+    assert (str(new.value), new.value.estimate) == (str(ref.value), ref.value.estimate)
 
 
 def test_functor_category_repr_is_one_line(skeleton1):

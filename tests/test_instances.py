@@ -14,7 +14,7 @@ from hetcat import (Adjunction, GuardExceeded, HalfAdjunction, StructuralError,
 from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
                               colimit_of, colimits_adjunction,
                               compose_cone_cocone, diagram_shape,
-                              finset_skeleton, galois_connections,
+                              all_functions, finset_skeleton, galois_connections,
                               limit_of, limits_adjunction,
                               pointed_free_forgetful, powerset_poset,
                               preorder_adjunction_chain, product_exponential,
@@ -23,7 +23,7 @@ from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
 from hetcat.fincat import FinCategory, Morphism
 from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images, shape_is_connected
 from hetcat.instances.galois import subset_id
-from hetcat.instances.limits import _cocone_id, _cone_id
+from hetcat.instances.limits import _leg_id
 from hetcat.instances.preorder import _is_poset, _preorder_id, _preorders_on
 
 
@@ -283,7 +283,7 @@ def _reference_cone_tables(inst):
                 yield tuple(combo)
 
     cells, legs_of, id_of = _legs_of_cells((
-        ((w, did), lambda legs, w=w, did=did: _cone_id(w, did, legs), cones_of(int(w), did))
+        ((w, did), lambda legs, w=w, did=did: _leg_id("cn", w, did, legs), cones_of(int(w), did))
         for w in skel.objects for did in fcat.objects))
     act_left = {}
     for h in skel.morphisms:
@@ -319,7 +319,7 @@ def _reference_cocone_tables(inst):
                 yield tuple(combo)
 
     cells, legs_of, id_of = _legs_of_cells((
-        ((did, z), lambda legs, did=did, z=z: _cocone_id(did, z, legs), cocones_of(did, int(z)))
+        ((did, z), lambda legs, did=did, z=z: _leg_id("cc", did, z, legs), cocones_of(did, int(z)))
         for did in fcat.objects for z in skel.objects))
     act_left = {}
     for t in fcat.morphisms:
@@ -841,6 +841,28 @@ def test_galois_guard():
     with pytest.raises(GuardExceeded):
         galois_connections({str(i): "a" for i in range(5)},
                            tuple(str(i) for i in range(5)), ("a",))
+
+
+@pytest.mark.parametrize("f_map", [{"0": "a"}, {"0": "a", "1": "c"}],
+                         ids=["misses-an-element-of-S", "value-outside-T"])
+def test_galois_rejects_a_map_that_is_not_a_function(f_map):
+    with pytest.raises(StructuralError, match="f is not a function from S to T"):
+        galois_connections(f_map, ("0", "1"), ("a", "b"))
+
+
+def test_galois_oracles_match_the_formula_maps():
+    # the sup and inf formulas of both connections, for every map S -> T with
+    # |S| <= 3 and |T| <= 3
+    for s_size, t_size in itertools.product(range(4), repeat=2):
+        s, t = tuple(str(i) for i in range(s_size)), tuple("abc"[:t_size])
+        for f_map in all_functions(s, t):
+            gi = galois_connections(f_map, s, t)
+            for x in gi.dom_poset.objects:
+                assert gi.inf_formula_left_adjoint("lower", x) == gi.direct_image[x]
+                assert gi.sup_formula_right_adjoint("upper", x) == gi.f_star[x]
+            for a in gi.cod_poset.objects:
+                assert gi.sup_formula_right_adjoint("lower", a) == gi.preimage[a]
+                assert gi.inf_formula_left_adjoint("upper", a) == gi.preimage[a]
 
 
 def _reference_powerset_poset(name, universe):
