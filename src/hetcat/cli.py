@@ -407,9 +407,9 @@ def cmd_demo(args) -> int:
             bundle_to_payload(het, expected_left, expected_right),
             name=f"demo-{args.name}",
             description=f"exported by: hetcat demo {args.name}")
-        text = dumps_document(doc)
         try:
-            Path(args.export).write_text(text)
+            with open(args.export, "w") as f:
+                dumps_document(doc, f)
         except OSError as exc:
             raise DocumentError(f"cannot write {args.export}: {exc}") from exc
         out["exported"] = args.export

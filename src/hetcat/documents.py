@@ -11,16 +11,19 @@ fixtures diff cleanly and repeated exports are byte-identical.
 `json.dumps`: any `indent` makes `json` fall back from its C encoder to a
 pure-Python one that yields every bracket and separator as its own chunk. The
 writer here emits each leaf container (a list of strings, an object of
-strings, a list of string lists such as a composition table) as one string
-joined at C level, with the escaper `json` itself uses.
+strings such as an action table) as one string joined at C level, with the
+escaper `json` itself uses. A list of string lists, such as a composition
+table, is emitted one run of rows sharing their first string at a time: in a
+sorted table, one morphism's row. The same pieces either make one string or
+go straight to a text file, so an export never holds its whole text.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
-from operator import attrgetter
-from typing import Any
+from itertools import chain, groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import Any, TextIO
 
 from .errors import StructuralError
 from .fincat import FinCategory, FinFunctor, Morphism, NatTrans
@@ -222,9 +225,16 @@ def make_document(kind: str, payload: dict, name: str = "",
     }
 
 
-def dumps_document(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    return "".join(_pieces(doc, "")) + "\n"
+def dumps_document(doc: dict, f: TextIO | None = None) -> str | None:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte:
+    returned, or written piece by piece to the text file `f` (and None
+    returned). No piece is larger than one leaf container or one run of a
+    composition table's rows."""
+    if f is None:
+        return "".join(_pieces(doc, "")) + "\n"
+    f.writelines(_pieces(doc, ""))
+    f.write("\n")
+    return None
 
 
 _quote = json.encoder.encode_basestring_ascii   # the escaper of ensure_ascii=True
@@ -243,7 +253,7 @@ def _pieces(value: Any, indent: str):
             return
         leaf = _leaf_list(value, indent)
         if leaf is not None:
-            yield leaf
+            yield from leaf
             return
         inner = indent + "  "
         sep = "[\n" + inner
@@ -284,20 +294,23 @@ def _pieces(value: Any, indent: str):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _leaf_list(value, indent: str) -> str | None:
-    """The whole text of a non-empty list of strings or of non-empty string
-    lists, or None when `value` is neither."""
+def _leaf_list(value, indent: str):
+    """The pieces of a non-empty list of strings (one piece) or of non-empty
+    string lists (one piece per run of rows that share their first string),
+    or None when `value` is neither."""
     inner = indent + "  "
     types = set(map(type, value))
     if types == {str}:
-        return "[\n" + inner + (",\n" + inner).join(map(_quote, value)) + "\n" + indent + "]"
+        return ("[\n" + inner + (",\n" + inner).join(map(_quote, value)) + "\n" + indent + "]",)
     if (types <= {list, tuple} and all(value)
             and set(map(type, chain.from_iterable(value))) == {str}):
         inner2 = inner + "  "
         opening, closing = "[\n" + inner2, "\n" + inner + "]"
-        rows = map((",\n" + inner2).join, map(map, repeat(_quote), value))
-        return ("[\n" + inner + opening + (closing + ",\n" + inner + opening).join(rows)
-                + closing + "\n" + indent + "]")
+        between = closing + ",\n" + inner + opening
+        runs = (opening + between.join(map((",\n" + inner2).join, map(map, repeat(_quote), run)))
+                + closing for _, run in groupby(value, itemgetter(0)))
+        return chain(("[\n" + inner + next(runs),), map((",\n" + inner).__add__, runs),
+                     ("\n" + indent + "]",))
     return None
 
 

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import operator
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +452,19 @@ def test_demo_export_to_unwritable_path_exits_two(capsys, tmp_path, target):
     report = json.loads(out)
     assert report["exit"] == 2 and report["command"] == "demo"
     assert report["error"].startswith(f"cannot write {path}: [Errno ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_demo_export_that_fails_mid_write_exits_two(capsys):
+    """/dev/full opens, then refuses the streamed pieces or the final flush."""
+    code, out = run(capsys, "demo", "pointed", "--n", "1", "--export", "/dev/full")
+    assert code == 2
+    assert out.startswith("error: cannot write /dev/full: [Errno 28]")
+    code, out = run(capsys, "demo", "pointed", "--n", "1", "--export", "/dev/full", "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["exit"] == 2 and report["command"] == "demo"
+    assert report["error"].startswith("cannot write /dev/full: [Errno 28]")
 
 
 _DOCUMENTS = {"ARRAY": "[1, 2]",

@@ -1,6 +1,8 @@
 """Serialization round-trips and document validation."""
 
+import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hetcat.documents import (DocumentError, bifunctor_from_payload,
                               loads_document, make_document,
                               nat_trans_from_payload, nat_trans_to_payload,
                               parse_document)
-from hetcat.instances import colimits_adjunction, product_exponential
+from hetcat.instances import colimits_adjunction, finset_skeleton, product_exponential
 
 
 def test_category_roundtrip(chain2, skeleton2, powerset2):
@@ -89,6 +91,13 @@ def _reference_dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def _streamed(value) -> str:
+    """What `dumps_document` writes into a text file."""
+    f = io.StringIO()
+    assert dumps_document(value, f) is None
+    return f.getvalue()
+
+
 # quotes, backslashes, control characters, non-ASCII and astral text
 _TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001d11e'), max_size=4)
 _SCALARS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none())
@@ -107,16 +116,75 @@ def test_dumps_document_matches_json_dumps(value):
     assert dumps_document(value) == _reference_dumps(value)
 
 
-def test_dumps_document_matches_json_dumps_on_bundles():
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(_JSON)
+def test_streamed_document_matches_json_dumps(value):
+    assert _streamed(value) == _reference_dumps(value)
+
+
+def _bundle_documents():
     colimits = colimits_adjunction("discrete-2", 1)
     prodexp = product_exponential(1, 2)
     payloads = [bundle_to_payload(colimits.het, colimits.colim.obj_map),
                 bundle_to_payload(prodexp.coreflective_het,
                                   prodexp.product_functor.obj_map),
                 bundle_to_payload(prodexp.reflective_het)]
-    for payload in payloads:
-        doc = make_document("adjunction-bundle", payload, name="bundle")
+    return [make_document("adjunction-bundle", payload, name="bundle")
+            for payload in payloads]
+
+
+def test_dumps_document_matches_json_dumps_on_bundles():
+    for doc in _bundle_documents():
         assert dumps_document(doc) == _reference_dumps(doc)
+
+
+def test_streamed_document_matches_json_dumps_on_bundles():
+    for doc in _bundle_documents():
+        assert _streamed(doc) == _reference_dumps(doc)
+
+
+# a composition table is written one run of rows with the same first string
+# at a time; these tables cut it into runs of every length
+@pytest.mark.parametrize("table", [
+    [["g", "f", "h"], ["f", "g", "h"], ["g", "g", "g"], ["f", "f", "f"]],
+    [["f", "a", "b"], ["f", "c", "d"], ["f", "e", "g"]],
+    [["f", "g", "h"]],
+    [("f", "g", "h"), ("f", "h", "h"), ("g", "g", "g")],
+    [["f"], ["f", "g"], ["g"], ["f", "g", "h", "\u00e9\n"]],
+], ids=["unsorted-runs-of-one", "one-run", "one-row", "tuple-rows", "ragged-rows"])
+def test_composition_tables_are_written_byte_for_byte(table):
+    doc = {"payload": {"composition": table, "name": "c"}}
+    assert dumps_document(doc) == _streamed(doc) == _reference_dumps(doc)
+
+
+class _CountingSink:
+    """A text file that keeps only how many characters it was given."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_streamed_document_is_never_held_whole():
+    """The FinSet<=3 document is 135,942 characters; written to a file, no
+    more than a small part of it is ever held (joining it whole peaks at
+    about twice its length)."""
+    doc = make_document("category", category_to_payload(finset_skeleton(3)))
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        dumps_document(doc, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(dumps_document(doc)) == 135_942
+    assert peak < sink.chars / 4
 
 
 @pytest.mark.parametrize("value", [1.5, [0.0], {"a": [1, 2.5]}, {1: "a"}, {"a": {2: []}},
