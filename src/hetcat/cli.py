@@ -20,7 +20,7 @@ from .adjunction import (Adjunction, build_adjunction, factorization_failures,
                          representation_roundtrip, zig_zag_factorize,
                          adjunctive_square, adjunctive_image_square)
 from .comma import half_lawvere_iso_check, lawvere_iso_check
-from .documents import (DocumentError, bundle_to_payload, dumps_document,
+from .documents import (DocumentError, bundle_view, dumps_document,
                         loads_document, make_document, parse_document)
 from .errors import GuardExceeded, StructuralError
 from .fincat import check_category, check_functor, check_nat_trans
@@ -404,7 +404,7 @@ def cmd_demo(args) -> int:
     if args.export:
         doc = make_document(
             "adjunction-bundle",
-            bundle_to_payload(het, expected_left, expected_right),
+            bundle_view(het, expected_left, expected_right),
             name=f"demo-{args.name}",
             description=f"exported by: hetcat demo {args.name}")
         try:

@@ -7,15 +7,13 @@ string ids, and serialization is deterministic (sorted keys, fixed indent) so
 fixtures diff cleanly and repeated exports are byte-identical.
 
 `dumps_document` writes exactly the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, but not through
-`json.dumps`: any `indent` makes `json` fall back from its C encoder to a
-pure-Python one that yields every bracket and separator as its own chunk. The
-writer here emits each leaf container (a list of strings, an object of
-strings such as an action table) as one string joined at C level, with the
-escaper `json` itself uses. A list of string lists, such as a composition
-table, is emitted one run of rows sharing their first string at a time: in a
-sorted table, one morphism's row. The same pieces either make one string or
-go straight to a text file, so an export never holds its whole text.
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, but in pieces
+joined at C level (any `indent` makes `json` fall back to a pure-Python
+encoder), with each string quoted once. An export streams from the live
+tables: `bundle_view` holds the het's own dicts, and each category in place
+of its composition list, which is written one morphism's row at a time from
+the category's own table. The `*_to_payload` functions copy the same fields
+into fresh plain JSON values.
 """
 
 from __future__ import annotations
@@ -42,13 +40,19 @@ class DocumentError(StructuralError):
 # ---------------------------------------------------------------------------
 
 def category_to_payload(cat: FinCategory) -> dict:
+    return _category(cat, _copy)
+
+
+def _category(cat: FinCategory, take) -> dict:
+    """The category payload, `take` applied to each of cat's own tables; in a
+    view, cat itself stands for its composition list (see `_pieces`)."""
     return {
         "name": cat.name,
         "objects": [{"id": o, "label": cat.obj_labels.get(o, o)} for o in cat.objects],
         "morphisms": [{"id": m.id, "dom": m.dom, "cod": m.cod,
                        "label": m.label or m.id} for m in cat.morphisms],
-        "identity": dict(cat.identity),
-        "composition": sorted([f, g, h] for (f, g), h in cat.comp.items()),
+        "identity": take(cat.identity),
+        "composition": take(cat),
     }
 
 
@@ -128,17 +132,7 @@ def nat_trans_from_payload(payload: Any) -> NatTrans:
 
 
 def bifunctor_to_payload(het: HetBifunctor) -> dict:
-    return {
-        "name": het.name,
-        "x_category": category_to_payload(het.x_cat),
-        "a_category": category_to_payload(het.a_cat),
-        "cells": [{"x": x, "a": a, "elements": list(het.cells[(x, a)])}
-                  for x in het.x_cat.objects for a in het.a_cat.objects],
-        "act_left": [{"morphism": h, "mapping": dict(table)}
-                     for h, table in sorted(het.act_left.items())],
-        "act_right": [{"morphism": k, "mapping": dict(table)}
-                      for k, table in sorted(het.act_right.items())],
-    }
+    return bundle_to_payload(het)["bifunctor"]
 
 
 def _name(payload: dict, default: str) -> str:
@@ -181,15 +175,40 @@ def bifunctor_from_payload(payload: Any) -> HetBifunctor:
 def bundle_to_payload(het: HetBifunctor,
                       expected_left: dict[str, str] | None = None,
                       expected_right: dict[str, str] | None = None) -> dict:
-    payload = {"bifunctor": bifunctor_to_payload(het)}
-    expected = {}
-    if expected_left:
-        expected["left_object_map"] = dict(expected_left)
-    if expected_right:
-        expected["right_object_map"] = dict(expected_right)
+    return _bundle(het, expected_left, expected_right, _copy)
+
+
+def bundle_view(het: HetBifunctor,
+                expected_left: dict[str, str] | None = None,
+                expected_right: dict[str, str] | None = None) -> dict:
+    """`bundle_to_payload` as a read-only view of the het's own tables, to export."""
+    return _bundle(het, expected_left, expected_right, lambda table: table)
+
+
+def _bundle(het: HetBifunctor, expected_left, expected_right, take) -> dict:
+    payload = {"bifunctor": {
+        "name": het.name,
+        "x_category": _category(het.x_cat, take),
+        "a_category": _category(het.a_cat, take),
+        "cells": [{"x": x, "a": a, "elements": take(het.cells[(x, a)])}
+                  for x in het.x_cat.objects for a in het.a_cat.objects],
+        "act_left": [{"morphism": h, "mapping": take(table)}
+                     for h, table in sorted(het.act_left.items())],
+        "act_right": [{"morphism": k, "mapping": take(table)}
+                      for k, table in sorted(het.act_right.items())],
+    }}
+    expected = {key: take(value) for key, value in (("left_object_map", expected_left),
+                                                    ("right_object_map", expected_right)) if value}
     if expected:
         payload["expected"] = expected
     return payload
+
+
+def _copy(table: Any) -> Any:
+    """A fresh plain JSON copy of a table: a category's is its sorted composition."""
+    if isinstance(table, FinCategory):
+        return sorted([f, g, h] for (f, g), h in table.comp.items())
+    return dict(table) if isinstance(table, dict) else list(table)
 
 
 def bundle_from_payload(payload: Any) -> tuple[HetBifunctor, dict]:
@@ -228,60 +247,73 @@ def make_document(kind: str, payload: dict, name: str = "",
 def dumps_document(doc: dict, f: TextIO | None = None) -> str | None:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte:
     returned, or written piece by piece to the text file `f` (and None
-    returned). No piece is larger than one leaf container or one run of a
-    composition table's rows."""
+    returned). `doc` may hold the views that `bundle_view` makes. No piece
+    is larger than one leaf container or one morphism's composition row."""
+    pieces = _pieces(doc, "", _Quotes().__getitem__)
     if f is None:
-        return "".join(_pieces(doc, "")) + "\n"
-    f.writelines(_pieces(doc, ""))
-    f.write("\n")
+        return "".join(pieces) + "\n"
+    f.writelines(chain(pieces, ("\n",)))
     return None
 
 
 _quote = json.encoder.encode_basestring_ascii   # the escaper of ensure_ascii=True
 
 
-def _pieces(value: Any, indent: str):
+class _Quotes(dict):
+    """The JSON text of each string, quoted on first use."""
+    def __missing__(self, text):
+        self[text] = quoted = _quote(text)     # TypeError on a key that is not a str
+        return quoted
+
+
+def _pieces(value: Any, indent: str, quote):
     """Yield the indent-2, sorted-key JSON text of `value` in pieces.
 
-    A leaf container is yielded whole; every other container yields its
+    A list or object of strings is one piece, a list of string lists one per
+    run of rows with the same first string; every other container yields its
     brackets, separators and keys, and recurses. `indent` is the indentation
-    of the line `value` starts on.
-    """
+    of the line `value` starts on; `quote` gives a string's JSON text."""
     if isinstance(value, (list, tuple)):
+        inner, types = indent + "  ", set(map(type, value))
         if not value:
             yield "[]"
-            return
-        leaf = _leaf_list(value, indent)
-        if leaf is not None:
-            yield from leaf
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            yield sep
-            yield from _pieces(item, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "]"
+        elif types == {str}:
+            yield "[\n" + inner + (",\n" + inner).join(map(quote, value)) + "\n" + indent + "]"
+        elif (types <= {list, tuple} and all(value)
+                and set(map(type, chain.from_iterable(value))) == {str}):
+            inner2 = inner + "  "
+            opening, closing = "[\n" + inner2, "\n" + inner + "]"
+            between = closing + ",\n" + inner + opening
+            runs = (opening + between.join(map((",\n" + inner2).join, map(map, repeat(quote), run)))
+                    + closing for _, run in groupby(value, itemgetter(0)))
+            yield "[\n" + inner + next(runs)
+            yield from map((",\n" + inner).__add__, runs)
+            yield "\n" + indent + "]"
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                yield sep
+                yield from _pieces(item, inner, quote)
+                sep = ",\n" + inner
+            yield "\n" + indent + "]"
     elif isinstance(value, dict):
+        inner = indent + "  "
         if not value:
             yield "{}"
-            return
-        inner = indent + "  "
-        if set(map(type, value)) == {str} and set(map(type, value.values())) == {str}:
+        elif set(map(type, value)) == {str} and set(map(type, value.values())) == {str}:
             keys = sorted(value)
-            yield ("{\n" + inner
-                   + (",\n" + inner).join(map("{}: {}".format, map(_quote, keys),
-                                               map(_quote, map(value.__getitem__, keys))))
-                   + "\n" + indent + "}")
-            return
-        sep = "{\n" + inner      # _quote raises TypeError on a key that is not a str
-        for key in sorted(value):
-            yield sep + _quote(key) + ": "
-            yield from _pieces(value[key], inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "}"
+            yield "".join(chain.from_iterable(zip(
+                chain(("{\n" + inner,), repeat(",\n" + inner)), map(quote, keys), repeat(": "),
+                map(quote, map(value.__getitem__, keys))))) + "\n" + indent + "}"
+        else:
+            sep = "{\n" + inner
+            for key in sorted(value):
+                yield sep + quote(key) + ": "
+                yield from _pieces(value[key], inner, quote)
+                sep = ",\n" + inner
+            yield "\n" + indent + "}"
     elif isinstance(value, str):
-        yield _quote(value)
+        yield quote(value)
     elif value is None:
         yield "null"
     elif value is True:
@@ -290,28 +322,36 @@ def _pieces(value: Any, indent: str):
         yield "false"
     elif isinstance(value, int):
         yield int.__repr__(value)
+    elif isinstance(value, FinCategory):
+        yield from _composition_pieces(value, indent, quote)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _leaf_list(value, indent: str):
-    """The pieces of a non-empty list of strings (one piece) or of non-empty
-    string lists (one piece per run of rows that share their first string),
-    or None when `value` is neither."""
-    inner = indent + "  "
-    types = set(map(type, value))
-    if types == {str}:
-        return ("[\n" + inner + (",\n" + inner).join(map(_quote, value)) + "\n" + indent + "]",)
-    if (types <= {list, tuple} and all(value)
-            and set(map(type, chain.from_iterable(value))) == {str}):
-        inner2 = inner + "  "
-        opening, closing = "[\n" + inner2, "\n" + inner + "]"
-        between = closing + ",\n" + inner + opening
-        runs = (opening + between.join(map((",\n" + inner2).join, map(map, repeat(_quote), run)))
-                + closing for _, run in groupby(value, itemgetter(0)))
-        return chain(("[\n" + inner + next(runs),), map((",\n" + inner).__add__, runs),
-                     ("\n" + indent + "]",))
-    return None
+def _composition_pieces(cat: FinCategory, indent: str, quote):
+    """The pieces of `_copy(cat)`, one row of cat.comp at a time: f then each g
+    leaving cod f, in id order; or of `_copy(cat)` if cat.comp has a gap or extra."""
+    comp, mor, ids = cat.comp, cat._mor, sorted(cat._mor)
+    outs = {x: sorted(chain.from_iterable(hom.values())) for x, hom in cat._hom.items()}
+    try:
+        rows = [tuple(map(quote, map(comp.__getitem__, zip(repeat(f), outs.get(mor[f].cod, ())))))
+                for f in ids]
+    except (KeyError, TypeError):       # a composite missing, or an id json writes unquoted
+        rows = None
+    # when no composite is missing, an entry more is for a pair that does not compose
+    if not comp or rows is None or sum(map(len, rows)) != len(comp):
+        yield from _pieces(_copy(cat), indent, quote)
+        return
+    inner, inner2 = indent + "  ", indent + "    "
+    sep, closing = ",\n" + inner2, "\n" + inner + "]"
+    then = {x: [quote(g) + sep for g in gs] for x, gs in outs.items()}
+    head = "[\n" + inner
+    for f, row in filter(itemgetter(1), zip(ids, rows)):
+        start = "[\n" + inner2 + quote(f) + sep
+        yield "".join(chain.from_iterable(zip(chain((head + start,), repeat(
+            closing + ",\n" + inner + start)), then[mor[f].cod], row))) + closing
+        head = ",\n" + inner
+    yield "\n" + indent + "]"
 
 
 def loads_document(text: str) -> dict:
