@@ -8,8 +8,13 @@ Composition is written in diagrammatic order throughout: ``comp[(f, g)]`` is
 Law checking is exhaustive, which is affordable and trustworthy at desk
 scale. Associativity still covers every composable triple, but compares one
 morphism f at a time: every "(f then g) then h" against every
-"f then (g then h)", gathered at C speed. Morphism identity is by id, never
-by label; labels are display-only and excluded from equality.
+"f then (g then h)", gathered at C speed. On a table with more than
+`BLOCK_CUTOFF` composable triples, numpy compares whole blocks of f's
+instead: the g leaving an object y are grouped by the out-degree of cod g,
+so every block is an unpadded int array. numpy is optional (the `fast`
+extra) and imported only by such a table; without it the gathers decide.
+Morphism identity is by id, never by label; labels are display-only and
+excluded from equality.
 
 Comma and functor categories are subcategories of a product: a morphism is a
 tuple of component morphisms, composed componentwise (CWM II.4, II.6). Both
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
@@ -31,6 +37,15 @@ from typing import Callable
 
 from .errors import GuardExceeded, StructuralError
 from .report import LawReport
+
+# composable triples above which check_category decides associativity in
+# numpy blocks. Per call, with numpy loaded, the blocks break even near 5,000
+# triples on tables with many arrows per hom-set, but only near 1.5 million
+# on posets, where every block is one arrow wide. Above 400,000 no table
+# measured ran more than about 10% slower on the blocks (CHANGES.md).
+BLOCK_CUTOFF = 400_000
+# entries per temporary array of a block, about 1 MB at int32
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -247,8 +262,12 @@ def check_category(cat: FinCategory) -> LawReport:
     Associativity covers every composable triple (f, g, h), one f at a time:
     for f: x -> y, an itemgetter for y gathers every "f then (g then h)" out
     of the row of f in one C call, to compare with the rows of "f then g"
-    over g, joined. An f whose rows are not all total and well typed, or whose
-    two sides differ, is walked triple by triple to name its witnesses.
+    over g, joined. Above `BLOCK_CUTOFF` composable triples, once every row
+    is total and well typed, numpy decides instead, in int blocks grouped by
+    y and by the out-degree of cod g (`_block_suspects`). numpy is imported
+    only then, and where it cannot be, the gathers decide. Either way, an f
+    whose rows are not all total and well typed, or whose two sides differ,
+    is walked triple by triple to name its witnesses.
     """
     rep = LawReport(f"category {cat.name}")
     mor, comp = cat._mor, cat.comp
@@ -295,9 +314,25 @@ def check_category(cat: FinCategory) -> LawReport:
             rep.add("left-identity", (m.id,), f"id then {m.id} = {left}")
         if right != m.id:
             rep.add("right-identity", (m.id,), f"{m.id} then id = {right}")
+    # above the cut-off, numpy blocks decide which f to walk; numpy is imported
+    # only then, and a run without it keeps the gathers
+    suspects = None
+    if typed and len(gather) == len(out):
+        ending = Counter(cod.values())
+        # a composable triple is an f ending where g starts and an h leaving cod g
+        triples = sum(ending[m.dom] * len(out.get(m.cod, ())) for m in cat.morphisms)
+        if triples > BLOCK_CUTOFF:
+            try:
+                import numpy
+            except ImportError:
+                pass
+            else:
+                suspects = _block_suspects(numpy, out, then, cod)
     for f, row in then.items():
-        pick = gather.get(cod[f])
-        if (pick is not None
+        if suspects is not None:
+            if f not in suspects:
+                continue
+        elif ((pick := gather.get(cod[f])) is not None
                 and (typed or tuple(map(cod.get, row)) == tuple(map(cod.get, nexts[f])))
                 and pick(row) == tuple(chain.from_iterable(map(then.__getitem__, row)))):
             continue
@@ -310,6 +345,60 @@ def check_category(cat: FinCategory) -> LawReport:
                 if gh is not None and (lh != rh or lh is None):
                     rep.add("associativity", (f, g, h), f"(f.g).h = {lh}, f.(g.h) = {rh}")
     return rep.normalize()
+
+
+def _block_suspects(np, out, then, cod) -> set[str]:
+    """The f with some "(f then g) then h" unequal to "f then (g then h)",
+    decided in numpy blocks; every row must be total and well typed.
+
+    Morphisms are numbered in table order. T[w] stacks, as int32, the rows of
+    the morphisms ending at an object of out-degree w, grouped by that
+    object: row `rowpos[m]` holds "m then h" for each h leaving cod m, and h
+    is column `local[h]`. For each y, F is the slice of T holding the f that
+    end at y; for each group J of the g leaving y whose codomains have
+    out-degree w, "(f.g).h" is T[w][rowpos[F[:, J]]] and "f.(g.h)" is
+    F[:, local[T[w][rowpos[g_J]]]]. The blocks are unpadded, and compared a
+    chunk of f's at a time so each temporary stays near `_BLOCK` entries.
+    """
+    num = dict(zip(then, count()))
+    into: dict[str, list[str]] = {}
+    for m in then:
+        into.setdefault(cod[m], []).append(m)
+    width = {z: len(out.get(z, ())) for z in into}
+    stacks: dict[int, list[str]] = {}
+    first = {}
+    for z, ms in into.items():
+        stack = stacks.setdefault(width[z], [])
+        first[z] = len(stack)
+        stack.extend(ms)
+    T = {w: np.fromiter(map(num.__getitem__, chain.from_iterable(map(then.__getitem__, ms))),
+                        np.int32, len(ms) * w).reshape(len(ms), w)
+         for w, ms in stacks.items()}
+    rowpos, local = np.empty(len(num), np.intp), np.empty(len(num), np.intp)
+    for ms, at in chain(((ms, rowpos) for ms in stacks.values()),
+                        ((gs, local) for gs in out.values())):
+        at[np.fromiter(map(num.__getitem__, ms), np.intp, len(ms))] = np.arange(len(ms))
+    suspects: set[str] = set()
+    for y, fs in into.items():
+        gs = out.get(y, ())
+        F = T[width[y]][first[y]:first[y] + len(fs)]
+        g_rows = rowpos[np.fromiter(map(num.__getitem__, gs), np.intp, len(gs))]
+        groups: dict[int, list[int]] = {}
+        for j, g in enumerate(gs):
+            groups.setdefault(width[cod[g]], []).append(j)
+        for w, J in groups.items():
+            if not w:
+                continue
+            Tw, J = T[w], np.array(J)
+            gh = local[Tw[g_rows[J]]]
+            step = max(1, _BLOCK // gh.size)
+            for a in range(0, len(fs), step):
+                Fc = F[a:a + step]
+                differ = Tw[rowpos[Fc[:, J]]] != Fc[:, gh]
+                if differ.any():
+                    bad = differ.reshape(len(Fc), -1).any(axis=1)
+                    suspects.update(map(fs.__getitem__, (np.flatnonzero(bad) + a).tolist()))
+    return suspects
 
 
 def check_functor(fun: FinFunctor) -> LawReport:

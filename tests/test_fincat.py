@@ -2,15 +2,23 @@
 derived constructions (opposite, functor category), with the functor
 category checked against its pair-by-pair reference construction."""
 
+import contextlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetcat
+from hetcat import fincat
 from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, NatTrans,
                     StructuralError, check_category, check_functor,
                     check_nat_trans, constant_functor, find_left_representation,
@@ -169,6 +177,136 @@ def test_relabelling_ids_keeps_the_verdict(base):
 @given(st.sampled_from(sorted(MUTATION_BASES)), st.data(), st.integers(0, 2**16))
 def test_relabelling_ids_keeps_the_violations_of_mutants(base, data, seed):
     _assert_relabelling_invariant(_mutant(base, data), seed)
+
+
+# -- the numpy block decider: the same witnesses as the triple walk ---------
+
+def _rows_total_and_typed(cat: FinCategory) -> bool:
+    """Every composable pair has a composite, of the type the pair gives."""
+    comp = cat.comp
+    return all((f.id, g.id) in comp
+               and cat.dom(comp[(f.id, g.id)]) == f.dom
+               and cat.cod(comp[(f.id, g.id)]) == g.cod
+               for f in cat.morphisms for g in cat.morphisms if f.cod == g.dom)
+
+
+@contextlib.contextmanager
+def _blocks(block: int):
+    """check_category with the cut-off at 0, so numpy blocks of about `block`
+    entries decide every table whose rows are total and well typed. Yields
+    the list of the suspect sets the blocks return."""
+    pytest.importorskip("numpy")
+    found, real = [], fincat._block_suspects
+
+    def spy(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fincat, "BLOCK_CUTOFF", 0)
+        mp.setattr(fincat, "_BLOCK", block)
+        mp.setattr(fincat, "_block_suspects", spy)
+        yield found
+
+
+# one f per chunk, a few f's per chunk, and every f of a block in one chunk
+BLOCK_SIZES = (1, 40, fincat._BLOCK)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MUTATION_BASES)), st.data(), st.sampled_from(BLOCK_SIZES))
+def test_block_decider_matches_triple_reference(base, data, block):
+    mutant = _mutant(base, data)
+    with _blocks(block) as found:
+        report = check_category(mutant)
+    assert bool(found) == _rows_total_and_typed(mutant)
+    assert report.violations == _reference_check_category(mutant).violations
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MUTATION_BASES)), st.data(), st.integers(0, 2**16),
+       st.sampled_from(BLOCK_SIZES))
+def test_block_decider_keeps_relabelled_violations(base, data, seed, block):
+    mutant = _mutant(base, data)
+    relabelled, back = _relabelled(mutant, seed)
+    with _blocks(block):
+        found = Counter((v.law, tuple(map(back.get, v.witness)))
+                        for v in check_category(relabelled).violations)
+    assert found == Counter((v.law, v.witness)
+                            for v in _reference_check_category(mutant).violations)
+
+
+def _swapped(cat: FinCategory) -> FinCategory:
+    """`cat` with its first composite, in sorted pair order, that shares its
+    type with another morphism swapped for that morphism."""
+    comp = dict(cat.comp)
+    for pair in sorted(comp):
+        h = cat.morphism(comp[pair])
+        other = [k for k in cat.hom(h.dom, h.cod) if k != h.id]
+        if other:
+            comp[pair] = other[0]
+            return FinCategory("swapped", cat.objects, cat.morphisms, dict(cat.identity), comp)
+    raise AssertionError(f"{cat.name} is thin")
+
+
+@pytest.mark.parametrize("base", ["skeleton2", "skeleton3"])
+def test_swapped_composite_reaches_the_blocks(base):
+    """A swap keeps every row total and typed, so the blocks decide: they flag
+    the f's of the broken triples, and the walk names every witness."""
+    swapped = _swapped(MUTATION_BASES[base])
+    expected = _reference_check_category(swapped).violations
+    assert any(v.law == "associativity" for v in expected)
+    for block in BLOCK_SIZES:
+        with _blocks(block) as found:
+            assert check_category(swapped).violations == expected
+        assert found and found[0] >= {v.witness[0] for v in expected
+                                      if v.law == "associativity"}
+
+
+def test_without_numpy_the_gathers_decide(monkeypatch):
+    """numpy that cannot be imported leaves a table above the cut-off to the
+    gathers, with the same report."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(fincat, "BLOCK_CUTOFF", 0)
+    monkeypatch.setattr(fincat, "_block_suspects", None)    # a call would raise
+    for cat in (MUTATION_BASES["skeleton3"], _swapped(MUTATION_BASES["skeleton3"])):
+        assert check_category(cat).violations == _reference_check_category(cat).violations
+
+
+def test_small_tables_never_import_numpy(tmp_path):
+    """P(6), the largest table of the small bench workloads, and the bench's
+    four tail commands run in a fresh interpreter without importing numpy."""
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from pathlib import Path
+        from hetcat import check_category, instances
+        from hetcat.cli import main
+        from hetcat.documents import (bundle_to_payload, category_to_payload,
+                                      dumps_document, make_document)
+        from hetcat.instances.galois import powerset_poset
+
+        work = Path({str(tmp_path)!r})
+        assert check_category(powerset_poset("P6", tuple("012345"))).ok
+        cat, bundle = work / "cat.json", work / "bundle.json"
+        cat.write_text(dumps_document(make_document(
+            "category", category_to_payload(instances.finset_skeleton(2)))))
+        inst = instances.limits_adjunction("parallel-pair", 1)
+        bundle.write_text(dumps_document(make_document("adjunction-bundle", bundle_to_payload(
+            inst.het, dict(inst.delta.obj_map), dict(inst.lim.obj_map)))))
+        for argv in (["check", str(cat), "--json"], ["adjoint", str(bundle), "--json"],
+                     ["demo", "colimits", "--shape", "discrete-2", "--n", "1", "--json",
+                      "--export", str(work / "export.json")],
+                     ["demo", "pointed", "--n", "1", "--json"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(argv)
+        sys.exit("numpy" in sys.modules)
+    """)
+    src = str(Path(hetcat.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or "numpy was imported"
 
 
 def test_wrong_codomain_composite_is_detected(skeleton2):
