@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import operator
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcat.cli
+from hetcat.adjunction import build_adjunction, representation_roundtrip
 from hetcat.cli import main
 from hetcat.documents import (bifunctor_to_payload, bundle_to_payload,
                               category_to_payload, dumps_document, functor_to_payload,
@@ -287,6 +289,37 @@ def test_factorize_checks_bifunctor_laws_first(capsys, tmp_path, skeleton2):
         assert check["name"] == "bifunctor laws" and not check["ok"]
         laws = {v["law"] for v in check["violations"]}
         assert {"bimodule-associativity", "left-functoriality"} <= laws
+
+
+def _permutation_group(perms):
+    """The group of the permutations `perms` (id -> tuple of images) as a
+    one-object category, its morphisms listed in the order of perms."""
+    by_images = {p: m for m, p in perms.items()}
+    identity = by_images[tuple(sorted(next(iter(perms.values()))))]
+    return FinCategory("G", ("*",), tuple(Morphism(m, "*", "*") for m in perms),
+                       {"*": identity},
+                       {(f, g): by_images[tuple(perms[g][i] for i in perms[f])]
+                        for f in perms for g in perms})
+
+
+_Z2 = {"z": (0, 1), "s": (1, 0)}
+_S3 = {"e" if p == (0, 1, 2) else "".join(map(str, p)): p
+       for p in itertools.permutations(range(3))}
+
+
+@pytest.mark.parametrize("perms", [_Z2, dict(reversed(_Z2.items())),
+                                   _S3, dict(reversed(_S3.items()))],
+                         ids=["Z2-z-first", "Z2-s-first", "S3-e-first", "S3-e-last"])
+def test_adjoint_passes_groups_listed_in_any_order(capsys, tmp_path, perms):
+    # the search keeps the first universal in listing order, which may be a
+    # non-identity automorphism; the round trip compares up to that iso
+    het = hom_bifunctor(_permutation_group(perms))
+    assert representation_roundtrip(build_adjunction(het)).ok
+    path = tmp_path / "hom.json"
+    path.write_text(dumps_document(make_document("bifunctor", bifunctor_to_payload(het))))
+    assert run(capsys, "adjoint", str(path))[0] == 0
+    code, out = run(capsys, "adjoint", str(path), "--json")
+    assert code == 0 and json.loads(out)["exit"] == 0
 
 
 @pytest.fixture()
