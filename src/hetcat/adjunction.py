@@ -24,8 +24,7 @@ from .fincat import (FinCategory, FinFunctor, Morphism, NatTrans, check_nat_tran
 from .het import (HetBifunctor, KernelInvariantError, LeftRepresentation,
                   NonRepresentabilityWitness, RightRepresentation, build_het,
                   check_bifunctor, compare_left_representation,
-                  compare_right_representation, find_left_representation,
-                  find_right_representation)
+                  find_left_representation, find_right_representation)
 from .report import LawReport
 
 
@@ -422,7 +421,9 @@ def four_bifunctor_iso(adj: Adjunction) -> LawReport:
     """Cellwise Hom(Fx, a) ~ Het(x, a) ~ Z(Fx, Ga) ~ Hom(x, Ga), naturally.
 
     Verifies bijectivity of psi, phi, and the twist map z on every cell, and
-    naturality of all three against the actions in both variables.
+    naturality of all three against the actions in both variables. Equal cell
+    sizes are not checked apart: psi-bijective and phi-bijective compare
+    sorted lists of those sizes, so a size that differs fails them there.
     """
     rep = LawReport(f"four-bifunctor isomorphism of {adj.het.name}")
     het = adj.het
@@ -431,19 +432,11 @@ def four_bifunctor_iso(adj: Adjunction) -> LawReport:
     for x in xc.objects:
         for a in ac.objects:
             cell = het.cell(x, a)
-            homs_a = ac.hom(adj.F.on_obj(x), a)
-            homs_x = xc.hom(x, adj.G.on_obj(a))
-            if len(homs_a) != len(cell):
-                rep.add("psi-cardinality", (x, a),
-                        f"|Hom(Fx, a)| = {len(homs_a)}, |Het| = {len(cell)}")
-            if len(homs_x) != len(cell):
-                rep.add("phi-cardinality", (x, a),
-                        f"|Hom(x, Ga)| = {len(homs_x)}, |Het| = {len(cell)}")
-            psi_values = [adj.left.psi[(x, a)][g] for g in homs_a]
+            psi_values = [adj.left.psi[(x, a)][g] for g in ac.hom(adj.F.on_obj(x), a)]
             if sorted(psi_values) != sorted(cell):
                 rep.add("psi-bijective", (x, a), "psi is not onto the cell")
             phi_values = [adj.right.phi[(x, a)][c] for c in cell]
-            if sorted(phi_values) != sorted(homs_x):
+            if sorted(phi_values) != sorted(xc.hom(x, adj.G.on_obj(a))):
                 rep.add("phi-bijective", (x, a), "phi is not onto Hom(x, Ga)")
             pairs = zb.cell(x, a)
             if len(set(pairs)) != len(cell):
@@ -471,6 +464,11 @@ def four_bifunctor_iso(adj: Adjunction) -> LawReport:
 def over_and_back_and_triangles(adj: Adjunction) -> LawReport:
     """Triangular identities, over-and-back identities, and the four
     over-across-and-back factorization equations, exhaustively.
+
+    The over-and-back identities are not checked apart: where h2-form holds,
+    h_x2 = F(eta_x) and e_Fx after h_x2 = 1_Fx is triangular-identity-F at x;
+    where e1-form holds, e_a1 = G(eps_a) and e_a1 after h_Ga is
+    triangular-identity-G at a.
     """
     rep = LawReport(f"identity suite of {adj.het.name}")
     het = adj.het
@@ -483,8 +481,9 @@ def over_and_back_and_triangles(adj: Adjunction) -> LawReport:
         fx = adj.F.on_obj(x)
         if ac.compose(adj.F.on_mor(adj.eta(x)), adj.eps(fx)) != ac.id_of(fx):
             rep.add("triangular-identity-F", (x,), "eps_Fx after F(eta_x) is not 1_Fx")
-    # over-and-back identities, short forms of the triangles on functor images:
-    # h_{x2} = z(h_x) = (1_GFx, F eta_x) and e_{a1} = z(e_a) = (G eps_a, 1_FGa)
+    # the forms of the chimera universals' twists, whose over-and-back
+    # identities are then the triangles: h_{x2} = z(h_x) = (1_GFx, F eta_x)
+    # and e_{a1} = z(e_a) = (G eps_a, 1_FGa)
     for x in xc.objects:
         fx = adj.F.on_obj(x)
         u, v = adj.z_of(adj.h(x))
@@ -492,8 +491,6 @@ def over_and_back_and_triangles(adj: Adjunction) -> LawReport:
             rep.add("h2-form", (x,), f"z(h_x) first component is {u}, expected identity")
         if v != adj.F.on_mor(adj.eta(x)):
             rep.add("h2-form", (x,), f"z(h_x) second component is {v}, expected F(eta_x)")
-        if ac.compose(v, adj.eps(fx)) != ac.id_of(fx):
-            rep.add("over-and-back-F", (x,), "e_Fx after h_x2 is not 1_Fx")
     for a in ac.objects:
         ga = adj.G.on_obj(a)
         u, v = adj.z_of(adj.e(a))
@@ -501,8 +498,6 @@ def over_and_back_and_triangles(adj: Adjunction) -> LawReport:
             rep.add("e1-form", (a,), f"z(e_a) second component is {v}, expected identity")
         if u != adj.G.on_mor(adj.eps(a)):
             rep.add("e1-form", (a,), f"z(e_a) first component is {u}, expected G(eps_a)")
-        if xc.compose(adj.eta(ga), u) != xc.id_of(ga):
-            rep.add("over-and-back-G", (a,), "e_a1 after h_Ga is not 1_Ga")
     # composite chimera identities evaluated in the het actions: the unit and
     # counit factorizations pin the chimera universals against each other
     for x in xc.objects:
@@ -697,14 +692,15 @@ def representation_roundtrip(adj: Adjunction) -> LawReport:
 
     Universal elements are unique only up to a unique isomorphism (Mac Lane,
     CWM III.1), so compare_left_representation compares the rebuilt left
-    representation with F-hat and the embedded (eta_x, 1_Fx), and
-    compare_right_representation the right one with G-hat and the embedded
-    (1_Ga, eps_a); their laws get the prefix sending- or receiving-. Nothing
-    else is compared. F-hat and G-hat are F and G conjugated by the bijective
-    embeddings, so comparing through the embeddings would repeat these
-    comparisons. The rebuilt unit and counit come from the rebuilt
-    universals, checked by build_adjunction, so once both representations
-    match they are the embedded ones carried across the isomorphism.
+    representation with F-hat and the embedded (eta_x, 1_Fx), its laws
+    prefixed sending-. The embedded (1_Ga, eps_a) is only placed
+    (receiving-expected-universal-placement): X being a category, a placed
+    (1_Ga, eps_a) is the pair of 1_Ga, and each pair (f, f*) is it acted on
+    by f-hat alone, so it is universal (Yoneda); its mediators to the rebuilt
+    (f0, f0*) are f0 and its inverse, natural since the rebuilt G sends k to
+    f0 then Gk then the inverse of f0'. Comparing through the embeddings would
+    repeat these comparisons, and the rebuilt unit and counit come from the
+    rebuilt universals, checked by build_adjunction.
 
     An abstract het that is not a bifunctor (G not a functor, say) has its
     bifunctor laws reported instead.
@@ -727,10 +723,11 @@ def representation_roundtrip(adj: Adjunction) -> LawReport:
     sending = compare_left_representation(rebuilt.left, ah.f_hat, {
         ah.embed_x.on_obj(x): pair_id(adj.eta(x), ac.id_of(adj.F.on_obj(x)))
         for x in xc.objects})
-    receiving = compare_right_representation(rebuilt.right, ah.g_hat, {
-        ah.embed_a.on_obj(a): pair_id(xc.id_of(adj.G.on_obj(a)), adj.eps(a))
-        for a in ac.objects})
-    for prefix, report in (("sending-", sending), ("receiving-", receiving)):
-        for v in report.violations:
-            rep.add(prefix + v.law, v.witness, v.detail)
+    for v in sending.violations:
+        rep.add("sending-" + v.law, v.witness, v.detail)
+    for a in ac.objects:
+        a_hat, u = ah.embed_a.on_obj(a), pair_id(xc.id_of(adj.G.on_obj(a)), adj.eps(a))
+        if ah.het._cell_of.get(u) != (ah.g_hat.on_obj(a_hat), a_hat):
+            rep.add("receiving-expected-universal-placement", (a_hat, u),
+                    "expected universal not in cell (x, Fx)")
     return rep.normalize()

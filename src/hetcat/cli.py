@@ -314,7 +314,7 @@ def _demo_prodexp(args):
                           lambda right: right.functor == inst.inclusion_functor)
         checks.append(_note_entry("reflective reading: inclusion side represents, "
                                   "free power escapes", ok, _witness_notes(refl)))
-    element_laws = instances.verify_elementwise(args.n, max(args.n, 1), args.a)
+    element_laws = instances.verify_elementwise(inst)
     checks.append(_note_entry("element-level evaluation/pairing laws",
                               all(element_laws.values()),
                               [f"{k}: {v}" for k, v in element_laws.items()]))

@@ -169,10 +169,6 @@ def image_functor(name: str, source: FinCategory, target: FinCategory,
         for m in source.morphisms})
 
 
-def skeleton_card(obj: str) -> int:
-    return int(obj)
-
-
 # ---------------------------------------------------------------------------
 # diagram shapes
 # ---------------------------------------------------------------------------
@@ -270,7 +266,7 @@ def skeleton_functor_to_diagram(shape: FinCategory, skel: FinCategory,
                                 mor_map: dict[str, str]) -> SetDiagram:
     """View a functor shape -> skeleton as a diagram over canonical element sets."""
     values = {
-        o: FinSetObject(tuple(str(i) for i in range(skeleton_card(obj_map[o]))))
+        o: FinSetObject(tuple(str(i) for i in range(int(obj_map[o]))))
         for o in shape.objects
     }
     arrows = {}

@@ -124,6 +124,10 @@ def galois_connections(f_map: dict[str, str], s_universe: tuple[str, ...],
         raise GuardExceeded(
             f"powerset carriers |S|={len(s_universe)}, |T|={len(t_universe)} exceed "
             f"guards ({s_guard}, {t_guard})", 2 ** max(len(s_universe), len(t_universe)))
+    # subset ids are brace-delimited and comma-separated, and "{}" is the empty set
+    if bad := [e for e in (*s_universe, *t_universe) if not e or not set(e).isdisjoint("{},")]:
+        raise StructuralError("set elements must be non-empty and free of '{', '}' and ',': "
+                              + ", ".join(map(repr, bad)))
     if set(f_map) != set(s_universe) or not set(f_map.values()) <= set(t_universe):
         raise StructuralError("f is not a function from S to T")
     ps = powerset_poset("P(S)", s_universe)

@@ -27,7 +27,7 @@ from ..fincat import (FinCategory, FinFunctor, FunctorCategory, constant_functor
 from ..het import HetBifunctor
 from .finset import (_functions, _postcompose, _precompose, diagram_shape,
                      finset_skeleton, fn_id, fn_images, leg_het, limit_of,
-                     colimit_of, skeleton_card, skeleton_functor_to_diagram)
+                     colimit_of, skeleton_functor_to_diagram)
 
 Legs = tuple[tuple[int, ...], ...]
 
@@ -97,9 +97,9 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
 
     # a leg w -> c is a function of the skeleton: h: w' -> w acts by "h then
     # leg", a transformation by "leg then its component"
-    before = {h.id: _precompose(fn_images(h.id), _functions((skeleton_card(h.cod),), n))
+    before = {h.id: _precompose(fn_images(h.id), _functions((int(h.cod),), n))
               for h in skel.morphisms}
-    after = {g.id: _postcompose(fn_images(g.id), _functions(range(n + 1), skeleton_card(g.dom)))
+    after = {g.id: _postcompose(fn_images(g.id), _functions(range(n + 1), int(g.dom)))
              for g in skel.morphisms}
     het = leg_het(f"cones[{shape_name},n={n}]", skel, fcat, cells, legs,
                   lambda h: (before[h.id],) * len(order),
@@ -131,7 +131,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
         lim = FinFunctor("Lim", fcat, skel, obj_map, mor_map)
 
     identity_cones = {
-        w: _leg_id("cn", w, const_id[w], (tuple(range(skeleton_card(w))),) * len(order))
+        w: _leg_id("cn", w, const_id[w], (tuple(range(int(w))),) * len(order))
         for w in skel.objects}
     projection_cones = {}
     for did in fcat.objects:
@@ -187,9 +187,9 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
 
     # a leg c -> z is a function of the skeleton: a transformation acts by
     # "its component then leg", h: z -> z' by "leg then h"
-    before = {g.id: _precompose(fn_images(g.id), _functions((skeleton_card(g.cod),), bound))
+    before = {g.id: _precompose(fn_images(g.id), _functions((int(g.cod),), bound))
               for g in diag_skel.morphisms}
-    after = {h.id: _postcompose(fn_images(h.id), _functions(range(n + 1), skeleton_card(h.dom)))
+    after = {h.id: _postcompose(fn_images(h.id), _functions(range(n + 1), int(h.dom)))
              for h in skel.morphisms}
     het = leg_het(f"cocones[{shape_name},n={n}]", fcat, skel, cells, legs,
                   lambda t: tuple(map(before.__getitem__, fcat.components[t.id])),
@@ -212,7 +212,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     colim = FinFunctor("Colim", fcat, skel, obj_map, mor_map)
 
     # expected right adjoint: the constant-diagram functor, total iff bound == n
-    escape = tuple(z for z in skel.objects if skeleton_card(z) > n)
+    escape = tuple(z for z in skel.objects if int(z) > n)
     const_id, delta = _diagonal(shape, skel, fcat, deltas)
 
     injection_cocones = {}
@@ -223,7 +223,7 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
                      for o in order)
         injection_cocones[did] = _leg_id("cc", did, str(res.apex.size), legs)
     identity_cocones = {
-        z: _leg_id("cc", const_id[z], z, (tuple(range(skeleton_card(z))),) * len(order))
+        z: _leg_id("cc", const_id[z], z, (tuple(range(int(z))),) * len(order))
         for z in diag_skel.objects}
     return ColimitsInstance(shape, fcat, skel, het, colim, delta,
                             colim_cards, escape, injection_cocones, identity_cocones)

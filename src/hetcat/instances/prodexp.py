@@ -14,14 +14,13 @@ reflective/coreflective halves being the honest content at finite scale. For
 built and verified end to end; for |A| = 0 every cell holds exactly one map,
 so both readings are full adjunctions too.
 
-The element-level laws (the counit as evaluation, the unit as pairing, the
-cellwise hom-count equality) do not need totality and are verified directly
-on explicit sets by verify_elementwise.
+The element-level laws (the unit as pairing, the counit as evaluation on
+either side, the cellwise hom counts) do not need totality; verify_elementwise
+checks them on both hets against closed forms.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ..errors import GuardExceeded
@@ -112,50 +111,32 @@ def product_exponential(n: int, a_size: int, guard: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# element-level verification on explicit sets
+# element-level verification on the instance's own tables
 # ---------------------------------------------------------------------------
 
-def exponential_table(y_size: int, a_size: int) -> list[tuple[int, ...]]:
-    """The elements of Y^A as image tuples, in deterministic code order."""
-    return list(itertools.product(range(y_size), repeat=a_size))
-
-
-def verify_elementwise(x_size: int, y_size: int, a_size: int) -> dict[str, bool]:
-    """Check the unit, the evaluation counit, the triangles, and the hom count
-    directly on explicit sets, with no category scaffolding.
-
-    The unit sends x to the function t -> (x, t); the counit sends (g, t) to
-    g(t); pairs (i, t) are coded as i*|A| + t.
+def verify_elementwise(inst: ProdExpInstance) -> dict[str, bool]:
+    """The pairing unit, both triangles and the hom counts, read from the
+    instance's hets against closed forms the kernel does not compute: u_k lies
+    in cell (k, k*|A|) and h . u_k = TimesA(h) . u_j for h: j -> k; each c in
+    cell (k, m) is u_k acted on by the map k*|A| -> m with c's images, and
+    dually each c in cell (b, pw_m) is e_m acted on by the map b -> m^|A| with
+    c's images, the e_m natural against the inclusion; |cell(k, m)| =
+    m^(k*|A|) and |cell(b, pw_m)| = (m^|A|)^b.
     """
-    exp_y = exponential_table(y_size, a_size)
-    exp_code = {g: i for i, g in enumerate(exp_y)}
-    # unit X -> (X x A)^A
-    exp_xa = exponential_table(x_size * a_size, a_size)
-    exp_xa_code = {g: i for i, g in enumerate(exp_xa)}
-    unit = {x: exp_xa_code[tuple(x * a_size + t for t in range(a_size))]
-            for x in range(x_size)}
-
-    def evaluate(g_code: int, t: int) -> int:
-        return exp_y[g_code][t]
-
-    unit_is_pairing = all(
-        exp_xa[unit[x]][t] == x * a_size + t
-        for x in range(x_size) for t in range(a_size))
-    # triangle on the product side: eval_(X x A) after (unit x A) is the identity
-    exp_xa_of_xa = exponential_table(x_size * a_size, a_size)
-    triangle_product = all(
-        exp_xa_of_xa[unit[x]][t] == x * a_size + t
-        for x in range(x_size) for t in range(a_size))
-    # triangle on the power side: (eval_Y)^A after unit_(Y^A) is the identity
-    triangle_power = True
-    for g_code, g in enumerate(exp_y):
-        recovered = tuple(evaluate(g_code, t) for t in range(a_size))
-        if recovered != g:
-            triangle_power = False
-    hom_count = (y_size ** (x_size * a_size)) == (len(exp_y) ** x_size)
-    return {
-        "unit-is-pairing": unit_is_pairing,
-        "triangle-product-side": triangle_product,
-        "triangle-power-side": triangle_power,
-        "hom-count-cellwise": hom_count,
-    }
+    a = inst.a_size
+    core, refl = inst.coreflective_het, inst.reflective_het
+    us, es = inst.product_universals, inst.inclusion_universals
+    size = {p: int(p[2:]) ** a for p in refl.a_cat.objects}     # pw_m has m^|A| points
+    unit = all(core.cell_of(us[k]) == (k, str(int(k) * a)) for k in core.x_cat.objects) and all(
+        core.act_l(h.id, us[h.cod]) == core.act_r(inst.product_functor.on_mor(h.id), us[h.dom])
+        for h in core.x_cat.morphisms)
+    product = all(core.act_r(f"{int(k) * a}>{m}:{c.rpartition(':')[2]}", us[k]) == c
+                  for (k, m), cell in core.cells.items() for c in cell)
+    power = all(refl.act_l(f"{b}>{size[p]}:{c.rpartition(':')[2]}", es[p]) == c
+                for (b, p), cell in refl.cells.items() for c in cell) and all(
+        refl.act_r(k.id, es[k.dom]) == refl.act_l(inst.inclusion_functor.on_mor(k.id), es[k.cod])
+        for k in refl.a_cat.morphisms)
+    counts = all(len(cell) == int(m) ** (int(k) * a) for (k, m), cell in core.cells.items()) \
+        and all(len(cell) == size[p] ** int(b) for (b, p), cell in refl.cells.items())
+    return {"unit-is-pairing": unit, "triangle-product-side": product,
+            "triangle-power-side": power, "hom-count-cellwise": counts}

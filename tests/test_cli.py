@@ -520,9 +520,16 @@ _DOCUMENTS = {"ARRAY": "[1, 2]",
     (("demo", "colimits", "--shape", "bogus"), "unknown diagram shape 'bogus'; "
      "choose one of terminal, discrete-2, parallel-pair, span"),
     (("demo", "limits", "--n", "9"), "finset skeleton bound 9 exceeds guard 8"),
+    (("demo", "galois", "--map", "x}:a,y:b"),
+     "set elements must be non-empty and free of '{', '}' and ',': 'x}'"),
+    (("demo", "galois", "--map", "0:a,1:{b}"),
+     "set elements must be non-empty and free of '{', '}' and ',': '{b}'"),
+    (("demo", "galois", "--map", "0:a, :b"),
+     "set elements must be non-empty and free of '{', '}' and ',': ''"),
 ], ids=["adjoint-category", "factorize-category", "factorize-no-G-image", "map-empty-entry",
         "array-document", "no-payload", "pointed-guard", "preorder-guard", "prodexp-guard",
-        "unknown-shape", "skeleton-guard"])
+        "unknown-shape", "skeleton-guard", "map-brace-in-source", "map-brace-in-target",
+        "map-blank-source"])
 def test_error_paths_exit_two(capsys, request, tmp_path, argv, message):
     """Each exits 2 with its message, in text and in --json. Arguments that
     name a fixture or a _DOCUMENTS entry stand for that document's path."""

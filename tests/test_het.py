@@ -1,6 +1,8 @@
 """Het-bifunctor laws and the representability machinery, checked against
 independent brute-force oracles."""
 
+import functools
+import itertools
 import random
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetcat import (Adjunction, CandidateFailure, FinCategory, FinFunctor, HetBifunctor,
-                    KernelInvariantError, LeftRepresentation, NonRepresentabilityWitness,
+                    KernelInvariantError, LeftRepresentation, Morphism, NonRepresentabilityWitness,
                     RightRepresentation, StructuralError, build_adjunction, build_het,
                     check_bifunctor, check_functor, check_left_representation,
                     check_right_representation, co_universal_element_check,
@@ -896,12 +898,15 @@ def _failed_sides(result):
     pytest.param(name, seed, id=f"{name}-{seed}" if seed else name)
     for name in sorted(POOL) for seed in range(6)])
 def test_relabelling_ids_keeps_the_search_verdict(name, seed):
+    _assert_relabelling_keeps_the_verdict(POOL[name], seed)
+
+
+def _assert_relabelling_keeps_the_verdict(het, seed):
     # a represented side maps back to the original's adjoint up to the
     # canonical isomorphism; a failed side's index, mapped back, has no
     # universal element in the original, whichever index the scan met first;
     # and an adjunction passes every suite the CLI runs on it, whichever
     # automorphism the scan picked as its universal
-    het = POOL[name]
     found = build_adjunction(het)
     relabelled, back_x, back_a, back_c = _relabelled_het(het, seed)
     result = build_adjunction(relabelled)
@@ -925,6 +930,68 @@ def test_relabelling_ids_keeps_the_search_verdict(name, seed):
         got, want = ([(c["name"], {v["law"] for v in c["violations"]})
                       for c in _full_suite(adj, 20_000)] for adj in (result, found))
         assert got == want
+
+
+# -- a non-thin generator: groups as one-object categories ---------------------
+
+def _cyclic(n):
+    return [str(i) for i in range(n)], lambda f, g: str((int(f) + int(g)) % n), ["1"][:n - 1]
+
+
+def _s3():
+    # permutations of 0, 1, 2 as image strings; "f then g" is g after f
+    perms = ["".join(map(str, p)) for p in itertools.permutations(range(3))]
+    return perms, lambda f, g: "".join(g[int(i)] for i in f), ["102", "120"]
+
+
+GROUPS = {**{f"Z/{n}": _cyclic(n) for n in range(1, 7)}, "S3": _s3()}
+
+
+def _group_category(name):
+    elements, then, _ = GROUPS[name]
+    return FinCategory(name, ("*",), tuple(Morphism(g, "*", "*") for g in elements),
+                       {"*": elements[0]}, {(f, g): then(f, g) for f in elements for g in elements})
+
+
+@functools.cache
+def _homomorphisms(m, n):
+    """Every homomorphism from group m to group n, as an element map: each
+    assignment of the generators, extended along products and kept if it
+    respects every product."""
+    (ms, m_then, gens), (ns, n_then, _) = GROUPS[m], GROUPS[n]
+    found = []
+    for images in itertools.product(ns, repeat=len(gens)):
+        phi, frontier = {ms[0]: ns[0]}, [ms[0]]
+        while frontier:
+            x = frontier.pop()
+            for g, image in zip(gens, images):
+                if m_then(x, g) not in phi:
+                    phi[m_then(x, g)] = n_then(phi[x], image)
+                    frontier.append(m_then(x, g))
+        if all(phi[m_then(f, g)] == n_then(phi[f], phi[g]) for f in ms for g in ms):
+            found.append(phi)
+    return found
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(st.sampled_from(sorted(GROUPS)), st.data())
+def test_group_hom_along_a_homomorphism_is_left_represented_by_it(m, data):
+    # Hom_N(phi-, -) is left represented by phi with universal 1_N (Yoneda);
+    # it is right represented at * exactly when m -> phi(m) then e is a
+    # bijection M -> N for some e, that is, when phi is bijective. N is M
+    # half the time, so that automorphisms come up
+    n = data.draw(st.just(m) | st.sampled_from(sorted(GROUPS)))
+    phi = data.draw(st.sampled_from(_homomorphisms(m, n)))
+    source, target = _group_category(m), _group_category(n)
+    het = build_het(f"Hom_{n}(phi-,-)", source, target, lambda x, a: target.hom("*", "*"),
+                    lambda h, c: target.compose(phi[h], c), lambda k, c: target.compose(c, k))
+    fun = FinFunctor("phi", source, target, {"*": "*"}, dict(phi))
+    assert check_functor(fun).ok and check_bifunctor(het).ok
+    result = build_adjunction(het)
+    assert compare_left_representation(result.left, fun, {"*": target.id_of("*")}).ok
+    bijective = len(set(phi.values())) == len(phi) == len(target.morphisms)
+    assert isinstance(result.right, RightRepresentation) == bijective
+    _assert_relabelling_keeps_the_verdict(het, data.draw(st.integers(0, 5)))
 
 
 # -- negative controls for the representation checkers ------------------------

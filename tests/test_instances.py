@@ -2,13 +2,14 @@
 independent universal-property oracle, and each built-in adjunction against
 its formula expectations."""
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcat import (Adjunction, GuardExceeded, HalfAdjunction, StructuralError,
+from hetcat import (Adjunction, GuardExceeded, HalfAdjunction, HetBifunctor, StructuralError,
                     build_adjunction, check_bifunctor, check_category,
                     check_functor)
 from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
@@ -962,9 +963,37 @@ def test_pointed_left_representation(pointed2):
 
 # -- product-exponential ------------------------------------------------------------
 
-def test_prodexp_elementwise_laws():
-    for (x, y, a) in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (1, 2, 1), (2, 2, 1)]:
-        assert all(verify_elementwise(x, y, a).values())
+def test_prodexp_elementwise_laws(prodexp22):
+    for n, a in itertools.product(range(3), repeat=2):
+        inst = prodexp22 if (n, a) == (2, 2) else product_exponential(n, a)
+        assert list(verify_elementwise(inst).items()) == [
+            ("unit-is-pairing", True), ("triangle-product-side", True),
+            ("triangle-power-side", True), ("hom-count-cellwise", True)]
+
+
+def _rerouted(het, side, m, c, image):
+    tables = {"act_left": dict(het.act_left), "act_right": dict(het.act_right)}
+    tables[side][m] = {**tables[side][m], c: image}
+    return HetBifunctor(het.name, het.x_cat, het.a_cat, het.cells, **tables)
+
+
+def test_prodexp_elementwise_laws_fail_on_corrupted_tables(prodexp22):
+    inst, replace = prodexp22, dataclasses.replace
+    core, refl = inst.coreflective_het, inst.reflective_het
+    # the pairing at 1 swapped for the twist of its two codes
+    swapped = {**inst.product_universals, "1": "xa:1>2:1,0"}
+    # "u_1 then the twist of 2" sent to u_1 itself
+    twisted = _rerouted(core, "act_right", "2>2:1,0", "xa:1>2:0,1", "xa:1>2:0,1")
+    # "the point 0 of 4 then e_pw2" sent to the point 1
+    unswapped = _rerouted(refl, "act_left", "1>4:0", "re:4>pw2:0,1,2,3", "re:1>pw2:1")
+    short = HetBifunctor(refl.name, refl.x_cat, refl.a_cat,
+                         {**refl.cells, ("2", "pw2"): refl.cells[("2", "pw2")][1:]},
+                         refl.act_left, refl.act_right)
+    for key, bad in (("unit-is-pairing", replace(inst, product_universals=swapped)),
+                     ("triangle-product-side", replace(inst, coreflective_het=twisted)),
+                     ("triangle-power-side", replace(inst, reflective_het=unswapped)),
+                     ("hom-count-cellwise", replace(inst, reflective_het=short))):
+        assert not verify_elementwise(bad)[key], key
 
 
 def test_prodexp_singleton_exponent_is_identityish(prodexp21):
