@@ -71,7 +71,10 @@ class Adjunction:
     def f_of(self, c: str) -> str:
         """The sending-side transpose f(c): x -> Ga of a heteromorphism."""
         x, a = self.het.cell_of(c)
-        return self.right.phi[(x, a)][c]
+        try:
+            return self.right.phi[(x, a)][c]
+        except KeyError:
+            raise StructuralError(f"phi at ({x}, {a}) has no entry for {c!r}") from None
 
     def g_of(self, c: str) -> str:
         """The receiving-side transpose g(c): Fx -> a of a heteromorphism."""
@@ -432,10 +435,13 @@ def four_bifunctor_iso(adj: Adjunction) -> LawReport:
     for x in xc.objects:
         for a in ac.objects:
             cell = het.cell(x, a)
-            psi_values = [adj.left.psi[(x, a)][g] for g in ac.hom(adj.F.on_obj(x), a)]
-            if sorted(psi_values) != sorted(cell):
+            psi, hom = adj.left.psi[(x, a)], ac.hom(adj.F.on_obj(x), a)
+            for g in hom:
+                if g not in psi:
+                    raise StructuralError(f"psi at ({x}, {a}) has no entry for {g!r}")
+            if sorted(map(psi.__getitem__, hom)) != sorted(cell):
                 rep.add("psi-bijective", (x, a), "psi is not onto the cell")
-            phi_values = [adj.right.phi[(x, a)][c] for c in cell]
+            phi_values = list(map(adj.f_of, cell))
             if sorted(phi_values) != sorted(xc.hom(x, adj.G.on_obj(a))):
                 rep.add("phi-bijective", (x, a), "phi is not onto Hom(x, Ga)")
             pairs = zb.cell(x, a)

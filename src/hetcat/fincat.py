@@ -13,6 +13,9 @@ morphism f at a time: every "(f then g) then h" against every
 instead: the g leaving an object y are grouped by the out-degree of cod g,
 so every block is an unpadded int array. numpy is optional (the `fast`
 extra) and imported only by such a table; without it the gathers decide.
+The rows and gathers are built once per category and kept with it
+(`_rows`): check_bifunctor decides the het laws over the same rows, and
+the same gathers decide right functoriality.
 Morphism identity is by id, never by label; labels are display-only and
 excluded from equality.
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import eq, itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import GuardExceeded, StructuralError
 from .report import LawReport
@@ -256,6 +259,54 @@ class NatTrans:
 # law checkers
 # ---------------------------------------------------------------------------
 
+class Rows(NamedTuple):
+    """The composition table of a category as one row per morphism."""
+
+    out: dict[str, list[str]]           # the morphisms leaving each object, in order
+    then: dict[str, tuple]              # m -> "m then n" for each n in out[cod m], or None
+    cod: dict[str, str]
+    typed: bool                         # every row total, each "m then n" ending at cod n
+    # gather[y] picks "f then (g then h)" for every g leaving y and h leaving
+    # cod g from the row of f: y needs each such "g then h" recorded, leaving y
+    gather: dict[str, Callable[[tuple], tuple]]
+    exact: bool                         # typed, every gather, no entry beyond the rows
+
+
+def _rows(cat: FinCategory) -> Rows:
+    """The rows of `cat`, built once per category and kept with it, for
+    check_category and check_bifunctor."""
+    if "_rows" not in cat.__dict__:
+        mor, comp = cat._mor, cat.comp
+        out: dict[str, list[str]] = {}
+        for m in cat.morphisms:
+            out.setdefault(m.dom, []).append(m.id)
+        ids = {m: m for m in mor}
+        cod = {m: mm.cod for m, mm in mor.items()}
+        nexts = {m: out.get(y, ()) for m, y in cod.items()}     # every n with "m then n"
+        # each entry is the morphism's own id object, so rows share their strings
+        then = {m: tuple(map(ids.get, map(comp.get, zip(repeat(m), ns))))
+                for m, ns in nexts.items()}
+        typed = all(map(eq, map(cod.get, chain.from_iterable(then.values())),
+                        map(cod.get, chain.from_iterable(nexts.values()))))
+        gather = {}
+        for y, gs in out.items():
+            place = dict(zip(gs, count()))
+            at = tuple(map(place.get, chain.from_iterable(map(then.__getitem__, gs))))
+            if None not in at:
+                gather[y] = _picker(at)
+        exact = (typed and len(gather) == len(out)
+                 and sum(map(len, then.values())) == len(comp))
+        object.__setattr__(cat, "_rows", Rows(out, then, cod, typed, gather, exact))
+    return cat._rows
+
+
+def _picker(at: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The tuple of a row's entries at positions `at`, in one C call."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return lambda row: tuple(map(row.__getitem__, at))
+
+
 def check_category(cat: FinCategory) -> LawReport:
     """Exhaustively check the category laws; empty report iff cat is a category.
 
@@ -277,28 +328,9 @@ def check_category(cat: FinCategory) -> LawReport:
             rep.add("identity-totality", (x,), "object has no identity morphism")
         elif m.dom != x or m.cod != x:
             rep.add("identity-shape", (x, m.id), f"identity has type {m.dom} -> {m.cod}")
-    out: dict[str, list[str]] = {}
-    for m in cat.morphisms:
-        out.setdefault(m.dom, []).append(m.id)
-    ids = {m: m for m in mor}
-    cod = {m: mm.cod for m, mm in mor.items()}
-    nexts = {m: out.get(y, ()) for m, y in cod.items()}     # every n with "m then n"
-    # the row of m: "m then n" for each n, as the morphism's own id object or None
-    then = {m: tuple(map(ids.get, map(comp.get, zip(repeat(m), ns)))) for m, ns in nexts.items()}
-    # every row is total and each "m then n" in it ends where n does
-    typed = all(map(eq, map(cod.get, chain.from_iterable(then.values())),
-                    map(cod.get, chain.from_iterable(nexts.values()))))
-    # gather[y] picks "f then (g then h)" for every g leaving y and h leaving
-    # cod g from the row of f: y needs each such "g then h" recorded, leaving y
-    gather = {}
-    for y, gs in out.items():
-        place = dict(zip(gs, count()))
-        at = tuple(map(place.get, chain.from_iterable(map(then.__getitem__, gs))))
-        if None not in at:
-            gather[y] = (itemgetter(*at) if len(at) > 1
-                         else lambda row, at=at: tuple(map(row.__getitem__, at)))
+    out, then, cod, typed, gather, exact = _rows(cat)
     # composition table defined on exactly the composable pairs, with the right shape
-    if not typed or len(gather) != len(out) or sum(map(len, then.values())) != len(comp):
+    if not exact:
         for (f, g), h in comp.items():
             mf, mg, mh = mor[f], mor[g], mor[h]
             if mf.cod != mg.dom:
@@ -333,14 +365,14 @@ def check_category(cat: FinCategory) -> LawReport:
             if f not in suspects:
                 continue
         elif ((pick := gather.get(cod[f])) is not None
-                and (typed or tuple(map(cod.get, row)) == tuple(map(cod.get, nexts[f])))
+                and (typed or tuple(map(cod.get, row)) == tuple(map(cod.get, out[cod[f]])))
                 and pick(row) == tuple(chain.from_iterable(map(then.__getitem__, row)))):
             continue
-        for g, fg in zip(nexts[f], row):
+        for g, fg in zip(out.get(cod[f], ()), row):
             if fg is None:
                 rep.add("composition-totality", (f, g), "composable pair missing from the table")
                 continue
-            for h, gh in zip(nexts[g], then[g]):
+            for h, gh in zip(out.get(cod[g], ()), then[g]):
                 lh, rh = comp.get((fg, h)), comp.get((f, gh))
                 if gh is not None and (lh != rh or lh is None):
                     rep.add("associativity", (f, g, h), f"(f.g).h = {lh}, f.(g.h) = {rh}")

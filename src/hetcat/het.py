@@ -6,6 +6,17 @@ of the sending category, contravariant) and a right action (postcomposition by
 morphisms of the receiving category, covariant). The two actions commute: the
 bimodule law (k.c).h = k.(c.h).
 
+Read as arrows x => a, the heteromorphisms make the collage of X and A
+(Benabou, Distributors at work): one category holding X's arrows, A's arrows
+and the het's, composed by the two actions. The bifunctor laws are then the
+collage's associativity on the triples that hold one het arrow, and
+check_bifunctor decides them as check_category decides associativity: each
+action table becomes rows over its fiber, and one itemgetter per object
+compares every row with the rows of its entries, joined, at C speed, over
+the composition rows each category keeps (`fincat._rows`). Only a het those
+rows cannot certify is walked element by element, which names the
+witnesses and raises the structural errors.
+
 Representability on the left means each Het(x, -) has a universal element
 (Fx, h_x); the assignment x -> Fx then extends to a functor by a unique
 fill-in and the cells become naturally isomorphic to hom-sets out of Fx.
@@ -21,11 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, count, islice, repeat
+from operator import attrgetter, eq
 from typing import Callable, Union
 
 from .errors import StructuralError
-from .fincat import FinCategory, FinFunctor, check_functor, opposite
+from .fincat import FinCategory, FinFunctor, _picker, _rows, check_functor, opposite
 from .report import LawReport
 
 
@@ -145,17 +157,31 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
     """Check identity actions, two-sided functoriality, and the bimodule law.
 
     Action entries that are missing or land in the wrong cell are structural
-    errors and raise; only genuine law violations are reported. Each side is
-    checked by the same loops: the left action is contravariant (h: x' -> x
-    sends cell (x, a) to (x', a)), the right one covariant. The bimodule pass
-    walks the non-empty cells only: an empty cell holds no instance.
+    errors and raise; only genuine law violations are reported.
+
+    The three laws are the collage's associativity on the triples that hold
+    one het arrow (module docstring): (X, X, het) is left functoriality,
+    (het, A, A) right functoriality and (X, het, A) the bimodule law.
+    `_action_rows` reads every action table as rows over its fiber, which is
+    the whole structural pass when each table is exactly its fiber and in
+    place, and `_collage_rows_agree` decides the three laws on those rows
+    and the categories' own (`fincat._rows`). Anything in doubt takes the
+    loops below, which name every witness and raise the structural errors:
+    a table that is missing, not exactly its fiber or sends an element
+    outside its cell, a category whose rows are not exactly its composable
+    pairs, or a row that disagrees. The loops check each side alike: the
+    left action is contravariant (h: x' -> x sends cell (x, a) to (x', a)),
+    the right one covariant; the bimodule loop walks the non-empty cells
+    only, since an empty cell holds no instance. The identity laws always
+    take their loop.
     """
     rep = LawReport(f"bifunctor {het.name}")
     xc, ac = het.x_cat, het.a_cat
     sides = (("left", xc, ac.objects, het.act_left, True),
              ("right", ac, xc.objects, het.act_right, False))
+    rows = _action_rows(het)
     # structural: totality and cell placement of every action entry
-    for side, cat, others, acts, contra in sides:
+    for side, cat, others, acts, contra in (sides if rows is None else ()):
         for m in cat.morphisms:
             table = acts.get(m.id)
             if table is None:
@@ -169,6 +195,7 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                     if het.cell_of(table[c]) != dst:
                         raise StructuralError(f"{het.name}: {side} action of {m.id} sends "
                                               f"{c} outside cell ({dst[0]}, {dst[1]})")
+    walk = rows is None or not _collage_rows_agree(het, *rows)
     for side, cat, _, acts, contra in sides:
         # identity actions are identities; an object without an identity is
         # check_category's identity-totality violation, not a het law
@@ -179,7 +206,7 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                             (f"1.{c}" if contra else f"{c}.1") + f" = {image}")
         # functoriality: act(f then g) is act(g) after act(f) on the right,
         # act(f) after act(g) on the left
-        for (f, g), fg in cat.comp.items():
+        for (f, g), fg in (cat.comp.items() if walk else ()):
             first, then = (acts[g], acts[f]) if contra else (acts[f], acts[g])
             for c, image in acts[fg].items():
                 step = first.get(c)
@@ -187,6 +214,8 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                 if image != two:
                     rep.add(f"{side}-functoriality", (f, g, c),
                             f"act({fg})({c}) = {image}, stepwise = {two}")
+    if not walk:
+        return rep.normalize()
     # bimodule associativity (k.c).h = k.(c.h), over the non-empty cells at cod h
     nonempty = {x: [(a, cell) for a in ac.objects if (cell := het.cells[(x, a)])]
                 for x in xc.objects}
@@ -202,6 +231,100 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                         rep.add("bimodule-associativity", (h.id, k, c),
                                 f"(k.c).h = {lhs}, k.(c.h) = {rhs}")
     return rep.normalize()
+
+
+def _action_rows(het: HetBifunctor):
+    """Both action tables as rows over their fibers, or None where an action
+    table is missing, is not defined on exactly its fiber, or sends an
+    element outside its cell.
+
+    The fiber of x on the left is row x, every element of every cell (x, a),
+    and that of a on the right is column a. Returns (row, column, H, R): H[h]
+    is (c.h for c in row cod h) and R[c] is (k.c for k leaving the column of
+    c, in the order of A's rows). Each side's tables are read over their
+    fibers by one chain of `map`s, and the cells their images land in by one
+    more over `_cell_of`.
+    """
+    xc, ac, cell_of = het.x_cat, het.a_cat, het._cell_of
+    row: dict[str, list[str]] = {x: [] for x in xc.objects}
+    column: dict[str, list[str]] = {a: [] for a in ac.objects}
+    row_cells: dict[str, list[str]] = {x: [] for x in xc.objects}     # the a of each
+    column_cells: dict[str, list[str]] = {a: [] for a in ac.objects}  # the x of each
+    for c, (x, a) in cell_of.items():
+        row[x].append(c)
+        column[a].append(c)
+        row_cells[x].append(a)
+        column_cells[a].append(x)
+
+    # the tables of `ids`, each over its fiber, whose images must land in `cells`
+    def read(acts, ids, fibers, cells):
+        tables = list(map(acts.get, ids))
+        if None in tables or list(map(len, tables)) != list(map(len, fibers)):
+            return None
+        images = list(map(tuple, map(map, map(attrgetter("get"), tables), fibers)))
+        if not all(map(eq, map(cell_of.get, chain.from_iterable(images)),
+                       chain.from_iterable(cells))):
+            return None
+        return images
+
+    hs, ar = xc.morphisms, _rows(ac)
+    left = read(het.act_left, [h.id for h in hs], [row[h.cod] for h in hs],
+                map(zip, map(repeat, [h.dom for h in hs]), [row_cells[h.cod] for h in hs]))
+    # A's morphisms grouped by domain, in the order of its rows
+    ks = list(chain.from_iterable(ar.out.values()))
+    doms = [a for a, out in ar.out.items() for _ in out]
+    right = None if left is None else read(
+        het.act_right, ks, list(map(column.__getitem__, doms)),
+        map(zip, map(column_cells.__getitem__, doms), map(repeat, map(ar.cod.__getitem__, ks))))
+    if right is None:
+        return None
+    R = dict.fromkeys(cell_of, ())          # an element of a column no morphism leaves
+    right = iter(right)
+    for a, out in ar.out.items():
+        R.update(zip(column[a], zip(*islice(right, len(out)))))
+    return row, column, dict(zip([h.id for h in hs], left)), R
+
+
+def _collage_rows_agree(het: HetBifunctor, row, column, H, R) -> bool:
+    """Do the three collage laws hold? Each is decided by check_category's rule,
+    "pick(row) == the rows of the row's entries, joined", over the rows of
+    `_action_rows`, and only where both categories' rows are exactly their
+    composable pairs, so the instances are the walk's.
+
+    - Right functoriality, per element c of column a: R[c] picked by A's own
+      gather[a] is ((k then l).c), and the R rows of its entries joined are
+      (l.(k.c)).
+    - Left functoriality, per f ending at x: H[f] picked at the places in row
+      x of each e.g, for g leaving x and e in row cod g, is ((e.g).f), and
+      the H rows of "f then g" over g, joined, are (e.(f then g)).
+    - Bimodule, per h ending at x: H[h] picked at the places in row x of
+      each k.c, for c in row x and k leaving its column, is ((k.c).h), and
+      the R rows of H[h]'s entries joined are (k.(c.h)).
+    """
+    xr, ar = _rows(het.x_cat), _rows(het.a_cat)
+    if not (xr.exact and ar.exact):
+        return False
+    Hget, Rget, then = H.__getitem__, R.__getitem__, xr.then.__getitem__
+    for a, pick in ar.gather.items():
+        rows = list(map(Rget, column[a]))
+        joined = map(chain.from_iterable, map(map, repeat(Rget), rows))
+        if not all(map(eq, map(pick, rows), map(tuple, joined))):
+            return False
+    into: dict[str, list[str]] = {}
+    for m in het.x_cat.morphisms:
+        into.setdefault(m.cod, []).append(m.id)
+    for x, fs in into.items():
+        place = dict(zip(row[x], count())).__getitem__
+        hs = list(map(Hget, fs))
+        # both laws in one row: the places of each e.g, then of each k.c
+        pick = _picker(tuple(map(place, chain(
+            chain.from_iterable(map(Hget, xr.out.get(x, ()))),
+            chain.from_iterable(map(Rget, row[x]))))))
+        joined = map(chain, map(chain.from_iterable, map(map, repeat(Hget), map(then, fs))),
+                     map(chain.from_iterable, map(map, repeat(Rget), hs)))
+        if not all(map(eq, map(pick, hs), map(tuple, joined))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

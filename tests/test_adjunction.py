@@ -623,6 +623,17 @@ def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
     assert [v.witness for v in report.violations if v.law == "z-bijective"] == [("1", "2")]
 
 
+def test_four_bifunctor_iso_names_a_missing_transpose(skeleton2):
+    # F moved at 0 makes psi miss every g: F0 -> a; an empty phi table at a
+    # non-empty cell misses its element: each is a StructuralError naming the
+    # cell and the entry, as in the other suites, not a bare KeyError
+    adj = ur_adjunction(skeleton2)
+    with pytest.raises(StructuralError, match=r"psi at \(0, 1\) has no entry for '1>1:0'"):
+        four_bifunctor_iso(_with(adj, "left.functor.obj_map", {"0": "1"}))
+    with pytest.raises(StructuralError, match=r"phi at \(1, 1\) has no entry for '1>1:0'"):
+        four_bifunctor_iso(_with(adj, "right.phi", {("1", "1"): {}}))
+
+
 def test_image_squares_report_a_right_adjoint_that_moves_an_identity(skeleton2):
     # a G that is not a functor breaks both components; the round trip
     # reports the bifunctor laws its abstract het then fails

@@ -1,6 +1,7 @@
 """Het-bifunctor laws and the representability machinery, checked against
 independent brute-force oracles."""
 
+import contextlib
 import functools
 import itertools
 import random
@@ -18,13 +19,15 @@ from hetcat import (Adjunction, CandidateFailure, FinCategory, FinFunctor, HetBi
                     compare_left_representation, compare_right_representation,
                     dual, find_left_representation, find_right_representation,
                     hom_bifunctor, universal_element_check)
+from hetcat import het as het_module
 from hetcat.cli import _full_suite
+from hetcat.fincat import _rows
 from hetcat.instances import (colimits_adjunction, finset_skeleton,
                               galois_connections, limits_adjunction,
                               pointed_free_forgetful, preorder_adjunction_chain,
                               product_exponential)
 from hetcat.report import LawReport
-from test_fincat import _relabelled
+from test_fincat import _relabelled, _swapped
 
 
 # -- hom bifunctor ------------------------------------------------------------
@@ -828,11 +831,39 @@ def _reference_check_bifunctor(het):
     return rep.normalize()
 
 
+def _mutate_composite(het, data):
+    """One composition entry of X or A rerouted to a parallel morphism,
+    dropped, or added for a pair that does not compose."""
+    side = data.draw(st.sampled_from(("x_cat", "a_cat")))
+    cat = getattr(het, side)
+    comp = dict(cat.comp)
+    how = data.draw(st.sampled_from(("reroute", "drop", "add")))
+    if how == "add":
+        pairs = sorted((f.id, g.id) for f in cat.morphisms for g in cat.morphisms
+                       if f.cod != g.dom)
+        if pairs:
+            comp[data.draw(st.sampled_from(pairs))] = data.draw(
+                st.sampled_from(sorted(m.id for m in cat.morphisms)))
+    else:
+        pair = data.draw(st.sampled_from(sorted(comp)))
+        if how == "drop":
+            del comp[pair]
+        else:
+            h = cat.morphism(comp[pair])
+            comp[pair] = data.draw(st.sampled_from(
+                [k for k in cat.hom(h.dom, h.cod) if k != h.id] or [h.id]))
+    return replace(het, **{side: replace(cat, comp=comp)})
+
+
 def _mutate_actions(het, data):
-    """A rerouted, dropped or extra action entry, or a dropped action table."""
-    kind = data.draw(st.sampled_from(("reroute", "drop-entry", "drop-table", "extra-key")))
+    """A rerouted, misplaced, dropped or extra action entry, a dropped action
+    table, or a changed composition entry of either category."""
+    kind = data.draw(st.sampled_from(
+        ("reroute", "misplace", "drop-entry", "drop-table", "extra-key", "composite")))
     if kind == "reroute":
         return _reroute_action(het, data)
+    if kind == "composite":
+        return _mutate_composite(het, data)
     tables = {"act_left": {m: dict(t) for m, t in het.act_left.items()},
               "act_right": {m: dict(t) for m, t in het.act_right.items()}}
     acts = tables[data.draw(st.sampled_from(sorted(tables)))]
@@ -840,6 +871,9 @@ def _mutate_actions(het, data):
     elements = sorted(het.elements)
     if kind == "drop-table":
         del acts[data.draw(st.sampled_from(sorted(acts)))]
+    elif kind == "misplace" and entries:
+        m, c = data.draw(st.sampled_from(entries))
+        acts[m][c] = data.draw(st.sampled_from(elements))
     elif kind == "drop-entry" and entries:
         m, c = data.draw(st.sampled_from(entries))
         del acts[m][c]
@@ -849,14 +883,102 @@ def _mutate_actions(het, data):
     return HetBifunctor(het.name, het.x_cat, het.a_cat, dict(het.cells), **tables)
 
 
-@settings(deadline=None, derandomize=True)
+@contextlib.contextmanager
+def _certified():
+    """Yields the list of what the collage-row decider returned, one entry
+    per check_bifunctor call that reached it: True where the rows certified
+    the three collage laws, so no law loop ran."""
+    found, real = [], het_module._collage_rows_agree
+
+    def spy(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(het_module, "_collage_rows_agree", spy)
+        yield found
+
+
+def _collage_laws_hold(report):
+    """Only identity laws, which the rows leave to their loop, are violated."""
+    return {v.law for v in report.violations} <= {"identity-left-action",
+                                                   "identity-right-action"}
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
 @given(st.sampled_from(sorted(POOL)), st.integers(0, 2), st.data())
 def test_check_bifunctor_matches_reference(name, n_mutations, data):
     het = POOL[name]
     for _ in range(n_mutations):
         het = _mutate_actions(het, data)
     # a report equals down to law, witness and detail; a raise down to its message
-    assert _call(check_bifunctor, het) == _call(_reference_check_bifunctor, het)
+    with _certified() as found:
+        got = _call(check_bifunctor, het)
+    want = _call(_reference_check_bifunctor, het)
+    assert got == want
+    assert True not in found or _collage_laws_hold(want)
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_valid_hets_are_certified_by_their_rows(name):
+    """Every valid POOL het, limits_adjunction("parallel-pair", 1).het among
+    them, passes on the rows alone: the decider runs and certifies it."""
+    het = POOL[name]
+    assert _reference_check_bifunctor(het).ok
+    with _certified() as found:
+        assert check_bifunctor(het).ok
+    assert found == [True]
+
+
+def _single_reroutes(het):
+    """Every het that differs from `het` in one entry: an action entry sent
+    to another element of its cell, or a composite of X or A sent to a
+    parallel morphism."""
+    for side in ("act_left", "act_right"):
+        tables = getattr(het, side)
+        for m, table in tables.items():
+            for c, image in table.items():
+                for other in sorted(set(het.cell(*het.cell_of(image))) - {image}):
+                    yield replace(het, **{side: {**tables, m: {**table, c: other}}})
+    for side in ("x_cat", "a_cat"):
+        cat = getattr(het, side)
+        for pair, h in cat.comp.items():
+            for k in cat.hom(cat.dom(h), cat.cod(h)):
+                if k != h:
+                    yield replace(het, **{side: replace(cat, comp={**cat.comp, pair: k})})
+
+
+# preorder2-poset alone has about 1,500 single reroutes (2.6 s); the
+# hypothesis test above samples it
+@pytest.mark.parametrize("name", sorted(set(POOL) - {"preorder2-poset"}))
+def test_rows_certify_exactly_the_lawful_single_reroutes(name):
+    """The rows certify a het with one entry changed exactly when its three
+    collage laws hold, and every report equals the reference's."""
+    for mutant in _single_reroutes(POOL[name]):
+        with _certified() as found:
+            report = check_bifunctor(mutant)
+        want = _reference_check_bifunctor(mutant)
+        assert report == want
+        assert found == [_collage_laws_hold(want)]
+
+
+def test_replaced_category_gets_fresh_rows(skeleton2):
+    """Rows are kept with the category they were built from: a category made
+    by dataclasses.replace builds its own, so a swapped composite of A is no
+    longer certified."""
+    het = hom_bifunctor(skeleton2)
+    with _certified() as found:
+        assert check_bifunctor(het).ok
+    assert found == [True]
+    swapped = replace(skeleton2, comp=_swapped(skeleton2).comp)
+    assert _rows(swapped) is not _rows(skeleton2)
+    assert _rows(swapped).then != _rows(skeleton2).then
+    broken = replace(het, a_cat=swapped)
+    with _certified() as found:
+        report = check_bifunctor(broken)
+    assert found == [False]
+    assert "right-functoriality" in {v.law for v in report.violations}
+    assert report == _reference_check_bifunctor(broken)
 
 
 # -- id relabelling: the search may not depend on id text or table order ------
