@@ -3,20 +3,13 @@ executable form of the comma-category definition of an adjunction.
 
 A comma category is tabulated once, over dense ints. Object i is the i-th
 source triple in sorted order; morphism n is the n-th commuting pair in
-enumeration order; composition is one int row per morphism, filled by
-`fincat.composition_rows` from the components (k, h). Those rows and the
-`index` depend only on the morphism tables and the two component
-categories, so a comma built with a `sibling` over the same categories
-(`is`) and with equal `dom`, `cod`, `ks`, `hs` and `start` shares the
-sibling's `index` and `rows`; the enumeration, its commuting-square test and
-`ident` are still each comma's own. The equivalence checks pass each comma
-the one built just before it. The string view
-(`base`, the projections, `objects_data`, `morphisms_data`) is built on
-first access. The comma isomorphisms map objects by int and are checked on
-the int tables alone, in one pass that decides and names each witness in the
-string view's ids; two commas numbered alike are compared row for row, with
-no relabelling. `lawvere_iso_check` checks the two isomorphisms out of the
-het comma; the third is their composite.
+enumeration order, kept as its key (dom, cod, k, h). A comma composes
+componentwise, so its keys are its whole structure: no composition table is
+stored. The comma isomorphisms map objects by int and morphisms by key, and
+are checked on the int tables alone, naming each witness `o{i}`/`m{n}`; two
+commas numbered alike are compared with no lookup. `lawvere_iso_check`
+checks the two isomorphisms out of the het comma; the third is their
+composite.
 """
 
 from __future__ import annotations
@@ -24,34 +17,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
-from itertools import compress, count, repeat
-from operator import attrgetter, ne, sub
+from operator import attrgetter
 
 from .adjunction import Adjunction
 from .errors import GuardExceeded, StructuralError
 # check_functor stays importable: bench/tracing.py rebinds hetcat.comma.check_functor
-from .fincat import (FinCategory, FinFunctor, Morphism, _row_getters, check_functor,
-                     composition_rows, composition_table, identity_functor)
+from .fincat import FinCategory, FinFunctor, _row_getters, check_functor, identity_functor
 from .het import HetBifunctor, hom_bifunctor
 from .report import LawReport
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CommaCategory:
-    """A comma category, stored as int tables, with a lazy string view.
+    """A comma category, stored as int tables.
 
     `triples[i]` is object i: (left source object, right source object,
     connecting datum); the datum is a morphism id for the functor form and a
     het element id for the bifunctor form. Morphism n runs from `dom[n]` to
     `cod[n]` with components `ks[n]` (left) and `hs[n]` (right); `index`
-    maps (dom, cod, k, h) back to n. The morphisms leaving object i are
-    `range(start[i], start[i + 1])`. `ident[i]` is the identity of object i
-    (None if none commutes), and `rows[n]` holds the composite of n with each
-    morphism leaving `cod[n]`, in order (None where there is none);
-    `complete` says no row holds None, computed on first access.
-
-    `base`, `pi0`, `pi1`, `objects_data` and `morphisms_data` are the string
-    view, with objects `o{i}` and morphisms `m{n}`, built on first access.
+    maps (dom, cod, k, h) back to n and is built on first access. The
+    morphisms leaving object i are `range(start[i], start[i + 1])`.
+    Composition is componentwise and identities are the keys (i, i, 1, 1).
     """
 
     name: str
@@ -62,60 +48,15 @@ class CommaCategory:
     cod: list[int]
     ks: list[str]
     hs: list[str]
-    index: dict[tuple[int, int, str, str], int]
     start: list[int]
-    ident: list[int | None]
-    rows: list[tuple[int | None, ...]]
 
     def __repr__(self) -> str:
         return (f"CommaCategory({self.name!r}, {len(self.triples)} objects, "
                 f"{len(self.dom)} morphisms)")
 
     @cached_property
-    def complete(self) -> bool:
-        return all(None not in row for row in self.rows)
-
-    @cached_property
-    def _oids(self) -> list[str]:
-        return [f"o{i}" for i in range(len(self.triples))]
-
-    @cached_property
-    def _mids(self) -> list[str]:
-        return [f"m{n}" for n in range(len(self.dom))]
-
-    @cached_property
-    def objects_data(self) -> dict[str, tuple[str, str, str]]:
-        return dict(zip(self._oids, self.triples))
-
-    @cached_property
-    def morphisms_data(self) -> dict[str, tuple[str, str]]:
-        return dict(zip(self._mids, zip(self.ks, self.hs)))
-
-    @cached_property
-    def base(self) -> FinCategory:
-        oids, mids = self._oids, self._mids
-        return FinCategory(
-            name=self.name,
-            objects=tuple(oids),
-            morphisms=tuple(Morphism(mid, oids[s], oids[d], label=f"({k},{h})")
-                            for mid, s, d, k, h in zip(mids, self.dom, self.cod,
-                                                       self.ks, self.hs)),
-            identity={oids[i]: mids[n] for i, n in enumerate(self.ident) if n is not None},
-            comp=composition_table(mids, self.cod, self.start, self.rows),
-            obj_labels={oid: f"({t[0]},{t[1]},{t[2]})" for oid, t in zip(oids, self.triples)},
-        )
-
-    @cached_property
-    def pi0(self) -> FinFunctor:
-        return FinFunctor(f"{self.name}.pi0", self.base, self.left_cat,
-                          {oid: t[0] for oid, t in zip(self._oids, self.triples)},
-                          dict(zip(self._mids, self.ks)))
-
-    @cached_property
-    def pi1(self) -> FinFunctor:
-        return FinFunctor(f"{self.name}.pi1", self.base, self.right_cat,
-                          {oid: t[1] for oid, t in zip(self._oids, self.triples)},
-                          dict(zip(self._mids, self.hs)))
+    def index(self) -> dict[tuple[int, int, str, str], int]:
+        return {key: n for n, key in enumerate(zip(self.dom, self.cod, self.ks, self.hs))}
 
 
 _TABLES = attrgetter("dom", "cod", "ks", "hs", "start")
@@ -123,8 +64,7 @@ _TABLES = attrgetter("dom", "cod", "ks", "hs", "start")
 
 def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
               triples: list[tuple[str, str, str]],
-              commutes, guard: int, *, sibling: CommaCategory | None = None
-              ) -> CommaCategory:
+              commutes, guard: int) -> CommaCategory:
     """Shared construction: enumerate morphism pairs over the given objects.
 
     `commutes(src_triple, dst_triple, k, h)` decides whether the pair (k, h)
@@ -132,8 +72,7 @@ def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
     by source, destination by destination in object order, k then h in hom
     order, and only where both homs are non-empty: destinations are reached
     through the out-homs of the two source categories, not by scanning all
-    pairs of objects. With equal tables over the same categories as
-    `sibling`, the index and composition rows are the sibling's own.
+    pairs of objects.
     """
     triples = sorted(triples)
     if len(triples) > guard:
@@ -170,26 +109,15 @@ def _tabulate(name: str, left_cat: FinCategory, right_cat: FinCategory,
                         raise GuardExceeded(
                             f"{name}: morphism count exceeds guard {guard}", len(dom))
         start.append(len(dom))
-    if sibling is not None and sibling.left_cat is left_cat and \
-            sibling.right_cat is right_cat and _TABLES(sibling) == (dom, cod, ks, hs, start):
-        index, rows = sibling.index, sibling.rows
-    else:
-        index = {key: n for n, key in enumerate(zip(dom, cod, ks, hs))}
-        rows = composition_rows(dom, cod, (ks, hs), start,
-                                (_row_getters(left_cat), _row_getters(right_cat)), index)
-    ident = [index.get((i, i, left_cat.id_of(t[0]), right_cat.id_of(t[1])))
-             for i, t in enumerate(triples)]
-    return CommaCategory(name, left_cat, right_cat, triples, dom, cod, ks, hs,
-                         index, start, ident, rows)
+    return CommaCategory(name, left_cat, right_cat, triples, dom, cod, ks, hs, start)
 
 
-def comma_of_functors(left: FinFunctor, right: FinFunctor, guard: int = 10_000, *,
-                      sibling: CommaCategory | None = None) -> CommaCategory:
+def comma_of_functors(left: FinFunctor, right: FinFunctor,
+                      guard: int = 10_000) -> CommaCategory:
     """The comma category of two functors into a shared target.
 
     Objects are triples (a, b, m) with m: left(a) -> right(b); a morphism
-    (k, h) requires "m then right(h)" to equal "left(k) then m'". A
-    `sibling` lends its derived tables where they are equal (`_tabulate`).
+    (k, h) requires "m then right(h)" to equal "left(k) then m'".
     """
     if left.target != right.target:
         raise StructuralError("comma_of_functors: functors have different targets")
@@ -215,16 +143,14 @@ def comma_of_functors(left: FinFunctor, right: FinFunctor, guard: int = 10_000, 
         return lhs == rhs
 
     return _tabulate(f"({left.name},{right.name})",
-                     left.source, right.source, triples, commutes, guard, sibling=sibling)
+                     left.source, right.source, triples, commutes, guard)
 
 
-def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000, *,
-                       sibling: CommaCategory | None = None) -> CommaCategory:
+def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000) -> CommaCategory:
     """The comma category of a het-bifunctor: objects are its elements.
 
     A morphism from c to c' is a pair (j, k) with k.c = c'.j, the commuting
-    square condition stated in the actions. A `sibling` lends its derived
-    tables where they are equal (`_tabulate`).
+    square condition stated in the actions.
     """
     triples = [
         (x, a, c)
@@ -239,8 +165,7 @@ def comma_of_bifunctor(het: HetBifunctor, guard: int = 10_000, *,
         except KeyError:        # a missing action: the checked calls raise
             return het.act_r(k, src[2]) == het.act_l(j, dst[2])
 
-    return _tabulate(f"comma[{het.name}]", het.x_cat, het.a_cat,
-                     triples, commutes, guard, sibling=sibling)
+    return _tabulate(f"comma[{het.name}]", het.x_cat, het.a_cat, triples, commutes, guard)
 
 
 def _comma_iso(first: CommaCategory, second: CommaCategory,
@@ -249,65 +174,53 @@ def _comma_iso(first: CommaCategory, second: CommaCategory,
     and morphisms by their (k, h) component pairs is a functorial isomorphism
     over the projections.
 
-    One pass over the int tables, naming each violation in the string
-    view's ids `o{i}`/`m{n}`. An object map that is not a bijection onto
-    `range(len(second.triples))`, or a morphism with no counterpart, ends the
-    check; identities, composition and the projections on objects are then
-    checked in full. A morphism's image is the morphism with its (dom, cod,
-    k, h) key, so the map keeps both components. Numbered alike (the
-    identity object map and equal dom, cod, ks, hs and start lists), that is
-    the morphism itself, taken with no lookup, and composition rows are
-    compared as they stand.
+    One pass over the int tables, naming each violation `o{i}`/`m{n}`. An
+    object map that is not a bijection onto `range(len(second.triples))`, or
+    a morphism with no counterpart, ends the check; the projections on
+    objects are then checked in full. A morphism's image is the morphism
+    with its (dom, cod, k, h) key, so the map keeps both components.
+    Numbered alike (the identity object map and equal dom, cod, ks, hs and
+    start lists), that is the morphism itself, taken with no lookup.
+
+    Identities and composition are preserved once every morphism has its
+    image (`morphism-correspondence`, `morphism-bijection`), so they are not
+    checked. Every caller compares two commas over the same component
+    categories (X and A; each representation's functor is built over the
+    het's own), a comma composes componentwise in them, and the morphism
+    map keeps components and maps dom and cod by omap:
+    - the composite of n and g, where it exists, has the key (dom n, cod g,
+      k_n;k_g, h_n;h_g), so its image has the key (omap dom n, omap cod g,
+      k_n;k_g, h_n;h_g), which is the key of mor[n];mor[g];
+    - the identity of object i is the key (i, i, 1, 1), so its image has the
+      key (omap i, omap i, 1, 1), the identity of omap[i].
     """
     rep = LawReport(subject)
     n_obj = len(first.triples)
     if len(omap) != n_obj or len(second.triples) != n_obj or set(omap) != set(range(n_obj)):
         rep.add("object-bijection", (), "object correspondence is not a bijection")
         return rep
-    alike = omap == list(range(n_obj)) and _TABLES(first) == _TABLES(second)
-    at = omap.__getitem__
-    mor = list(range(len(first.dom))) if alike else list(map(
-        second.index.get, zip(map(at, first.dom), map(at, first.cod), first.ks, first.hs)))
-    if None in mor:
-        for n, (m, k, h) in enumerate(zip(mor, first.ks, first.hs)):
-            if m is None:
-                rep.add("morphism-correspondence", (f"m{n}", k, h),
-                        "component pair is not a morphism of the second comma category")
-    # the first comma's keys are distinct and omap is injective, so the
-    # matched images are distinct: counting them decides the bijection
-    matched = len(mor) - mor.count(None)
-    if matched != len(second.dom):
-        rep.add("morphism-bijection", (),
-                f"{matched} of {len(mor)} morphisms matched, target has {len(second.dom)}")
-    if not rep.ok:
-        return rep.normalize()
-    ident2, triples2 = second.ident, second.triples
-    for i, (n, t, j) in enumerate(zip(first.ident, first.triples, omap)):
-        if n is not None and mor[n] != ident2[j]:
-            rep.add("identity-preservation", (f"o{i}",), f"image of m{n} is m{mor[n]}")
+    if omap != list(range(n_obj)) or _TABLES(first) != _TABLES(second):
+        at = omap.__getitem__
+        mor = list(map(second.index.get,
+                       zip(map(at, first.dom), map(at, first.cod), first.ks, first.hs)))
+        if None in mor:
+            for n, (m, k, h) in enumerate(zip(mor, first.ks, first.hs)):
+                if m is None:
+                    rep.add("morphism-correspondence", (f"m{n}", k, h),
+                            "component pair is not a morphism of the second comma category")
+        # the first comma's keys are distinct and omap is injective, so the
+        # matched images are distinct: counting them decides the bijection
+        matched = len(mor) - mor.count(None)
+        if matched != len(second.dom):
+            rep.add("morphism-bijection", (),
+                    f"{matched} of {len(mor)} morphisms matched, target has {len(second.dom)}")
+        if not rep.ok:
+            return rep.normalize()
+    triples2 = second.triples
+    for i, (t, j) in enumerate(zip(first.triples, omap)):
         if t[:2] != triples2[j][:2]:
             rep.add("projection-compatibility", (f"o{i}",),
                     "iso does not commute with the projections")
-    # composition, one row at a time: n's row mapped through mor equals mor[n]'s
-    # row, re-indexed by position in the target's out-lists (numbered alike, n's
-    # own row; a None in a target row never equals a mapped int). A row that
-    # differs, or any row of an incomplete first comma, is walked entry by entry
-    start1, start2, rows1, rows2 = first.start, second.start, first.rows, second.rows
-    perm = [tuple(map(sub, mor[a:b], repeat(start2[j])))
-            for a, b, j in zip(start1, start1[1:], omap)]
-    mor_at = mor.__getitem__
-    differ = range(len(rows1))
-    if first.complete:
-        differ = compress(count(), map(ne, rows1, rows2)) if alike else \
-            [n for n, d, row in zip(count(), first.cod, rows1)
-             if tuple(map(mor_at, row)) != tuple(map(rows2[mor[n]].__getitem__, perm[d]))]
-    for n in differ:
-        d, image = first.cod[n], rows2[mor[n]]
-        for g, h, p in zip(count(start1[d]), rows1[n], perm[d]):
-            if h is not None and mor[h] != image[p]:
-                got = "None" if image[p] is None else f"m{image[p]}"
-                rep.add("composition-preservation", (f"m{n}", f"m{g}"),
-                        f"F(f then g) = m{mor[h]} but Ff then Fg = {got}")
     return rep.normalize()
 
 
@@ -331,14 +244,12 @@ def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
     is c -> f(c) after the inverse of c -> g(c) = psi_inv(c). Once the latter
     passes, psi is injective on each Hom(Fx, a), so psi_inv(c) = g exactly
     when psi(g) = c; all three map morphisms by their (k, h), and composites
-    of isomorphisms over the projections are such. Each comma takes the one
-    built before it as its sibling.
+    of isomorphisms over the projections are such.
     """
     rep = LawReport(f"comma-category equivalence of {adj.het.name}")
     left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat), guard)
-    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard,
-                                    sibling=left_comma)
-    het_comma = comma_of_bifunctor(adj.het, guard, sibling=right_comma)
+    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard)
+    het_comma = comma_of_bifunctor(adj.het, guard)
     # het comma -> (F, 1_A) by the receiving-side transpose g(c)
     rep.extend(_iso_along(het_comma, left_comma, lambda x, a, c: adj.g_of(c),
                           "het comma ~ (F,1) over the projections"))
@@ -352,14 +263,13 @@ def half_lawvere_iso_check(het: HetBifunctor, left_rep, guard: int = 10_000) -> 
     """One-sided form: a left representation alone makes the het comma
     isomorphic to (F, 1_A) over the projections."""
     left_comma = comma_of_functors(left_rep.functor, identity_functor(het.a_cat), guard)
-    return _iso_along(comma_of_bifunctor(het, guard, sibling=left_comma), left_comma,
+    return _iso_along(comma_of_bifunctor(het, guard), left_comma,
                       left_rep.psi_inv, f"het comma ~ (F,1) for {het.name}")
 
 
 def hom_comma_equivalence(cat: FinCategory, guard: int = 10_000) -> LawReport:
     """comma_of_bifunctor(hom) is isomorphic to comma_of_functors(1, 1)."""
     het_comma = comma_of_bifunctor(hom_bifunctor(cat), guard)
-    fun_comma = comma_of_functors(identity_functor(cat), identity_functor(cat), guard,
-                                  sibling=het_comma)
+    fun_comma = comma_of_functors(identity_functor(cat), identity_functor(cat), guard)
     return _iso_along(het_comma, fun_comma, lambda x, a, c: c,
                       f"hom comma ~ identity comma for {cat.name}")

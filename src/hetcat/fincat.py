@@ -20,8 +20,9 @@ Morphism identity is by id, never by label; labels are display-only and
 excluded from equality.
 
 Comma and functor categories are subcategories of a product: a morphism is a
-tuple of component morphisms, composed componentwise (CWM II.4, II.6). Both
-fill their composition tables through `composition_rows`. One generator,
+tuple of component morphisms, composed componentwise (CWM II.4, II.6). A
+functor category fills its composition table through `composition_rows`; a
+comma keeps no table (`comma.CommaCategory`). One generator,
 `natural_transformations`, lists the functor category's morphisms and the
 cones and cocones of `instances.limits`: transformations from and to a
 constant diagram.

@@ -401,8 +401,8 @@ def _reference_lawvere_iso_check(adj):
     """lawvere_iso_check with the direct iso (F, 1_A) ~ (1_X, G) checked first."""
     rep = LawReport(f"comma-category equivalence of {adj.het.name}")
     left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat))
-    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, sibling=left_comma)
-    het_comma = comma_of_bifunctor(adj.het, sibling=right_comma)
+    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G)
+    het_comma = comma_of_bifunctor(adj.het)
     rep.extend(_iso_along(left_comma, right_comma,
                           lambda x, a, g: adj.right.phi[(x, a)][adj.left.psi[(x, a)][g]],
                           "(F,1) ~ (1,G) over the projections"))

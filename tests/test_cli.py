@@ -637,6 +637,22 @@ def test_factorize_unknown_id_exits_two(capsys, galois_bundle):
     assert code == 2
 
 
+def test_factorize_on_a_het_with_no_right_representation_exits_one(capsys, tmp_path):
+    # the pointed-set het of n = 2 is only left representable: factorize
+    # reports why and stops before the element is looked at
+    path = tmp_path / "pointed.json"
+    code, _ = run(capsys, "demo", "pointed", "--n", "2", "--export", str(path))
+    assert code == 0
+    code, out = run(capsys, "factorize", str(path), "sp:0>1:", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert (data["command"], data["exit"]) == ("factorize", 1)
+    assert [(c["name"], c["ok"]) for c in data["checks"]] == [
+        ("bifunctor laws", True), ("birepresentability", False)]
+    assert data["checks"][1]["notes"][0] == "failed sides: right"
+    assert "zig_zag" not in data
+
+
 @pytest.mark.parametrize("argv", [
     ("demo", "ur", "--n", "1"),
     ("demo", "limits", "--shape", "parallel-pair", "--n", "1"),

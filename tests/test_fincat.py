@@ -346,6 +346,14 @@ def test_unresolved_id_is_structural_error():
                     {"x": "f"}, {})
 
 
+def test_duplicate_ids_are_structural_errors():
+    with pytest.raises(StructuralError, match="twice: duplicate object ids"):
+        FinCategory("twice", ("x", "x"), (Morphism("f", "x", "x"),), {"x": "f"}, {})
+    with pytest.raises(StructuralError, match="twice: duplicate morphism ids"):
+        FinCategory("twice", ("x",), (Morphism("f", "x", "x"), Morphism("f", "x", "x")),
+                    {"x": "f"}, {})
+
+
 def test_identity_functor_passes(skeleton2):
     assert check_functor(identity_functor(skeleton2)).ok
 
