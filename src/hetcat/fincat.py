@@ -6,16 +6,17 @@ Composition is written in diagrammatic order throughout: ``comp[(f, g)]`` is
 "f then g" for f: x -> y and g: y -> z.
 
 Law checking is exhaustive, which is affordable and trustworthy at desk
-scale. Associativity still covers every composable triple, but compares one
-morphism f at a time: every "(f then g) then h" against every
-"f then (g then h)", gathered at C speed. On a table with more than
-`BLOCK_CUTOFF` composable triples, numpy compares whole blocks of f's
-instead: the g leaving an object y are grouped by the out-degree of cod g,
-so every block is an unpadded int array. numpy is optional (the `fast`
-extra) and imported only by such a table; without it the gathers decide.
-The rows and gathers are built once per category and kept with it
-(`_rows`): check_bifunctor decides the het laws over the same rows, and
-the same gathers decide right functoriality.
+scale, and decides before it walks. Each category keeps its rows (`_rows`):
+"f then g" for each g, per f. A decider returns the suspects, the keys
+whose row, picked, differs from the rows of its entries, joined
+(`_suspects`, at C speed); only their instances are walked, which names the
+witnesses. Associativity suspects f, and check_bifunctor decides the het
+laws by the same rule over the same rows. On a table with more than
+`BLOCK_CUTOFF` composable triples, numpy decides associativity in blocks of
+f's instead: the g leaving an object y are grouped by the out-degree of
+cod g, so every block is an unpadded int array. numpy is optional (the
+`fast` extra) and imported only by such a table; without it the gathers
+decide.
 Morphism identity is by id, never by label; labels are display-only and
 excluded from equality.
 
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
-from operator import eq, itemgetter
+from itertools import chain, compress, count, repeat
+from operator import eq, itemgetter, ne
 from typing import Callable, NamedTuple
 
 from .errors import GuardExceeded, StructuralError
@@ -264,6 +264,7 @@ class Rows(NamedTuple):
     """The composition table of a category as one row per morphism."""
 
     out: dict[str, list[str]]           # the morphisms leaving each object, in order
+    into: dict[str, list[str]]          # the morphisms ending at each object, in order
     then: dict[str, tuple]              # m -> "m then n" for each n in out[cod m], or None
     cod: dict[str, str]
     typed: bool                         # every row total, each "m then n" ending at cod n
@@ -275,12 +276,14 @@ class Rows(NamedTuple):
 
 def _rows(cat: FinCategory) -> Rows:
     """The rows of `cat`, built once per category and kept with it, for
-    check_category and check_bifunctor."""
+    check_category, check_bifunctor and `_row_getters`."""
     if "_rows" not in cat.__dict__:
         mor, comp = cat._mor, cat.comp
         out: dict[str, list[str]] = {}
+        into: dict[str, list[str]] = {}
         for m in cat.morphisms:
             out.setdefault(m.dom, []).append(m.id)
+            into.setdefault(m.cod, []).append(m.id)
         ids = {m: m for m in mor}
         cod = {m: mm.cod for m, mm in mor.items()}
         nexts = {m: out.get(y, ()) for m, y in cod.items()}     # every n with "m then n"
@@ -297,8 +300,15 @@ def _rows(cat: FinCategory) -> Rows:
                 gather[y] = _picker(at)
         exact = (typed and len(gather) == len(out)
                  and sum(map(len, then.values())) == len(comp))
-        object.__setattr__(cat, "_rows", Rows(out, then, cod, typed, gather, exact))
+        object.__setattr__(cat, "_rows", Rows(out, into, then, cod, typed, gather, exact))
     return cat._rows
+
+
+def _suspects(keys, pick, rows, parts):
+    """The keys whose row, picked, differs from their parts joined, at C speed:
+    the one rule of check_category and check_bifunctor. `rows` and `parts`
+    (each an iterable of rows) run alongside `keys`."""
+    return compress(keys, map(ne, map(pick, rows), map(tuple, map(chain.from_iterable, parts))))
 
 
 def _picker(at: tuple[int, ...]) -> Callable[[tuple], tuple]:
@@ -311,15 +321,15 @@ def _picker(at: tuple[int, ...]) -> Callable[[tuple], tuple]:
 def check_category(cat: FinCategory) -> LawReport:
     """Exhaustively check the category laws; empty report iff cat is a category.
 
-    Associativity covers every composable triple (f, g, h), one f at a time:
-    for f: x -> y, an itemgetter for y gathers every "f then (g then h)" out
-    of the row of f in one C call, to compare with the rows of "f then g"
-    over g, joined. Above `BLOCK_CUTOFF` composable triples, once every row
-    is total and well typed, numpy decides instead, in int blocks grouped by
-    y and by the out-degree of cod g (`_block_suspects`). numpy is imported
-    only then, and where it cannot be, the gathers decide. Either way, an f
-    whose rows are not all total and well typed, or whose two sides differ,
-    is walked triple by triple to name its witnesses.
+    Associativity covers every composable triple (f, g, h), walked triple by
+    triple only for the suspect f, to name the witnesses. For the f ending
+    at y, an itemgetter for y gathers every "f then (g then h)" out of the
+    row of f, and `_suspects` returns the f where that differs from the rows
+    of "f then g" over g, joined. Above `BLOCK_CUTOFF` composable triples,
+    once every row is total and well typed, numpy decides instead, in int
+    blocks grouped by y and by the out-degree of cod g (`_block_suspects`);
+    numpy is imported only then, and where it cannot be, the gathers
+    decide. A row that is not total and well typed is always a suspect.
     """
     rep = LawReport(f"category {cat.name}")
     mor, comp = cat._mor, cat.comp
@@ -329,7 +339,7 @@ def check_category(cat: FinCategory) -> LawReport:
             rep.add("identity-totality", (x,), "object has no identity morphism")
         elif m.dom != x or m.cod != x:
             rep.add("identity-shape", (x, m.id), f"identity has type {m.dom} -> {m.cod}")
-    out, then, cod, typed, gather, exact = _rows(cat)
+    out, into, then, cod, typed, gather, exact = _rows(cat)
     # composition table defined on exactly the composable pairs, with the right shape
     if not exact:
         for (f, g), h in comp.items():
@@ -347,29 +357,30 @@ def check_category(cat: FinCategory) -> LawReport:
             rep.add("left-identity", (m.id,), f"id then {m.id} = {left}")
         if right != m.id:
             rep.add("right-identity", (m.id,), f"{m.id} then id = {right}")
-    # above the cut-off, numpy blocks decide which f to walk; numpy is imported
-    # only then, and a run without it keeps the gathers
+    # above the cut-off, numpy blocks decide, if numpy can be imported
     suspects = None
     if typed and len(gather) == len(out):
-        ending = Counter(cod.values())
         # a composable triple is an f ending where g starts and an h leaving cod g
-        triples = sum(ending[m.dom] * len(out.get(m.cod, ())) for m in cat.morphisms)
+        triples = sum(len(into.get(m.dom, ())) * len(out.get(m.cod, ())) for m in cat.morphisms)
         if triples > BLOCK_CUTOFF:
             try:
                 import numpy
             except ImportError:
                 pass
             else:
-                suspects = _block_suspects(numpy, out, then, cod)
-    for f, row in then.items():
-        if suspects is not None:
-            if f not in suspects:
-                continue
-        elif ((pick := gather.get(cod[f])) is not None
-                and (typed or tuple(map(cod.get, row)) == tuple(map(cod.get, out[cod[f]])))
-                and pick(row) == tuple(chain.from_iterable(map(then.__getitem__, row)))):
-            continue
-        for g, fg in zip(out.get(cod[f], ()), row):
+                suspects = _block_suspects(numpy, out, into, then, cod)
+    if suspects is None:
+        suspects, get = set(), then.__getitem__
+        for y, fs in into.items():
+            if not typed:       # a row not total and well typed is walked
+                ys = tuple(map(cod.get, out.get(y, ())))
+                suspects.update(f for f in fs if tuple(map(cod.get, then[f])) != ys)
+                fs = [f for f in fs if f not in suspects]
+            # with no gather for y, nothing is picked, so an f with a triple differs
+            pick, rows = gather.get(y, _picker(())), list(map(get, fs))
+            suspects.update(_suspects(fs, pick, rows, map(map, repeat(get), rows)))
+    for f in suspects:
+        for g, fg in zip(out.get(cod[f], ()), then[f]):
             if fg is None:
                 rep.add("composition-totality", (f, g), "composable pair missing from the table")
                 continue
@@ -380,7 +391,7 @@ def check_category(cat: FinCategory) -> LawReport:
     return rep.normalize()
 
 
-def _block_suspects(np, out, then, cod) -> set[str]:
+def _block_suspects(np, out, into, then, cod) -> set[str]:
     """The f with some "(f then g) then h" unequal to "f then (g then h)",
     decided in numpy blocks; every row must be total and well typed.
 
@@ -394,9 +405,6 @@ def _block_suspects(np, out, then, cod) -> set[str]:
     chunk of f's at a time so each temporary stays near `_BLOCK` entries.
     """
     num = dict(zip(then, count()))
-    into: dict[str, list[str]] = {}
-    for m in then:
-        into.setdefault(cod[m], []).append(m)
     width = {z: len(out.get(z, ())) for z in into}
     stacks: dict[int, list[str]] = {}
     first = {}
@@ -585,33 +593,31 @@ def pair_id(a: str, b: str) -> str:
 
 
 def _row_getters(cat: FinCategory) -> dict[str, Callable[[str], str | None]]:
-    """f -> the `get` of {g: f then g}, over the composable entries of the
-    composition table. Built once per category and kept with it."""
+    """f -> the `get` of {g: f then g} over the composable pairs, read from
+    the kept rows (`_rows`). Built once per category and kept with it."""
     if "_row_getters" not in cat.__dict__:
-        rows: dict[str, dict[str, str]] = {m.id: {} for m in cat.morphisms}
-        for (f, g), h in cat.comp.items():
-            if cat._mor[f].cod == cat._mor[g].dom:
-                rows[f][g] = h
-        object.__setattr__(cat, "_row_getters", {f: row.get for f, row in rows.items()})
+        rows = _rows(cat)
+        object.__setattr__(cat, "_row_getters", {
+            f: dict(zip(rows.out.get(rows.cod[f], ()), row)).get for f, row in rows.then.items()})
     return cat._row_getters
 
 
-def composition_rows(dom, cod, slots, start, getters, index) -> list[tuple[int | None, ...]]:
+def composition_rows(dom, cod, slots, start, then, index) -> list[tuple[int | None, ...]]:
     """The composition rows of a category of component tuples.
 
     Morphism n runs from object `dom[n]` to `cod[n]` with component
-    `slots[s][n]` in slot s, composed by the row getters `getters[s]`; those
-    leaving object i are `range(start[i], start[i + 1])`. Row n holds "n then
-    m" for each m leaving `cod[n]`, looked up in `index` by (dom[n], cod[m],
-    *slotwise composites), None where absent: one map/zip chain, with no
-    Python loop per morphism.
+    `slots[s][n]` in slot s, every slot composed by the row getters `then`
+    (`_row_getters`); those leaving object i are `range(start[i],
+    start[i + 1])`. Row n holds "n then m" for each m leaving `cod[n]`,
+    looked up in `index` by (dom[n], cod[m], *slotwise composites), None
+    where absent: one map/zip chain, with no Python loop per morphism.
     """
     spans = list(zip(start, start[1:]))
     out_cod = [cod[a:b] for a, b in spans]
     composites = []
-    for slot, get in zip(slots, getters):
+    for slot in slots:
         outs = [slot[a:b] for a, b in spans]
-        composites.append(map(map, map(get.__getitem__, slot), map(outs.__getitem__, cod)))
+        composites.append(map(map, map(then.__getitem__, slot), map(outs.__getitem__, cod)))
     keys = map(zip, map(repeat, dom), map(out_cod.__getitem__, cod), *composites)
     return list(map(tuple, map(map, repeat(index.get), keys)))
 
@@ -714,7 +720,7 @@ def functor_category(shape: FinCategory, target: FinCategory,
     # a composite is looked up by (source functor, target functor, components)
     index = {(d, c, *combo): n for n, (d, c, combo) in enumerate(zip(dom, cod, combos))}
     slots = list(zip(*combos))
-    rows = composition_rows(dom, cod, slots, start, [_row_getters(target)] * len(slots), index)
+    rows = composition_rows(dom, cod, slots, start, _row_getters(target), index)
     return FunctorCategory(
         name=f"{target.name}^{shape.name}",
         objects=tuple(f.name for f in funs),

@@ -11,11 +11,11 @@ Read as arrows x => a, the heteromorphisms make the collage of X and A
 and the het's, composed by the two actions. The bifunctor laws are then the
 collage's associativity on the triples that hold one het arrow, and
 check_bifunctor decides them as check_category decides associativity: each
-action table becomes rows over its fiber, and one itemgetter per object
-compares every row with the rows of its entries, joined, at C speed, over
-the composition rows each category keeps (`fincat._rows`). Only a het those
-rows cannot certify is walked element by element, which names the
-witnesses and raises the structural errors.
+action table becomes rows over its fiber, and `fincat._suspects` returns
+the X morphisms and elements whose row differs from the rows of its
+entries, joined, over the rows each category keeps (`fincat._rows`). Only
+their instances are walked, to name the witnesses; a het the rows cannot
+decide is walked whole, which raises the structural errors.
 
 Representability on the left means each Het(x, -) has a universal element
 (Fx, h_x); the assignment x -> Fx then extends to a functor by a unique
@@ -37,7 +37,7 @@ from operator import attrgetter, eq
 from typing import Callable, Union
 
 from .errors import StructuralError
-from .fincat import FinCategory, FinFunctor, _picker, _rows, check_functor, opposite
+from .fincat import FinCategory, FinFunctor, _picker, _rows, _suspects, check_functor, opposite
 from .report import LawReport
 
 
@@ -164,16 +164,17 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
     (het, A, A) right functoriality and (X, het, A) the bimodule law.
     `_action_rows` reads every action table as rows over its fiber, which is
     the whole structural pass when each table is exactly its fiber and in
-    place, and `_collage_rows_agree` decides the three laws on those rows
-    and the categories' own (`fincat._rows`). Anything in doubt takes the
-    loops below, which name every witness and raise the structural errors:
-    a table that is missing, not exactly its fiber or sends an element
-    outside its cell, a category whose rows are not exactly its composable
-    pairs, or a row that disagrees. The loops check each side alike: the
-    left action is contravariant (h: x' -> x sends cell (x, a) to (x', a)),
-    the right one covariant; the bimodule loop walks the non-empty cells
-    only, since an empty cell holds no instance. The identity laws always
-    take their loop.
+    place, and `_collage_suspects` decides the three laws on those rows and
+    the categories' own (`fincat._rows`). The loops below walk only the
+    instances its suspects cover, which names every witness: (f, g, .) and
+    (f, ., .) for a suspect f of X, on the left and in the bimodule law, and
+    (., ., c) for a suspect element c on the right. Where the rows cannot
+    decide, every instance is walked and the structural errors raise: a
+    table missing, not exactly its fiber or sending an element outside its
+    cell, or a category whose rows are not exactly its composable pairs.
+    The left action is contravariant (h: x' -> x sends cell (x, a) to
+    (x', a)), the right one covariant; the bimodule loop walks the non-empty
+    cells only. The identity laws always take their loop.
     """
     rep = LawReport(f"bifunctor {het.name}")
     xc, ac = het.x_cat, het.a_cat
@@ -195,7 +196,7 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                     if het.cell_of(table[c]) != dst:
                         raise StructuralError(f"{het.name}: {side} action of {m.id} sends "
                                               f"{c} outside cell ({dst[0]}, {dst[1]})")
-    walk = rows is None or not _collage_rows_agree(het, *rows)
+    xs, cs = rows and _collage_suspects(het, *rows) or (set(xc._mor), set(het._cell_of))
     for side, cat, _, acts, contra in sides:
         # identity actions are identities; an object without an identity is
         # check_category's identity-totality violation, not a het law
@@ -206,29 +207,28 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                             (f"1.{c}" if contra else f"{c}.1") + f" = {image}")
         # functoriality: act(f then g) is act(g) after act(f) on the right,
         # act(f) after act(g) on the left
-        for (f, g), fg in (cat.comp.items() if walk else ()):
+        for (f, g), fg in (cat.comp.items() if (xs if contra else cs) else ()):
+            if contra and f not in xs:
+                continue
             first, then = (acts[g], acts[f]) if contra else (acts[f], acts[g])
-            for c, image in acts[fg].items():
-                step = first.get(c)
-                two = then.get(step) if step is not None else None
-                if image != two:
+            table = acts[fg]
+            for c in (table if contra else table.keys() & cs):
+                two = then.get(first.get(c))
+                if table[c] != two:
                     rep.add(f"{side}-functoriality", (f, g, c),
-                            f"act({fg})({c}) = {image}, stepwise = {two}")
-    if not walk:
-        return rep.normalize()
+                            f"act({fg})({c}) = {table[c]}, stepwise = {two}")
     # bimodule associativity (k.c).h = k.(c.h), over the non-empty cells at cod h
     nonempty = {x: [(a, cell) for a in ac.objects if (cell := het.cells[(x, a)])]
                 for x in xc.objects}
-    for h in xc.morphisms:
-        left = het.act_left[h.id]
-        for a, cell in nonempty[h.cod]:
+    for h in xs:
+        left = het.act_left[h]
+        for a, cell in nonempty[xc._mor[h].cod]:
             for k in chain.from_iterable(ac._hom.get(a, {}).values()):
                 right = het.act_right[k]
                 for c in cell:
-                    lhs = left.get(right.get(c))
-                    rhs = right.get(left.get(c))
+                    lhs, rhs = left.get(right.get(c)), right.get(left.get(c))
                     if lhs != rhs or lhs is None:
-                        rep.add("bimodule-associativity", (h.id, k, c),
+                        rep.add("bimodule-associativity", (h, k, c),
                                 f"(k.c).h = {lhs}, k.(c.h) = {rhs}")
     return rep.normalize()
 
@@ -285,46 +285,40 @@ def _action_rows(het: HetBifunctor):
     return row, column, dict(zip([h.id for h in hs], left)), R
 
 
-def _collage_rows_agree(het: HetBifunctor, row, column, H, R) -> bool:
-    """Do the three collage laws hold? Each is decided by check_category's rule,
-    "pick(row) == the rows of the row's entries, joined", over the rows of
-    `_action_rows`, and only where both categories' rows are exactly their
-    composable pairs, so the instances are the walk's.
+def _collage_suspects(het: HetBifunctor, row, column, H, R):
+    """The X morphisms and the elements whose collage rows differ, by
+    `fincat._suspects` over the rows of `_action_rows`; None where a
+    category's rows are not exactly its composable pairs, which the walk
+    covers instead.
 
     - Right functoriality, per element c of column a: R[c] picked by A's own
       gather[a] is ((k then l).c), and the R rows of its entries joined are
       (l.(k.c)).
-    - Left functoriality, per f ending at x: H[f] picked at the places in row
-      x of each e.g, for g leaving x and e in row cod g, is ((e.g).f), and
-      the H rows of "f then g" over g, joined, are (e.(f then g)).
-    - Bimodule, per h ending at x: H[h] picked at the places in row x of
-      each k.c, for c in row x and k leaving its column, is ((k.c).h), and
-      the R rows of H[h]'s entries joined are (k.(c.h)).
+    - Left functoriality and the bimodule law, in one row per f ending at x:
+      H[f] picked at the places in row x of each e.g, for g leaving x and e
+      in row cod g, is ((e.g).f), against the H rows of "f then g" over g,
+      (e.(f then g)); picked at the places of each k.c, for c in row x and k
+      leaving its column, it is ((k.c).f), against the R rows of H[f]'s
+      entries, (k.(c.f)).
     """
     xr, ar = _rows(het.x_cat), _rows(het.a_cat)
     if not (xr.exact and ar.exact):
-        return False
+        return None
     Hget, Rget, then = H.__getitem__, R.__getitem__, xr.then.__getitem__
+    fs_suspect, cs_suspect = set(), set()
     for a, pick in ar.gather.items():
         rows = list(map(Rget, column[a]))
-        joined = map(chain.from_iterable, map(map, repeat(Rget), rows))
-        if not all(map(eq, map(pick, rows), map(tuple, joined))):
-            return False
-    into: dict[str, list[str]] = {}
-    for m in het.x_cat.morphisms:
-        into.setdefault(m.cod, []).append(m.id)
-    for x, fs in into.items():
+        cs_suspect.update(_suspects(column[a], pick, rows, map(map, repeat(Rget), rows)))
+    for x, fs in xr.into.items():
         place = dict(zip(row[x], count())).__getitem__
         hs = list(map(Hget, fs))
         # both laws in one row: the places of each e.g, then of each k.c
         pick = _picker(tuple(map(place, chain(
             chain.from_iterable(map(Hget, xr.out.get(x, ()))),
             chain.from_iterable(map(Rget, row[x]))))))
-        joined = map(chain, map(chain.from_iterable, map(map, repeat(Hget), map(then, fs))),
-                     map(chain.from_iterable, map(map, repeat(Rget), hs)))
-        if not all(map(eq, map(pick, hs), map(tuple, joined))):
-            return False
-    return True
+        fs_suspect.update(_suspects(fs, pick, hs, map(
+            chain, map(map, repeat(Hget), map(then, fs)), map(map, repeat(Rget), hs))))
+    return fs_suspect, cs_suspect
 
 
 # ---------------------------------------------------------------------------

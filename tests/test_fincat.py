@@ -135,6 +135,39 @@ def test_associativity_witnesses_match_triple_reference(base, data):
     assert check_category(mutant).violations == _reference_check_category(mutant).violations
 
 
+@contextlib.contextmanager
+def _gathered():
+    """Yields the list of every key `fincat._suspects` returns, call after call."""
+    found, real = [], fincat._suspects
+
+    def spy(*args):
+        keys = list(real(*args))
+        found.extend(keys)
+        return keys
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fincat, "_suspects", spy)
+        yield found
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(MUTATION_BASES)), st.data())
+def test_gathers_suspect_exactly_the_f_of_associativity_witnesses(base, data):
+    """One composite of a typed table rerouted to a parallel morphism keeps
+    every row total and well typed, so the gathers decide every f: the f
+    they return are those of the reference's associativity witnesses, each
+    once."""
+    cat = MUTATION_BASES[base]
+    pair = data.draw(st.sampled_from(sorted(cat.comp)))
+    h = cat.morphism(cat.comp[pair])
+    comp = {**cat.comp, pair: data.draw(st.sampled_from(cat.hom(h.dom, h.cod)))}
+    rerouted = FinCategory("rerouted", cat.objects, cat.morphisms, dict(cat.identity), comp)
+    want = _reference_check_category(rerouted).violations
+    with _gathered() as found:
+        assert check_category(rerouted).violations == want
+    assert sorted(found) == sorted({v.witness[0] for v in want if v.law == "associativity"})
+
+
 # -- id relabelling: a verdict may not depend on id text or table order -----
 
 def _relabelled(cat: FinCategory, seed: int) -> tuple[FinCategory, dict[str, str]]:

@@ -886,23 +886,27 @@ def _mutate_actions(het, data):
 @contextlib.contextmanager
 def _certified():
     """Yields the list of what the collage-row decider returned, one entry
-    per check_bifunctor call that reached it: True where the rows certified
-    the three collage laws, so no law loop ran."""
-    found, real = [], het_module._collage_rows_agree
+    per check_bifunctor call that reached it: None where a category's rows
+    cannot decide, else the suspect X morphisms and elements, so that no
+    law loop runs where both are empty."""
+    found, real = [], het_module._collage_suspects
 
     def spy(*args):
         found.append(real(*args))
         return found[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(het_module, "_collage_rows_agree", spy)
+        mp.setattr(het_module, "_collage_suspects", spy)
         yield found
 
 
-def _collage_laws_hold(report):
-    """Only identity laws, which the rows leave to their loop, are violated."""
-    return {v.law for v in report.violations} <= {"identity-left-action",
-                                                   "identity-right-action"}
+def _witness_keys(report):
+    """The suspects a decider must return for `report`: the f of its
+    left-functoriality witnesses with the h of its bimodule-associativity
+    ones, and the c of its right-functoriality witnesses."""
+    return ({v.witness[0] for v in report.violations
+             if v.law in ("left-functoriality", "bimodule-associativity")},
+            {v.witness[2] for v in report.violations if v.law == "right-functoriality"})
 
 
 @settings(deadline=None, derandomize=True, max_examples=200)
@@ -916,18 +920,21 @@ def test_check_bifunctor_matches_reference(name, n_mutations, data):
         got = _call(check_bifunctor, het)
     want = _call(_reference_check_bifunctor, het)
     assert got == want
-    assert True not in found or _collage_laws_hold(want)
+    # the suspects are exactly the keys of the witnesses, so no loop walks
+    # more than they cover and none misses one
+    for suspects in found:
+        assert suspects is None or suspects == _witness_keys(want)
 
 
 @pytest.mark.parametrize("name", sorted(POOL))
 def test_valid_hets_are_certified_by_their_rows(name):
     """Every valid POOL het, limits_adjunction("parallel-pair", 1).het among
-    them, passes on the rows alone: the decider runs and certifies it."""
+    them, passes on the rows alone: the decider runs and suspects nothing."""
     het = POOL[name]
     assert _reference_check_bifunctor(het).ok
     with _certified() as found:
         assert check_bifunctor(het).ok
-    assert found == [True]
+    assert found == [(set(), set())]
 
 
 def _single_reroutes(het):
@@ -952,33 +959,54 @@ def _single_reroutes(het):
 # hypothesis test above samples it
 @pytest.mark.parametrize("name", sorted(set(POOL) - {"preorder2-poset"}))
 def test_rows_certify_exactly_the_lawful_single_reroutes(name):
-    """The rows certify a het with one entry changed exactly when its three
-    collage laws hold, and every report equals the reference's."""
+    """The rows decide every het with one entry changed, their suspects are
+    exactly the keys of its collage-law witnesses, and every report equals
+    the reference's."""
     for mutant in _single_reroutes(POOL[name]):
         with _certified() as found:
             report = check_bifunctor(mutant)
         want = _reference_check_bifunctor(mutant)
         assert report == want
-        assert found == [_collage_laws_hold(want)]
+        assert found == [_witness_keys(want)]
 
 
 def test_replaced_category_gets_fresh_rows(skeleton2):
     """Rows are kept with the category they were built from: a category made
-    by dataclasses.replace builds its own, so a swapped composite of A is no
-    longer certified."""
+    by dataclasses.replace builds its own, so a swapped composite of A makes
+    elements suspect."""
     het = hom_bifunctor(skeleton2)
     with _certified() as found:
         assert check_bifunctor(het).ok
-    assert found == [True]
+    assert found == [(set(), set())]
     swapped = replace(skeleton2, comp=_swapped(skeleton2).comp)
     assert _rows(swapped) is not _rows(skeleton2)
     assert _rows(swapped).then != _rows(skeleton2).then
     broken = replace(het, a_cat=swapped)
     with _certified() as found:
         report = check_bifunctor(broken)
-    assert found == [False]
     assert "right-functoriality" in {v.law for v in report.violations}
     assert report == _reference_check_bifunctor(broken)
+    assert found == [_witness_keys(report)] and found[0][1]
+
+
+@pytest.mark.parametrize("side", ["act_right", "act_left"])
+def test_one_moved_entry_walks_only_its_suspects(side):
+    """colimits discrete-2 n=1 with the first entry of one action, in sorted
+    order, whose cell holds another element moved to that element: the
+    report is the reference's, and the suspects are its witness keys, not
+    empty and not the whole het."""
+    het = colimits_adjunction("discrete-2", 1).het
+    tables = getattr(het, side)
+    m, c, other = next((m, c, other) for m in sorted(tables) for c in sorted(tables[m])
+                       for other in het.cell(*het.cell_of(tables[m][c]))
+                       if other != tables[m][c])
+    moved = replace(het, **{side: {**tables, m: {**tables[m], c: other}}})
+    with _certified() as found:
+        report = check_bifunctor(moved)
+    assert report == _reference_check_bifunctor(moved) and not report.ok
+    [(xs, cs)] = found
+    assert (xs, cs) == _witness_keys(report) and (xs or cs)
+    assert xs < {f.id for f in het.x_cat.morphisms} and cs < set(het.elements)
 
 
 # -- id relabelling: the search may not depend on id text or table order ------
