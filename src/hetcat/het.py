@@ -101,8 +101,7 @@ class HetBifunctor:
         return tuple(self._cell_of)
 
     def __repr__(self) -> str:
-        total = sum(len(v) for v in self.cells.values())
-        return f"HetBifunctor({self.name!r}, {total} heteromorphisms)"
+        return f"HetBifunctor({self.name!r}, {len(self._cell_of)} heteromorphisms)"
 
 
 def build_het(name: str, x_cat: FinCategory, a_cat: FinCategory,
@@ -169,9 +168,10 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
     instances its suspects cover, which names every witness: (f, g, .) and
     (f, ., .) for a suspect f of X, on the left and in the bimodule law, and
     (., ., c) for a suspect element c on the right. Where the rows cannot
-    decide, every instance is walked and the structural errors raise: a
-    table missing, not exactly its fiber or sending an element outside its
-    cell, or a category whose rows are not exactly its composable pairs.
+    decide, every instance and every key of each table is walked, and the
+    structural errors raise: a table missing, not exactly its fiber (a key
+    that is no element among them) or sending an element outside its cell,
+    or a category whose rows are not exactly its composable pairs.
     The left action is contravariant (h: x' -> x sends cell (x, a) to
     (x', a)), the right one covariant; the bimodule loop walks the non-empty
     cells only. The identity laws always take their loop.
@@ -196,7 +196,10 @@ def check_bifunctor(het: HetBifunctor) -> LawReport:
                     if het.cell_of(table[c]) != dst:
                         raise StructuralError(f"{het.name}: {side} action of {m.id} sends "
                                               f"{c} outside cell ({dst[0]}, {dst[1]})")
-    xs, cs = rows and _collage_suspects(het, *rows) or (set(xc._mor), set(het._cell_of))
+    suspects = None if rows is None else _collage_suspects(het, *rows)
+    if suspects is None:    # walk every X morphism, and every key of every right table
+        suspects = set(xc._mor), set(chain.from_iterable(het.act_right.values()))
+    xs, cs = suspects
     for side, cat, _, acts, contra in sides:
         # identity actions are identities; an object without an identity is
         # check_category's identity-totality violation, not a het law
@@ -412,14 +415,10 @@ class NonRepresentabilityWitness:
 
 def _first_preimages(tables: dict[tuple[str, str], dict[str, str]]
                      ) -> dict[tuple[str, str], dict[str, str]]:
-    """Invert each cell's table; where two keys share an image, the first wins."""
-    inverse = {}
-    for cell, table in tables.items():
-        inv: dict[str, str] = {}
-        for key, image in table.items():
-            inv.setdefault(image, key)
-        inverse[cell] = inv
-    return inverse
+    """Invert each cell's table; where two keys share an image, the first wins,
+    being written last."""
+    return {cell: {image: key for key, image in reversed(table.items())}
+            for cell, table in tables.items()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -879,7 +879,9 @@ def _mutate_actions(het, data):
         del acts[m][c]
     elif kind == "extra-key" and elements:
         m = data.draw(st.sampled_from(sorted(acts)))
-        acts[m][data.draw(st.sampled_from(elements))] = data.draw(st.sampled_from(elements))
+        # an element outside the table's fiber, or an id that is no element
+        key = data.draw(st.sampled_from(elements + ["zzz"]))
+        acts[m][key] = data.draw(st.sampled_from(elements))
     return HetBifunctor(het.name, het.x_cat, het.a_cat, dict(het.cells), **tables)
 
 
@@ -1007,6 +1009,22 @@ def test_one_moved_entry_walks_only_its_suspects(side):
     [(xs, cs)] = found
     assert (xs, cs) == _witness_keys(report) and (xs or cs)
     assert xs < {f.id for f in het.x_cat.morphisms} and cs < set(het.elements)
+
+
+@pytest.mark.parametrize("side", ["act_right", "act_left"])
+def test_a_key_that_is_no_element_is_walked(side):
+    """An action table of a non-identity morphism given one more key, an id
+    that is no element: the rows cannot decide, and the walk still reads
+    every key of the table, so the report is the reference's functoriality
+    violation."""
+    het = colimits_adjunction("discrete-2", 1).het
+    cat, tables = (het.a_cat, het.act_right) if side == "act_right" else (het.x_cat, het.act_left)
+    m = next(m.id for m in cat.morphisms if m.id not in cat.identity.values())
+    extra = replace(het, **{side: {**tables, m: {**tables[m], "zzz": sorted(het.elements)[0]}}})
+    with _certified() as found:
+        report = check_bifunctor(extra)
+    assert report == _reference_check_bifunctor(extra) and found == []
+    assert {v.law for v in report.violations} == {side[4:] + "-functoriality"}
 
 
 # -- id relabelling: the search may not depend on id text or table order ------
