@@ -5,9 +5,7 @@ from __future__ import annotations
 from ..adjunction import Adjunction, build_adjunction
 from ..fincat import FinCategory
 from ..het import KernelInvariantError, hom_bifunctor
-from .finset import (Cone, Cocone, FinSetObject, SetDiagram, colimit_of,
-                     compose_cone_cocone, diagram_shape, finset_skeleton,
-                     limit_of, skeleton_functor_to_diagram)
+from .finset import colimit_of, diagram_shape, finset_skeleton, limit_of
 from .galois import GaloisInstance, all_functions, galois_connections, powerset_poset
 from .limits import (ColimitsInstance, LimitsInstance, colimits_adjunction,
                      limits_adjunction)
@@ -16,10 +14,8 @@ from .preorder import PreorderInstance, preorder_adjunction_chain
 from .prodexp import ProdExpInstance, product_exponential, verify_elementwise
 
 __all__ = [
-    "Cone", "Cocone", "FinSetObject", "SetDiagram", "colimit_of",
-    "compose_cone_cocone", "diagram_shape", "finset_skeleton", "limit_of",
-    "skeleton_functor_to_diagram", "GaloisInstance", "all_functions",
-    "galois_connections", "powerset_poset", "ColimitsInstance",
+    "colimit_of", "diagram_shape", "finset_skeleton", "limit_of", "GaloisInstance",
+    "all_functions", "galois_connections", "powerset_poset", "ColimitsInstance",
     "LimitsInstance", "colimits_adjunction", "limits_adjunction",
     "PointedInstance", "pointed_free_forgetful", "PreorderInstance",
     "preorder_adjunction_chain", "ProdExpInstance", "product_exponential",

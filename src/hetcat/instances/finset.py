@@ -1,6 +1,6 @@
 """Finite-set scaffolding: categories of finite functions and their function
-hets, the skeleton category of small finite sets, diagram shapes, explicit
-set-valued diagrams, and direct limit/colimit computation.
+hets, the skeleton category of small finite sets, diagram shapes, and direct
+limit/colimit computation.
 
 One tabulator pair serves every instance whose morphisms and heteromorphisms
 are plain functions between finite carriers. `function_category` lists every
@@ -18,16 +18,18 @@ acted on leg by leg: `function_het` (each function its own single leg) and
 the cone and cocone hets of `limits` are `leg_het` calls. `image_functor`
 is the functor that keeps each function's images and renames its endpoints.
 
-Limits are the compatible tuples (global sections) of a diagram; colimits are
-the blocks of the finest equivalence generated by relating each element to
-its images, computed by union-find with the minimal member as the canonical
-representative.
+A diagram is a functor shape -> FinSet<=n, read as it stands: the carrier
+of a shape object o is range(int(obj_map[o])), and an arrow m acts by
+fn_images(mor_map[m]). Its functor laws are `check_functor`'s business, and
+`functor_category` lists only functors. Limits are the compatible tuples
+(global sections) of a diagram; colimits are the blocks of the finest
+equivalence generated by relating each element to its images, computed by
+union-find with the least member as the canonical representative.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from itertools import repeat
 
 from ..errors import GuardExceeded, StructuralError
@@ -200,154 +202,17 @@ def diagram_shape(name: str) -> FinCategory:
     return FinCategory(name, objects, tuple(morphisms), identity, comp)
 
 
-def shape_is_connected(shape: FinCategory) -> bool:
-    """Connectivity of the underlying undirected graph of the shape."""
-    uf = _UnionFind(shape.objects)
-    for m in shape.morphisms:
-        uf.union(m.dom, m.cod)
-    return len({uf.find(o) for o in shape.objects}) <= 1
-
-
-# ---------------------------------------------------------------------------
-# explicit set-valued diagrams
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FinSetObject:
-    elements: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise StructuralError("finite set has repeated element symbols")
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True, eq=False)
-class SetDiagram:
-    """A functor from a diagram shape into explicit finite sets.
-
-    `values` assigns a FinSetObject to each shape object; `arrows` assigns to
-    each shape morphism a mapping dict between the corresponding element sets.
-    Functor laws are validated at construction.
-    """
-
-    shape: FinCategory
-    values: dict[str, FinSetObject]
-    arrows: dict[str, dict[str, str]]
-
-    def __post_init__(self):
-        for o in self.shape.objects:
-            if o not in self.values:
-                raise StructuralError(f"diagram missing value at {o!r}")
-        for m in self.shape.morphisms:
-            table = self.arrows.get(m.id)
-            if table is None:
-                raise StructuralError(f"diagram missing arrow at {m.id!r}")
-            dom, cod = self.values[m.dom], self.values[m.cod]
-            if set(table) != set(dom.elements) or not set(table.values()) <= set(cod.elements):
-                raise StructuralError(f"diagram arrow {m.id!r} is not a function "
-                                      f"between its endpoint sets")
-        for o in self.shape.objects:
-            i = self.shape.id_of(o)
-            if any(self.arrows[i][e] != e for e in self.values[o].elements):
-                raise StructuralError(f"diagram does not send the identity at {o!r} "
-                                      f"to an identity function")
-        for (f, g), h in self.shape.comp.items():
-            for e in self.values[self.shape.dom(f)].elements:
-                if self.arrows[g][self.arrows[f][e]] != self.arrows[h][e]:
-                    raise StructuralError(f"diagram breaks composition at ({f}, {g})")
-
-
-def skeleton_functor_to_diagram(shape: FinCategory, skel: FinCategory,
-                                obj_map: dict[str, str],
-                                mor_map: dict[str, str]) -> SetDiagram:
-    """View a functor shape -> skeleton as a diagram over canonical element sets."""
-    values = {
-        o: FinSetObject(tuple(str(i) for i in range(int(obj_map[o]))))
-        for o in shape.objects
-    }
-    arrows = {}
-    for m in shape.morphisms:
-        images = fn_images(mor_map[m.id])
-        arrows[m.id] = {str(i): str(images[i]) for i in range(len(images))}
-    return SetDiagram(shape, values, arrows)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """A compatible family of functions from an apex set into a diagram."""
-
-    apex: FinSetObject
-    diagram: SetDiagram
-    legs: dict[str, dict[str, str]]      # shape object -> apex element -> value element
-
-    def check(self) -> None:
-        for o in self.diagram.shape.objects:
-            table = self.legs.get(o)
-            if table is None or set(table) != set(self.apex.elements):
-                raise StructuralError(f"cone leg at {o!r} is not total on the apex")
-        for m in self.diagram.shape.morphisms:
-            for e in self.apex.elements:
-                if self.diagram.arrows[m.id][self.legs[m.dom][e]] != self.legs[m.cod][e]:
-                    raise StructuralError(f"cone legs do not commute with {m.id!r}")
-
-
-@dataclass(frozen=True)
-class Cocone:
-    """A compatible family of functions from a diagram to a target set."""
-
-    diagram: SetDiagram
-    target: FinSetObject
-    legs: dict[str, dict[str, str]]      # shape object -> value element -> target element
-
-    def check(self) -> None:
-        for o in self.diagram.shape.objects:
-            table = self.legs.get(o)
-            if table is None or set(table) != set(self.diagram.values[o].elements):
-                raise StructuralError(f"cocone leg at {o!r} is not total")
-        for m in self.diagram.shape.morphisms:
-            for e in self.diagram.values[m.dom].elements:
-                if self.legs[m.cod][self.diagram.arrows[m.id][e]] != self.legs[m.dom][e]:
-                    raise StructuralError(f"cocone legs do not commute with {m.id!r}")
-
-
-@dataclass(frozen=True)
-class LimitResult:
-    apex: FinSetObject
-    cone: Cone                            # the universal cone of projections
-    tuples: tuple[tuple[str, ...], ...]   # one entry per apex element, in object order
-
-
-@dataclass(frozen=True)
-class ColimitResult:
-    apex: FinSetObject                    # block representatives
-    cocone: Cocone                        # the universal cocone of injections-into-blocks
-    blocks: dict[str, tuple[tuple[str, str], ...]]   # block -> (object, element) members
-
-
-def limit_of(diagram: SetDiagram) -> LimitResult:
-    """Compatible tuples, one member per diagram value, stable under all arrows."""
-    shape = diagram.shape
-    order = shape.objects
-    pools = [diagram.values[o].elements for o in order]
-    good: list[tuple[str, ...]] = []
-    for combo in itertools.product(*pools):
-        pick = dict(zip(order, combo))
-        if all(diagram.arrows[m.id][pick[m.dom]] == pick[m.cod]
-               for m in shape.morphisms):
-            good.append(combo)
-    names = tuple("(" + ";".join(combo) + ")" for combo in good)
-    apex = FinSetObject(names)
-    legs = {
-        o: {name: combo[i] for name, combo in zip(names, good)}
-        for i, o in enumerate(order)
-    }
-    cone = Cone(apex, diagram, legs)
-    cone.check()
-    return LimitResult(apex, cone, tuple(good))
+def limit_of(diagram: FinFunctor) -> list[tuple[int, ...]]:
+    """The limit of a diagram shape -> FinSet<=n: its compatible tuples, one
+    element of each value in shape-object order, that every arrow's function
+    sends onto one another, in product order."""
+    order = diagram.source.objects
+    place = {o: i for i, o in enumerate(order)}
+    arrows = [(place[m.dom], place[m.cod], fn_images(diagram.mor_map[m.id]))
+              for m in diagram.source.morphisms]
+    carriers = (range(int(diagram.obj_map[o])) for o in order)
+    return [tup for tup in itertools.product(*carriers)
+            if all(images[tup[d]] == tup[c] for d, c, images in arrows)]
 
 
 class _UnionFind:
@@ -365,58 +230,26 @@ class _UnionFind:
     def union(self, i, j):
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
-            # keep the lexicographically smallest member as the root
+            # keep the least member as the root
             lo, hi = sorted((ri, rj))
             self.parent[hi] = lo
 
 
-def colimit_of(diagram: SetDiagram) -> ColimitResult:
-    """Blocks of the finest equivalence on the disjoint union generated by
-    relating each element to its image under every arrow."""
-    shape = diagram.shape
-    points = [(o, e) for o in shape.objects for e in diagram.values[o].elements]
-    uf = _UnionFind(points)
+def colimit_of(diagram: FinFunctor) -> tuple[list[tuple[str, int]], dict[str, tuple[int, ...]]]:
+    """The colimit of a diagram shape -> FinSet<=n: the blocks of the finest
+    equivalence on the disjoint union of its values that relates each element
+    (o, e) to its image under every arrow out of o.
+
+    Returns each block's least member (object, element), sorted, and for
+    each shape object the block, by position in that list, of each element.
+    Values have at most 8 elements (the `finset_skeleton` guard), so this
+    int order is the order of the elements' one-digit names too."""
+    shape = diagram.source
+    carriers = {o: range(int(diagram.obj_map[o])) for o in shape.objects}
+    uf = _UnionFind([(o, e) for o in shape.objects for e in carriers[o]])
     for m in shape.morphisms:
-        for e in diagram.values[m.dom].elements:
-            uf.union((m.dom, e), (m.cod, diagram.arrows[m.id][e]))
-    blocks: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for p in points:
-        blocks.setdefault(uf.find(p), []).append(p)
-    reps = sorted(blocks)
-    names = {rep: f"[{rep[0]}:{rep[1]}]" for rep in reps}
-    apex = FinSetObject(tuple(names[rep] for rep in reps))
-    legs = {
-        o: {e: names[uf.find((o, e))] for e in diagram.values[o].elements}
-        for o in shape.objects
-    }
-    cocone = Cocone(diagram, apex, legs)
-    cocone.check()
-    return ColimitResult(apex, cocone,
-                         {names[rep]: tuple(sorted(blocks[rep])) for rep in reps})
-
-
-def compose_cone_cocone(cone: Cone, cocone: Cocone) -> dict[str, str]:
-    """Join a cone and a cocone over the same diagram at the open end.
-
-    Licensed only when the shape is connected, or when both leg families are
-    constant; in either case the per-object composites provably agree and the
-    result is a single function apex -> target. Other cases are rejected
-    because the composites can disagree between components.
-    """
-    if cone.diagram is not cocone.diagram and cone.diagram != cocone.diagram:
-        raise StructuralError("cone and cocone are over different diagrams")
-    shape = cone.diagram.shape
-    cone_tables = list(cone.legs.values())
-    cocone_tables = list(cocone.legs.values())
-    constant = all(t == cone_tables[0] for t in cone_tables[1:]) and \
-        all(t == cocone_tables[0] for t in cocone_tables[1:])
-    if not shape_is_connected(shape) and not constant:
-        raise StructuralError(
-            "open-end composition rejected: it is only well defined over a "
-            "connected shape or for constant leg families")
-    composites = [
-        {e: cocone.legs[o][cone.legs[o][e]] for e in cone.apex.elements}
-        for o in shape.objects
-    ]
-    assert all(t == composites[0] for t in composites[1:])
-    return composites[0] if composites else {}
+        for e, image in enumerate(fn_images(diagram.mor_map[m.id])):
+            uf.union((m.dom, e), (m.cod, image))
+    least = sorted({uf.find(p) for p in uf.parent})
+    block = {rep: i for i, rep in enumerate(least)}
+    return least, {o: tuple(block[uf.find((o, e))] for e in es) for o, es in carriers.items()}

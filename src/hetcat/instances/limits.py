@@ -6,9 +6,11 @@ at w to D, a cocone D => z one from D to the constant diagram at z (CWM
 III.3-4), so the cells are listed by `natural_transformations`, which also
 lists the morphisms of the functor category of diagrams. The adjoints are
 recovered by the generic representability search, then compared against the
-direct limit and colimit computations. Cells keep each element's legs, and
-`leg_het` fills the action tables by sending every leg through a
-per-morphism dict of leg images.
+direct limit and colimit computations, `limit_of` and `colimit_of`, which
+read each diagram functor's carriers and image tuples as ints; Lim, Colim
+and the projection and injection cones are built from those ints. Cells
+keep each element's legs, and `leg_het` fills the action tables by sending
+every leg through a per-morphism dict of leg images.
 
 Finiteness caveat: a representing object for Het(-, D) is a set of the same
 cardinality as the limit of D, and limits of discrete diagrams multiply
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 from ..fincat import (FinCategory, FinFunctor, FunctorCategory, constant_functor,
                       functor_category, natural_transformations)
 from ..het import HetBifunctor
-from .finset import (_functions, _postcompose, _precompose, diagram_shape,
-                     finset_skeleton, fn_id, fn_images, leg_het, limit_of,
-                     colimit_of, skeleton_functor_to_diagram)
+from .finset import (_functions, _postcompose, _precompose, colimit_of,
+                     diagram_shape, finset_skeleton, fn_id, fn_images, leg_het,
+                     limit_of)
 
 Legs = tuple[tuple[int, ...], ...]
 
@@ -109,12 +111,8 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
     const_id, delta = _diagonal(shape, skel, fcat, deltas)
 
     # expected right adjoint via the direct limit computation
-    lim_cards = {}
-    lim_tuples = {}
-    for did, fun in fcat.functors.items():
-        res = limit_of(skeleton_functor_to_diagram(shape, skel, fun.obj_map, fun.mor_map))
-        lim_cards[did] = res.apex.size
-        lim_tuples[did] = res.tuples
+    lim_tuples = {did: limit_of(fun) for did, fun in fcat.functors.items()}
+    lim_cards = {did: len(tuples) for did, tuples in lim_tuples.items()}
     escape = tuple(did for did, card in lim_cards.items() if card > n)
     lim = None
     if not escape:
@@ -124,9 +122,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
             comps = list(map(fn_images, fcat.components[t.id]))
             src, dst = lim_tuples[t.dom], lim_tuples[t.cod]
             index = {tup: i for i, tup in enumerate(dst)}
-            images = tuple(
-                index[tuple(str(comps[i][int(tup[i])]) for i in range(len(order)))]
-                for tup in src)
+            images = tuple(index[tuple(c[e] for c, e in zip(comps, tup))] for tup in src)
             mor_map[t.id] = fn_id(len(src), len(dst), images)
         lim = FinFunctor("Lim", fcat, skel, obj_map, mor_map)
 
@@ -137,8 +133,7 @@ def limits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> LimitsIns
     for did in fcat.objects:
         card = lim_cards[did]
         if card <= n:
-            legs = tuple(tuple(int(tup[i]) for tup in lim_tuples[did])
-                         for i in range(len(order)))
+            legs = tuple(tuple(tup[i] for tup in lim_tuples[did]) for i in range(len(order)))
             projection_cones[did] = _leg_id("cn", str(card), did, legs)
     return LimitsInstance(shape, skel, fcat, het, delta, lim,
                           lim_cards, escape, identity_cones, projection_cones)
@@ -167,11 +162,9 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     fcat = functor_category(shape, diag_skel, guard=guard)
     order = shape.objects
 
-    colim_results = {}
-    for did, fun in fcat.functors.items():
-        colim_results[did] = colimit_of(
-            skeleton_functor_to_diagram(shape, diag_skel, fun.obj_map, fun.mor_map))
-    colim_cards = {did: r.apex.size for did, r in colim_results.items()}
+    # each diagram's least block members and the block of each element
+    colims = {did: colimit_of(fun) for did, fun in fcat.functors.items()}
+    colim_cards = {did: len(least) for did, (least, _) in colims.items()}
     bound = max([n] + list(colim_cards.values()))
     skel = finset_skeleton(bound)
     deltas = {z: constant_functor(shape, skel, z) for z in skel.objects}
@@ -200,28 +193,18 @@ def colimits_adjunction(shape_name: str, n: int, guard: int = 10_000) -> Colimit
     mor_map = {}
     for t in fcat.morphisms:
         comps = dict(zip(order, map(fn_images, fcat.components[t.id])))
-        src, dst = colim_results[t.dom], colim_results[t.cod]
-        dst_index = {name: i for i, name in enumerate(dst.apex.elements)}
-        images = []
-        for block_name in src.apex.elements:
-            o, e = src.blocks[block_name][0]
-            target = dst.cocone.legs[o][str(comps[o][int(e)])]
-            images.append(dst_index[target])
-        mor_map[t.id] = fn_id(len(src.apex.elements), len(dst.apex.elements),
-                              tuple(images))
+        (least, _), (_, block) = colims[t.dom], colims[t.cod]
+        images = tuple(block[o][comps[o][e]] for o, e in least)
+        mor_map[t.id] = fn_id(len(least), colim_cards[t.cod], images)
     colim = FinFunctor("Colim", fcat, skel, obj_map, mor_map)
 
     # expected right adjoint: the constant-diagram functor, total iff bound == n
     escape = tuple(z for z in skel.objects if int(z) > n)
     const_id, delta = _diagonal(shape, skel, fcat, deltas)
 
-    injection_cocones = {}
-    for did in fcat.objects:
-        res = colim_results[did]
-        index = {name: i for i, name in enumerate(res.apex.elements)}
-        legs = tuple(tuple(map(index.__getitem__, res.cocone.legs[o].values()))
-                     for o in order)
-        injection_cocones[did] = _leg_id("cc", did, str(res.apex.size), legs)
+    injection_cocones = {
+        did: _leg_id("cc", did, str(colim_cards[did]), tuple(block[o] for o in order))
+        for did, (_, block) in colims.items()}
     identity_cocones = {
         z: _leg_id("cc", const_id[z], z, (tuple(range(int(z))),) * len(order))
         for z in diag_skel.objects}

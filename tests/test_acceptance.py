@@ -22,12 +22,11 @@ from hetcat import (Adjunction, HalfAdjunction, build_adjunction,
                     zig_zag_factorize)
 from hetcat.cli import main as cli_main
 from hetcat.instances import (all_functions, colimits_adjunction,
-                              diagram_shape, finset_skeleton,
+                              finset_skeleton,
                               galois_connections, limits_adjunction,
                               preorder_adjunction_chain, product_exponential,
-                              skeleton_functor_to_diagram, limit_of,
-                              colimit_of, ur_adjunction)
-from test_instances import colimit_oracle, limit_oracle
+                              limit_of, colimit_of, ur_adjunction)
+from test_instances import colimit_oracle, limit_oracle, set_view
 from test_mutations import mutation_pool_all_detected
 
 GALOIS_S = ("0", "1", "2")
@@ -124,14 +123,12 @@ def test_criterion_2_closed_shapes_and_oracles(shape_suite):
             assert compare_left_representation(
                 cadj.left, ci.colim, ci.injection_cocones).ok
     # oracle agreement on every diagram of every shape
-    skel = finset_skeleton(2)
     for shape in SHAPES:
         li = shape_suite[shape][0]
         for did, fun in li.diagrams.functors.items():
-            diag = skeleton_functor_to_diagram(diagram_shape(shape), skel,
-                                               fun.obj_map, fun.mor_map)
-            lim = limit_of(diag).apex.size
-            colim = colimit_of(diag).apex.size
+            lim = len(limit_of(fun))
+            colim = len(colimit_of(fun)[0])
+            diag = set_view(fun)
             assert limit_oracle(diag, max(lim + 1, 3)) == {lim}, (shape, did)
             assert colimit_oracle(diag, max(colim + 1, 3)) == {colim}, (shape, did)
             if shape == "discrete-2":

@@ -18,7 +18,8 @@ from hetcat.adjunction import AbstractHet, ChimeraNatTrans
 from hetcat.fincat import (FinCategory, FinFunctor, Morphism, identity_functor,
                            pair_id)
 from hetcat.het import (HetBifunctor, LeftRepresentation, RightRepresentation,
-                        compare_left_representation, compare_right_representation)
+                        compare_left_representation, compare_right_representation,
+                        hom_bifunctor)
 from hetcat.instances import ur_adjunction
 from hetcat.instances.finset import fn_images
 
@@ -303,6 +304,21 @@ def test_chimera_component_outside_cell_is_structural(limits_pp1):
                              e.het, components)
     with pytest.raises(StructuralError):
         check_chimera_nat_trans(broken)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h, adj: dataclasses.replace(h, right_functor=identity_functor(adj.a_cat)),
+     "h: functors have different sources"),
+    (lambda h, adj: dataclasses.replace(h, het=hom_bifunctor(adj.x_cat)),
+     "h: het-bifunctor does not match functor targets"),
+    (lambda h, adj: dataclasses.replace(h, components={}), "h: no component at '{}'"),
+], ids=["sources", "targets", "component"])
+def test_chimera_that_does_not_fit_its_het_is_structural(galois_lower_adj, edit, message):
+    # h: 1_X => F, over the het of X = P(S) and A = P(T)
+    h = dataclasses.replace(chimera_unit(galois_lower_adj), name="h")
+    with pytest.raises(StructuralError) as info:
+        check_chimera_nat_trans(edit(h, galois_lower_adj))
+    assert str(info.value) == message
 
 
 # -- abstract het and the round-trip -------------------------------------------------

@@ -7,6 +7,8 @@ import itertools
 import json
 import operator
 import os
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from hetcat.documents import (bifunctor_to_payload, bundle_to_payload,
                               category_to_payload, dumps_document, functor_to_payload,
                               loads_document, make_document, nat_trans_to_payload)
 from hetcat.fincat import FinCategory, Morphism, identity_functor, identity_nat_trans
-from hetcat.instances import finset_skeleton
+from hetcat.instances import finset_skeleton, pointed_free_forgetful, ur_adjunction
 from hetcat.het import HetBifunctor, KernelInvariantError, build_het, hom_bifunctor
 
 
@@ -260,6 +262,37 @@ def test_action_table_for_unknown_morphism_exits_two(capsys, tmp_path, galois_bu
     assert f"{side} action table for unknown morphism 'bogus'" in out
 
 
+def test_bifunctor_with_a_missing_cell_exits_two(capsys, tmp_path, galois_bundle):
+    dropped = []
+    path = _edit_bundle(tmp_path, galois_bundle,
+                        lambda p: dropped.append(p["cells"].pop()))
+    code, out = run(capsys, "check", path, "--json")
+    assert code == 2
+    cell = (dropped[0]["x"], dropped[0]["a"])
+    assert json.loads(out)["error"] == f"galois-lower: missing cell {cell}"
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("functor", lambda p: p["morphism_map"].update({"1>2:0": "bogus"}),
+     "1_FinSet<=2: morphism map entry 1>2:0 -> bogus unresolved"),
+    ("nattrans", lambda p: p["components"].update({"9": "0>0:"}),
+     "1_1_FinSet<=2: component indexed by unknown object '9'"),
+    ("nattrans", lambda p: p["components"].update({"2": "bogus"}),
+     "1_1_FinSet<=2: component 'bogus' unresolved"),
+    ("nattrans", lambda p: p["components"].pop("2"),
+     "1_1_FinSet<=2: no component at '2'"),
+], ids=["functor-morphism-image", "nattrans-object", "nattrans-component",
+        "nattrans-missing-component"])
+def test_unresolved_functor_and_nattrans_entries_exit_two(capsys, tmp_path, kind, edit,
+                                                         message):
+    functor, nattrans = _identity_functor_and_nattrans()
+    payload = {"functor": functor, "nattrans": nattrans}[kind]
+    edit(payload)
+    for code, out in _check_both(capsys, tmp_path, kind, payload):
+        assert code == 2
+        assert message in out
+
+
 def test_string_cell_elements_exit_two(capsys, tmp_path, terminal_cat):
     het = build_het("one", terminal_cat, terminal_cat, lambda x, a: ("u",),
                     lambda h, c: c, lambda k, c: c)
@@ -447,6 +480,51 @@ def test_kernel_invariant_failure_exits_two(capsys, monkeypatch, galois_bundle):
     assert json.loads(out) == {
         "command": "adjoint", "exit": 2,
         "error": "morphism fill-in for f is not unique (2 candidates)"}
+
+
+@pytest.mark.parametrize("argv, answer, failed", [
+    (("galois",), "half",
+     [("lower connection birepresentable", "failed sides: right"),
+      ("upper connection birepresentable", "failed sides: right")]),
+    # a full adjunction has no witness notes: only the escape note is left
+    (("colimits", "--shape", "discrete-2", "--n", "1"), "full",
+     [("half-representable exactly as the cardinalities force",
+       "sets too large to be diagram values: 2")]),
+], ids=["galois-half", "forced-half-full"])
+def test_demo_fails_where_the_kernel_answers_otherwise(capsys, monkeypatch, argv, answer,
+                                                       failed):
+    """A kernel that finds no adjunction for a Galois connection, or a full one
+    where the cardinalities force a half, fails the demo's entry: exit 1."""
+    result = build_adjunction(pointed_free_forgetful(1).het) if answer == "half" \
+        else ur_adjunction(finset_skeleton(0))
+    monkeypatch.setattr(hetcat.cli, "build_adjunction", lambda het: result)
+    code, out = run(capsys, "demo", *argv, "--json")
+    data = json.loads(out)
+    assert code == data["exit"] == 1
+    entries = [c for c in data["checks"] if not c["ok"]]
+    assert [(c["name"], c["notes"][0]) for c in entries] == failed
+    assert answer == "half" or all(len(c["notes"]) == 1 for c in entries)
+
+
+def test_prodexp_with_both_readings_forced_to_halves(capsys):
+    code, out = run(capsys, "demo", "prodexp", "--n", "2", "--a", "2", "--json")
+    data = json.loads(out)
+    assert code == data["exit"] == 0
+    assert [(c["name"], c["ok"], c["notes"][0]) for c in data["checks"]] == [
+        ("coreflective reading: product side represents, exponential escapes", True,
+         "failed sides: right"),
+        ("reflective reading: inclusion side represents, free power escapes", True,
+         "failed sides: left"),
+        ("element-level evaluation/pairing laws", True, "unit-is-pairing: True")]
+
+
+@pytest.mark.filterwarnings("ignore:'hetcat.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hetcat", "demo", "ur", "--n", "0", "--json"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("hetcat.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["exit"] == 0
 
 
 def test_demo_unknown_name_exits_two(capsys):

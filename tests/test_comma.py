@@ -31,6 +31,11 @@ def test_identity_comma_on_terminal(terminal_cat):
     assert check_category(cc.base).ok
 
 
+def test_comma_repr_counts_objects_and_morphisms(terminal_cat):
+    comma = comma_of_functors(identity_functor(terminal_cat), identity_functor(terminal_cat))
+    assert repr(comma) == f"CommaCategory({comma.name!r}, 1 objects, 1 morphisms)"
+
+
 def test_galois_comma_object_count(galois, galois_lower_adj):
     # objects of (F, 1_A) are triples (x, a, g: Fx -> a)
     adj = galois_lower_adj

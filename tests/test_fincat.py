@@ -21,8 +21,9 @@ import hetcat
 from hetcat import fincat
 from hetcat import (FinCategory, FinFunctor, GuardExceeded, Morphism, NatTrans,
                     StructuralError, check_category, check_functor,
-                    check_nat_trans, constant_functor, find_left_representation,
-                    functor_category, identity_functor, identity_nat_trans, opposite)
+                    check_nat_trans, compose_functors, constant_functor,
+                    find_left_representation, functor_category, identity_functor,
+                    identity_nat_trans, opposite)
 from hetcat.fincat import _enumerate_functors
 from hetcat.instances import diagram_shape, finset_skeleton, galois_connections
 from hetcat.instances.finset import SHAPE_NAMES
@@ -296,6 +297,19 @@ def test_swapped_composite_reaches_the_blocks(base):
                                       if v.law == "associativity"}
 
 
+def test_blocks_pass_over_arrows_into_an_object_with_none_out():
+    """f: 0 -> 1 ends where no morphism leaves, not even an identity, so the
+    block of g = f has out-degree 0: nothing to compose, and no suspect."""
+    cat = FinCategory("arrow-without-i1", ("0", "1"),
+                      (Morphism("i0", "0", "0"), Morphism("f", "0", "1")),
+                      {"0": "i0"}, {("i0", "i0"): "i0", ("i0", "f"): "f"})
+    with _blocks(fincat._BLOCK) as found:
+        report = check_category(cat)
+    assert found == [set()]
+    assert [(v.law, v.witness) for v in report.violations] == [("identity-totality", ("1",))]
+    assert report.violations == _reference_check_category(cat).violations
+
+
 def test_without_numpy_the_gathers_decide(monkeypatch):
     """numpy that cannot be imported leaves a table above the cut-off to the
     gathers, with the same report."""
@@ -385,6 +399,37 @@ def test_duplicate_ids_are_structural_errors():
     with pytest.raises(StructuralError, match="twice: duplicate morphism ids"):
         FinCategory("twice", ("x",), (Morphism("f", "x", "x"), Morphism("f", "x", "x")),
                     {"x": "f"}, {})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s1, s2: s2.morphism("bogus"), "FinSet<=2: unknown morphism id 'bogus'"),
+    (lambda s1, s2: s2.id_of("9"), "FinSet<=2: no identity recorded for object '9'"),
+    (lambda s1, s2: identity_functor(s2).on_obj("9"),
+     "1_FinSet<=2: object map not total at '9'"),
+    (lambda s1, s2: compose_functors(identity_functor(s2), identity_functor(s1)),
+     "cannot compose 1_FinSet<=2 with 1_FinSet<=1: target/source mismatch"),
+    (lambda s1, s2: NatTrans("t", constant_functor(diagram_shape("terminal"), s2, "0"),
+                             constant_functor(diagram_shape("discrete-2"), s2, "0"), {}),
+     "t: component functors have different source categories"),
+    (lambda s1, s2: NatTrans("t", constant_functor(diagram_shape("terminal"), s1, "0"),
+                             constant_functor(diagram_shape("terminal"), s2, "0"), {}),
+     "t: component functors have different target categories"),
+], ids=["morphism", "identity", "object-image", "compose", "nattrans-sources",
+        "nattrans-targets"])
+def test_lookups_and_constructions_name_what_does_not_fit(skeleton1, skeleton2, call,
+                                                          message):
+    with pytest.raises(StructuralError) as info:
+        call(skeleton1, skeleton2)
+    assert str(info.value) == message
+
+
+def test_strings_and_comparisons_with_other_types(skeleton2):
+    assert str(Morphism("f", "0", "1")) == "f: 0 -> 1"
+    assert LawReport("category C").summary() == "category C: all laws hold"
+    one = identity_functor(skeleton2)
+    for value in (skeleton2, one, identity_nat_trans(one)):
+        assert value.__eq__("x") is NotImplemented
+        assert value != "x"
 
 
 def test_identity_functor_passes(skeleton2):
@@ -678,14 +723,26 @@ def _reference_functor_category(shape: FinCategory, target: FinCategory,
     )
 
 
+# the two-element group as a one-object shape whose arrows compose: s then s
+# is the identity, so of the four functions 2 -> 2 only the two involutions
+# are images of s, and `_enumerate_functors` rejects the other two
+Z2 = FinCategory("Z2", ("*",), (Morphism("e", "*", "*"), Morphism("s", "*", "*")),
+                 {"*": "e"}, {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s",
+                              ("s", "s"): "e"})
+
+
 # span over FinSet<=2 is left out: the reference alone takes about 2 s
 @pytest.mark.parametrize("shape_name, n", [
     *[(name, n) for name in SHAPE_NAMES for n in (0, 1)],
-    ("terminal", 2), ("discrete-2", 2), ("parallel-pair", 2)])
+    ("terminal", 2), ("discrete-2", 2), ("parallel-pair", 2), ("Z2", 2)])
 def test_functor_category_matches_reference(shape_name, n):
-    shape, target = diagram_shape(shape_name), finset_skeleton(n)
+    shape = Z2 if shape_name == "Z2" else diagram_shape(shape_name)
+    target = finset_skeleton(n)
     got = functor_category(shape, target)
     want = _reference_functor_category(shape, target)
+    # the reference enumerates through `_enumerate_functors` too: only the
+    # functor laws tell whether it yields exactly the functors
+    assert all(check_functor(f).ok for f in got.functors.values())
     assert got.name == want.name
     assert got.objects == want.objects
     assert ([(m.id, m.dom, m.cod, m.label) for m in got.morphisms]

@@ -77,6 +77,12 @@ def test_action_outside_cell_is_structural(skeleton2):
         check_bifunctor(broken)
 
 
+def test_unknown_element_is_structural(skeleton2):
+    with pytest.raises(StructuralError) as info:
+        hom_bifunctor(skeleton2).cell_of("bogus")
+    assert str(info.value) == "Hom_FinSet<=2: unknown heteromorphism id 'bogus'"
+
+
 # -- universal elements -------------------------------------------------------
 
 def test_identity_is_universal_in_hom(skeleton2):

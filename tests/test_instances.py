@@ -4,6 +4,7 @@ its formula expectations."""
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +13,14 @@ from hypothesis import strategies as st
 from hetcat import (Adjunction, GuardExceeded, HalfAdjunction, HetBifunctor, StructuralError,
                     build_adjunction, check_bifunctor, check_category,
                     check_functor)
-from hetcat.instances import (Cocone, Cone, FinSetObject, SetDiagram,
-                              colimit_of, colimits_adjunction,
-                              compose_cone_cocone, diagram_shape,
+from hetcat.instances import (colimit_of, colimits_adjunction, diagram_shape,
                               all_functions, finset_skeleton, galois_connections,
                               limit_of, limits_adjunction,
                               pointed_free_forgetful, powerset_poset,
                               preorder_adjunction_chain, product_exponential,
-                              skeleton_functor_to_diagram, ur_adjunction,
-                              verify_elementwise)
-from hetcat.fincat import FinCategory, Morphism
-from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images, shape_is_connected
+                              ur_adjunction, verify_elementwise)
+from hetcat.fincat import FinCategory, FinFunctor, Morphism
+from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images
 from hetcat.instances.galois import subset_id
 from hetcat.instances.limits import _leg_id
 from hetcat.instances.preorder import _is_poset, _preorder_id, _preorders_on
@@ -79,60 +77,73 @@ def test_skeleton_matches_reference(n):
     assert list(skel.comp.items()) == list(comp.items())
 
 
-# -- limits and colimits of explicit diagrams ----------------------------------
+# -- limits and colimits of diagrams ------------------------------------------
+
+SKEL2 = finset_skeleton(2)
+
 
 def _diagram(shape_name, values, arrows):
-    return SetDiagram(diagram_shape(shape_name), values, arrows)
+    """The diagram shape -> FinSet<=2 with these values (cardinalities) and
+    these image tuples on the non-identity arrows."""
+    shape = diagram_shape(shape_name)
+    mor_map = {shape.id_of(o): fn_id(k, k, tuple(range(k))) for o, k in values.items()}
+    mor_map.update({m: fn_id(values[shape.dom(m)], values[shape.cod(m)], images)
+                    for m, images in arrows.items()})
+    return FinFunctor(shape_name, shape, SKEL2,
+                      {o: str(k) for o, k in values.items()}, mor_map)
 
 
 @pytest.fixture(scope="module")
 def parallel_diagram():
-    return _diagram(
-        "parallel-pair",
-        {"s": FinSetObject(("p", "q")), "t": FinSetObject(("u", "v"))},
-        {"1s": {"p": "p", "q": "q"}, "1t": {"u": "u", "v": "v"},
-         "alpha": {"p": "u", "q": "v"}, "beta": {"p": "u", "q": "u"}})
+    # s = {p, q} and t = {u, v} as 0, 1: alpha sends p, q to u, v; beta both to u
+    return _diagram("parallel-pair", {"s": 2, "t": 2},
+                    {"alpha": (0, 1), "beta": (0, 0)})
 
 
 def test_limit_of_discrete_pair_is_product():
-    diag = _diagram("discrete-2",
-                    {"i": FinSetObject(("a", "b")), "j": FinSetObject(("c",))},
-                    {"1i": {"a": "a", "b": "b"}, "1j": {"c": "c"}})
-    assert limit_of(diag).apex.size == 2
+    assert len(limit_of(_diagram("discrete-2", {"i": 2, "j": 1}, {}))) == 2
 
 
 def test_limit_of_parallel_pair(parallel_diagram):
-    res = limit_of(parallel_diagram)
-    assert res.tuples == (("p", "u"),)
+    assert limit_of(parallel_diagram) == [(0, 0)]
 
 
 def test_limit_of_terminal_shape():
-    diag = _diagram("terminal", {"t": FinSetObject(("x", "y"))},
-                    {"1t": {"x": "x", "y": "y"}})
-    assert limit_of(diag).apex.size == 2
+    assert len(limit_of(_diagram("terminal", {"t": 2}, {}))) == 2
 
 
 def test_colimit_of_discrete_pair_is_sum():
-    diag = _diagram("discrete-2",
-                    {"i": FinSetObject(("a", "b")), "j": FinSetObject(("c",))},
-                    {"1i": {"a": "a", "b": "b"}, "1j": {"c": "c"}})
-    assert colimit_of(diag).apex.size == 3
+    least, _ = colimit_of(_diagram("discrete-2", {"i": 2, "j": 1}, {}))
+    assert least == [("i", 0), ("i", 1), ("j", 0)]
 
 
 def test_colimit_of_parallel_pair_single_block(parallel_diagram):
-    res = colimit_of(parallel_diagram)
-    assert res.apex.size == 1
-    members = res.blocks[res.apex.elements[0]]
-    assert sorted(members) == [("s", "p"), ("s", "q"), ("t", "u"), ("t", "v")]
+    assert colimit_of(parallel_diagram) == ([("s", 0)], {"s": (0, 0), "t": (0, 0)})
 
 
 def test_colimit_of_terminal_shape():
-    diag = _diagram("terminal", {"t": FinSetObject(("x", "y"))},
-                    {"1t": {"x": "x", "y": "y"}})
-    assert colimit_of(diag).apex.size == 2
+    assert colimit_of(_diagram("terminal", {"t": 2}, {})) == \
+        ([("t", 0), ("t", 1)], {"t": (0, 1)})
+
+
+def test_diagram_validation():
+    # t = {x}, with its identity sending x outside {x}
+    bad = FinFunctor("bad", diagram_shape("terminal"), SKEL2, {"t": "1"}, {"1t": "1>2:1"})
+    assert "identity-preservation at (t): image of 1t is 1>2:1" in \
+        map(str, check_functor(bad).violations)
 
 
 # -- the universal-property oracle ----------------------------------------------
+
+def set_view(diagram):
+    """A diagram functor's values as sets of element names "0", "1", ...
+    and its arrows as dicts between them: the form the oracles below read."""
+    values = {o: SimpleNamespace(elements=tuple(map(str, range(int(k)))), size=int(k))
+              for o, k in diagram.obj_map.items()}
+    arrows = {m: {str(e): str(v) for e, v in enumerate(fn_images(mid))}
+              for m, mid in diagram.mor_map.items()}
+    return SimpleNamespace(shape=diagram.source, values=values, arrows=arrows)
+
 
 def _all_cones(diagram, w):
     shape = diagram.shape
@@ -231,9 +242,9 @@ def test_limits_and_colimits_agree_with_oracle(shape_name):
     shape = diagram_shape(shape_name)
     fcat = functor_category(shape, skel)
     for did, fun in fcat.functors.items():
-        diag = skeleton_functor_to_diagram(shape, skel, fun.obj_map, fun.mor_map)
-        lim = limit_of(diag).apex.size
-        colim = colimit_of(diag).apex.size
+        lim = len(limit_of(fun))
+        colim = len(colimit_of(fun)[0])
+        diag = set_view(fun)
         assert limit_oracle(diag, max(lim + 1, 3)) == {lim}
         assert colimit_oracle(diag, max(colim + 1, 3)) == {colim}
 
@@ -244,10 +255,9 @@ def test_discrete_cardinality_laws():
     shape = diagram_shape("discrete-2")
     fcat = functor_category(shape, skel)
     for did, fun in fcat.functors.items():
-        diag = skeleton_functor_to_diagram(shape, skel, fun.obj_map, fun.mor_map)
-        sizes = [diag.values[o].size for o in shape.objects]
-        assert limit_of(diag).apex.size == sizes[0] * sizes[1]
-        assert colimit_of(diag).apex.size == sizes[0] + sizes[1]
+        sizes = [int(fun.obj_map[o]) for o in shape.objects]
+        assert len(limit_of(fun)) == sizes[0] * sizes[1]
+        assert len(colimit_of(fun)[0]) == sizes[0] + sizes[1]
 
 
 # -- the limit/colimit adjunctions ------------------------------------------------
@@ -1029,43 +1039,3 @@ def test_prodexp_cell_counting(prodexp22):
                 == m ** (k * a) == (m ** a) ** k
 
 
-# -- cone/cocone open-end composition ------------------------------------------------
-
-def test_compose_cone_cocone_identity_roundtrip(parallel_diagram):
-    # a cone into the diagram joined with the colimit cocone gives a function
-    w = FinSetObject(("p", "q"))
-    res = colimit_of(parallel_diagram)
-    cone = Cone(w, parallel_diagram,
-                {"s": {"p": "p", "q": "p"},
-                 "t": {"p": "u", "q": "u"}})
-    cone.check()
-    composite = compose_cone_cocone(cone, res.cocone)
-    assert set(composite) == {"p", "q"}
-    # both routes land in the single block
-    assert len(set(composite.values())) == 1
-
-
-def test_compose_cone_cocone_rejects_disconnected():
-    diag = _diagram("discrete-2",
-                    {"i": FinSetObject(("a",)), "j": FinSetObject(("b",))},
-                    {"1i": {"a": "a"}, "1j": {"b": "b"}})
-    apex = FinSetObject(("w",))
-    cone = Cone(apex, diag, {"i": {"w": "a"}, "j": {"w": "b"}})
-    cone.check()
-    target = FinSetObject(("z1", "z2"))
-    cocone = Cocone(diag, target, {"i": {"a": "z1"}, "j": {"b": "z2"}})
-    cocone.check()
-    with pytest.raises(StructuralError):
-        compose_cone_cocone(cone, cocone)
-
-
-@pytest.mark.parametrize("shape_name", SHAPE_NAMES + ("empty",))
-def test_shape_is_connected(shape_name):
-    shape = FinCategory("empty", (), (), {}, {}) if shape_name == "empty" \
-        else diagram_shape(shape_name)
-    assert shape_is_connected(shape) == (shape_name != "discrete-2")
-
-
-def test_diagram_validation():
-    with pytest.raises(StructuralError):
-        _diagram("terminal", {"t": FinSetObject(("x",))}, {"1t": {"x": "y"}})
