@@ -6,16 +6,17 @@ One tabulator pair serves every instance whose morphisms and heteromorphisms
 are plain functions between finite carriers. `function_category` lists every
 function (or every one a predicate admits) between the carriers of its
 objects, with each morphism's image tuple made once; the composites of
-f: d -> c with all of hom(c, e) come from one C-level pass that reads each
-g's images at f's and looks the result up in an index of hom(d, e), so it
+f: d -> c with all of hom(c, e) come from one itemgetter over f's images,
+mapped over hom(c, e)'s image tuples into an index of hom(d, e), so it
 runs in time linear in its composition table. The skeleton, whose objects
 are cardinalities named "0", "1", ..., is `function_category` over every
 function; for n = 4 that is 499 morphisms and 133,799 composites.
 
 A het is tabulated either by `build_het` (in `hetcat.het`), from per-element
 callables, or by `leg_het`, for elements that are tuples of functions (legs)
-acted on leg by leg: `function_het` (each function its own single leg) and
-the cone and cocone hets of `limits` are `leg_het` calls. `image_functor`
+acted on leg by leg, a cell's legs at one position at a time, coded as
+ints: `function_het` (each function its own single leg) and the cone and
+cocone hets of `limits` are `leg_het` calls. `image_functor`
 is the functor that keeps each function's images and renames its endpoints.
 
 A diagram is a functor shape -> FinSet<=n, read as it stands: the carrier
@@ -30,10 +31,10 @@ union-find with the least member as the canonical representative.
 from __future__ import annotations
 
 import itertools
-from itertools import repeat
+from itertools import chain, count, repeat
 
 from ..errors import GuardExceeded, StructuralError
-from ..fincat import FinCategory, FinFunctor, Morphism
+from ..fincat import FinCategory, FinFunctor, Morphism, _picker
 from ..het import HetBifunctor
 
 
@@ -55,13 +56,14 @@ def function_category(name: str, cards: dict[str, int], prefix, keep=None) -> Fi
     function when keep is None), with id f"{prefix(d, c)}:{images}"; keep
     must admit identities and be closed under composition. Morphisms are
     listed by domain, then codomain, then image tuple; the composition table
-    follows that order in f and then in g.
+    follows that order in f and then in g, each f's row read off g's image
+    tuples by one picker over f's images.
     """
     objects = tuple(cards)
     morphisms = []
     # per (d, c): the functions d -> c as ids and image tuples, in id order,
-    # the image-tuple -> id index, and each image tuple's __getitem__
-    ids, images, index, getters = {}, {}, {}, {}
+    # and the image-tuple -> id index
+    ids, images, index = {}, {}, {}
     for d in objects:
         for c in objects:
             fns = itertools.product(range(cards[c]), repeat=cards[d])
@@ -70,21 +72,21 @@ def function_category(name: str, cards: dict[str, int], prefix, keep=None) -> Fi
             ids[d, c] = [head + ",".join(map(str, i)) for i in images[d, c]]
             morphisms.extend(Morphism(mid, d, c) for mid in ids[d, c])
             index[d, c] = dict(zip(images[d, c], ids[d, c]))
-            getters[d, c] = [i.__getitem__ for i in images[d, c]]
     identity = {d: index[d, d][tuple(range(cards[d]))] for d in objects}
     comp = {}
     for (d, c), f_ids in ids.items():
         for fid, fi in zip(f_ids, images[d, c]):
+            # g's images read at f's images are the images of "f then g"
+            pick = _picker(fi)
             for e in objects:
-                # g's images read at f's images are the images of "f then g"
-                composites = map(tuple, map(map, getters[c, e], repeat(fi)))
                 comp.update(zip(zip(repeat(fid), ids[c, e]),
-                                map(index[d, e].__getitem__, composites)))
+                                map(index[d, e].__getitem__, map(pick, images[c, e]))))
     return FinCategory(name, objects, tuple(morphisms), identity, comp)
 
 
-def finset_skeleton(n: int, guard: int = 8) -> FinCategory:
-    """Objects 0..n as cardinalities, morphisms all functions between them."""
+def finset_skeleton(n: int, guard: int = 4) -> FinCategory:
+    """Objects 0..n as cardinalities, morphisms all functions between them.
+    The guard stops at FinSet<=4: FinSet<=5 has 18,705,846 composites."""
     if n > guard:
         raise GuardExceeded(f"finset skeleton bound {n} exceeds guard {guard}", n)
     return function_category(f"FinSet<={n}", {str(k): k for k in range(n + 1)},
@@ -113,14 +115,26 @@ def leg_het(name: str, X: FinCategory, A: FinCategory, cells, legs,
     legs[cell] lists each element's tuple of legs, in the cell's order.
     h: x' -> x sends each element of (x, a), its i-th leg through the dict
     left_maps(h)[i], to the element of (x', a) with those legs; k: a -> a'
-    acts from (x, a) to (x, a') by right_maps(k). Each image is looked up in
-    an index of its cell, so the tables fill in time linear in their size."""
-    index = {cell: dict(zip(legs[cell], ids)) for cell, ids in cells.items()}
+    acts from (x, a) to (x, a') by right_maps(k). A leg outside its map, and
+    an image that is no element, raise KeyError. Legs are coded as ints, and
+    a cell is read a column at a time: the i-th legs of its elements go
+    through the i-th map in one C-level pass and are zipped back into image
+    tuples, each looked up in an index of its cell, so the tables fill in
+    time linear in their size. Every element needs at least one leg, as
+    `function_het`'s single legs and every diagram shape's (co)cones have."""
+    code = dict(zip(dict.fromkeys(chain.from_iterable(chain.from_iterable(legs.values()))),
+                    count()))
+    coded = {cell: list(map(tuple, map(map, repeat(code.__getitem__), found)))
+             for cell, found in legs.items()}
+    index = {cell: dict(zip(coded[cell], ids)) for cell, ids in cells.items()}
 
     def action(maps, moves) -> dict[str, str]:
         table: dict[str, str] = {}
+        # each map on codes; a leg no element has codes to None, which no cell holds
+        getters = [dict(zip(map(code.get, m), map(code.get, m.values()))).__getitem__
+                   for m in maps]
         for src, dst in moves:
-            images = map(tuple, map(map, repeat(dict.__getitem__), repeat(maps), legs[src]))
+            images = zip(*map(map, getters, zip(*coded[src])))
             table.update(zip(cells[src], map(index[dst].__getitem__, images)))
         return table
 
@@ -242,7 +256,7 @@ def colimit_of(diagram: FinFunctor) -> tuple[list[tuple[str, int]], dict[str, tu
 
     Returns each block's least member (object, element), sorted, and for
     each shape object the block, by position in that list, of each element.
-    Values have at most 8 elements (the `finset_skeleton` guard), so this
+    Values have at most 4 elements (the `finset_skeleton` guard), so this
     int order is the order of the elements' one-digit names too."""
     shape = diagram.source
     carriers = {o: range(int(diagram.obj_map[o])) for o in shape.objects}

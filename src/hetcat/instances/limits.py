@@ -10,7 +10,7 @@ direct limit and colimit computations, `limit_of` and `colimit_of`, which
 read each diagram functor's carriers and image tuples as ints; Lim, Colim
 and the projection and injection cones are built from those ints. Cells
 keep each element's legs, and `leg_het` fills the action tables by sending
-every leg through a per-morphism dict of leg images.
+each column of a cell's legs, coded as ints, through a per-morphism map.
 
 Finiteness caveat: a representing object for Het(-, D) is a set of the same
 cardinality as the limit of D, and limits of discrete diagrams multiply

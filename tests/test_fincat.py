@@ -229,7 +229,7 @@ def _blocks(block: int):
     """check_category with the cut-off at 0, so numpy blocks of about `block`
     entries decide every table whose rows are total and well typed. Yields
     the list of the suspect sets the blocks return."""
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     found, real = [], fincat._block_suspects
 
     def spy(*args):

@@ -20,7 +20,7 @@ from hetcat.instances import (colimit_of, colimits_adjunction, diagram_shape,
                               preorder_adjunction_chain, product_exponential,
                               ur_adjunction, verify_elementwise)
 from hetcat.fincat import FinCategory, FinFunctor, Morphism
-from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images
+from hetcat.instances.finset import SHAPE_NAMES, fn_id, fn_images, leg_het
 from hetcat.instances.galois import subset_id
 from hetcat.instances.limits import _leg_id
 from hetcat.instances.preorder import _is_poset, _preorder_id, _preorders_on
@@ -364,6 +364,25 @@ def test_cone_and_cocone_tables_match_reference(shape_name, n):
         het = inst.het
         assert _ordered((het.cells, het.act_left, het.act_right)) == \
             _ordered(reference(inst))
+
+
+def test_leg_het_sends_no_leg_to_a_default():
+    """On the terminal shape, one cell of two elements, each a single leg.
+    A map key no element has changes nothing; a leg outside its map, and an
+    image that is no element, raise."""
+    point = diagram_shape("terminal")
+    cells, legs = {("t", "t"): ("e0", "e1")}, {("t", "t"): [((0,),), ((1,),)]}
+
+    def het(left):
+        return leg_het("legs", point, point, cells, legs, lambda h: (left,),
+                       lambda k: ({(0,): (0,), (1,): (1,)},))
+
+    swap = het({(0,): (1,), (1,): (0,), (5,): (0,)})
+    assert swap.act_left == {"1t": {"e0": "e1", "e1": "e0"}}
+    assert swap.act_right == {"1t": {"e0": "e0", "e1": "e1"}}
+    for left in ({(0,): (0,)}, {(0,): (0,), (1,): (5,)}):
+        with pytest.raises(KeyError):
+            het(left)
 
 
 # -- categories of finite functions and their function hets --------------------
