@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .report import LawReport
 
 def _emit(out: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(out, indent=2, sort_keys=True))
+        print(dumps_document(out), end="")
         return
     print(f"== {out['command']}: {out['subject']}")
     for check in out["checks"]:
@@ -47,8 +46,7 @@ def _emit(out: dict, as_json: bool) -> None:
         if key in ("command", "subject", "checks", "exit"):
             continue
         print(f"  {key}:")
-        text = json.dumps(value, indent=2, sort_keys=True)
-        for line in text.splitlines():
+        for line in dumps_document(value).splitlines():
             print(f"    {line}")
     print(f"exit {out['exit']}")
 
@@ -561,7 +559,7 @@ def main(argv=None) -> int:
     except (DocumentError, StructuralError, GuardExceeded, KernelInvariantError) as exc:
         payload = {"command": args.command, "error": str(exc), "exit": 2}
         if getattr(args, "json", False):
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(dumps_document(payload), end="")
         else:
             print(f"error: {exc}")
             print("exit 2")

@@ -9,7 +9,13 @@ fixtures diff cleanly and repeated exports are byte-identical.
 `dumps_document` writes exactly the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, but in pieces
 joined at C level (any `indent` makes `json` fall back to a pure-Python
-encoder), with each string quoted once. An export streams from the live
+encoder). It pays per list and per key set, not per record: within one call
+each string is quoted once, and each key set is sorted and its keys quoted
+once per indent. Quoting is the type test; a value it rejects takes the
+general path. No piece is larger than one record (an object whose values
+are scalars, string lists or string objects), one leaf container (a list or
+object of strings, or a list of records with one key set whose values are
+all strings) or one composition row. An export streams from the live
 tables: `bundle_view` holds the het's own dicts, and each category in place
 of its composition list, which is written one morphism's row at a time from
 the category's own table. The `*_to_payload` functions copy the same fields
@@ -19,12 +25,12 @@ into fresh plain JSON values.
 from __future__ import annotations
 
 import json
-from itertools import chain, groupby, repeat
+from itertools import chain, cycle, groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, TextIO
 
 from .errors import StructuralError
-from .fincat import FinCategory, FinFunctor, Morphism, NatTrans
+from .fincat import FinCategory, FinFunctor, Morphism, NatTrans, _picker
 from .het import HetBifunctor
 
 FORMAT = "hetcat/1"
@@ -244,12 +250,14 @@ def make_document(kind: str, payload: dict, name: str = "",
     }
 
 
-def dumps_document(doc: dict, f: TextIO | None = None) -> str | None:
+def dumps_document(doc: Any, f: TextIO | None = None) -> str | None:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte:
     returned, or written piece by piece to the text file `f` (and None
     returned). `doc` may hold the views that `bundle_view` makes. No piece
-    is larger than one leaf container or one morphism's composition row."""
-    pieces = _pieces(doc, "", _Quotes().__getitem__)
+    is larger than one record, one leaf container or one morphism's
+    composition row, where a list of records with one key set whose values
+    are all strings counts as one leaf container (see `_pieces`)."""
+    pieces = _pieces(doc, "", _Heads())
     if f is None:
         return "".join(pieces) + "\n"
     f.writelines(chain(pieces, ("\n",)))
@@ -266,72 +274,147 @@ class _Quotes(dict):
         return quoted
 
 
-def _pieces(value: Any, indent: str, quote):
+class _Heads(dict):
+    """Per (indent, key set): a picker of the values in sorted-key order, the
+    text before each value, its quoted key included, and the closing brace
+    of an object that starts on a line at that indent; made on first use,
+    so each key set is sorted and quoted once. `quote` gives a string's JSON
+    text."""
+    def __init__(self):
+        super().__init__()
+        self.quote = _Quotes().__getitem__
+
+    def __missing__(self, key):
+        indent, names = key
+        keys = sorted(names)                   # TypeError on keys of mixed types
+        inner = indent + "  "
+        fronts = [sep + quoted + ": " for sep, quoted in zip(
+            chain(("{\n" + inner,), repeat(",\n" + inner)), map(self.quote, keys))]
+        self[key] = entry = (_picker(keys), fronts, "\n" + indent + "}")
+        return entry
+
+
+def _leaf(value: Any, indent: str, heads: _Heads) -> str:
+    """The JSON text of a leaf: a scalar, or a list or object of strings.
+    Quoting is the type test of their items: any other value raises
+    TypeError."""
+    if isinstance(value, str):
+        return heads.quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pick, fronts, closing = heads[indent, frozenset(value)]
+        return "".join(chain.from_iterable(zip(fronts, map(heads.quote, pick(value))))) + closing
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join(map(heads.quote, value)) + "\n" + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _record(value: dict, entry: tuple, indent: str, heads: _Heads) -> str:
+    """The JSON text of a record, an object of leaves, given its key set's
+    `_Heads` entry; TypeError if a value is no leaf."""
+    pick, fronts, closing = entry
+    return "".join(chain.from_iterable(zip(fronts, map(
+        _leaf, pick(value), repeat(indent + "  "), repeat(heads))))) + closing
+
+
+def _pieces(value: Any, indent: str, heads: _Heads):
     """Yield the indent-2, sorted-key JSON text of `value` in pieces.
 
-    A list or object of strings is one piece, a list of string lists one per
-    run of rows with the same first string; every other container yields its
-    brackets, separators and keys, and recurses. `indent` is the indentation
-    of the line `value` starts on; `quote` gives a string's JSON text."""
-    if isinstance(value, (list, tuple)):
-        inner, types = indent + "  ", set(map(type, value))
-        if not value:
-            yield "[]"
-        elif types == {str}:
-            yield "[\n" + inner + (",\n" + inner).join(map(quote, value)) + "\n" + indent + "]"
-        elif (types <= {list, tuple} and all(value)
-                and set(map(type, chain.from_iterable(value))) == {str}):
-            inner2 = inner + "  "
-            opening, closing = "[\n" + inner2, "\n" + inner + "]"
-            between = closing + ",\n" + inner + opening
-            runs = (opening + between.join(map((",\n" + inner2).join, map(map, repeat(quote), run)))
-                    + closing for _, run in groupby(value, itemgetter(0)))
-            yield "[\n" + inner + next(runs)
-            yield from map((",\n" + inner).__add__, runs)
-            yield "\n" + indent + "]"
+    A leaf (`_leaf`) or a record (`_record`) is one piece; so is a list of
+    records with one key set whose values are all strings, and any other
+    list of records with one key set is one piece per record. A list of
+    string lists is one piece per run of rows with the same first string.
+    Every other container yields its brackets, separators and keys, and
+    recurses. `indent` is the indentation of the line `value` starts on."""
+    if isinstance(value, dict) and value:
+        pick, fronts, closing = entry = heads[indent, frozenset(value)]
+        try:
+            text = _record(value, entry, indent, heads)
+        except TypeError:                      # a value that is no leaf
+            for front, item in zip(fronts, pick(value)):
+                yield front
+                yield from _pieces(item, indent + "  ", heads)
+            yield closing
         else:
-            sep = "[\n" + inner
-            for item in value:
-                yield sep
-                yield from _pieces(item, inner, quote)
-                sep = ",\n" + inner
-            yield "\n" + indent + "]"
-    elif isinstance(value, dict):
-        inner = indent + "  "
-        if not value:
-            yield "{}"
-        elif set(map(type, value)) == {str} and set(map(type, value.values())) == {str}:
-            keys = sorted(value)
-            yield "".join(chain.from_iterable(zip(
-                chain(("{\n" + inner,), repeat(",\n" + inner)), map(quote, keys), repeat(": "),
-                map(quote, map(value.__getitem__, keys))))) + "\n" + indent + "}"
+            yield text
+    elif isinstance(value, (list, tuple)) and value:
+        try:
+            text = _leaf(value, indent, heads)
+        except TypeError:                      # an item that is no string
+            yield from _items(value, indent, heads)
         else:
-            sep = "{\n" + inner
-            for key in sorted(value):
-                yield sep + quote(key) + ": "
-                yield from _pieces(value[key], inner, quote)
-                sep = ",\n" + inner
-            yield "\n" + indent + "}"
-    elif isinstance(value, str):
-        yield quote(value)
-    elif value is None:
-        yield "null"
-    elif value is True:
-        yield "true"
-    elif value is False:
-        yield "false"
-    elif isinstance(value, int):
-        yield int.__repr__(value)
+            yield text
     elif isinstance(value, FinCategory):
-        yield from _composition_pieces(value, indent, quote)
+        yield from _composition_pieces(value, indent, heads)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        yield _leaf(value, indent, heads)      # a scalar or an empty container
 
 
-def _composition_pieces(cat: FinCategory, indent: str, quote):
+def _items(value: list | tuple, indent: str, heads: _Heads):
+    """The pieces of a non-empty list that holds something other than strings."""
+    inner = indent + "  "
+    try:                                       # an item that is no dict has no keys
+        keys = dict.keys(value[0])
+        records = bool(keys) and all(map(keys.__eq__, map(dict.keys, value)))
+    except TypeError:
+        records = False
+    if records:
+        pick, fronts, closing = entry = heads[inner, frozenset(keys)]
+        try:
+            text = "".join(chain.from_iterable(zip(
+                chain(("[\n" + inner + fronts[0],),
+                      cycle([*fronts[1:], closing + ",\n" + inner + fronts[0]])),
+                map(heads.quote, chain.from_iterable(map(pick, value))))))
+        except TypeError:                      # a value that is no string
+            sep = "[\n" + inner
+            for record in value:
+                try:
+                    text = _record(record, entry, inner, heads)
+                except TypeError:              # a value that is no leaf
+                    yield sep
+                    yield from _pieces(record, inner, heads)
+                else:
+                    yield sep + text
+                sep = ",\n" + inner
+            yield "\n" + indent + "]"
+        else:
+            yield text                         # the closing apart, so as not to copy the text
+            yield closing + "\n" + indent + "]"
+    elif (set(map(type, value)) <= {list, tuple} and all(value)
+            and set(map(type, chain.from_iterable(value))) == {str}):
+        quote, inner2 = heads.quote, inner + "  "
+        opening, closing = "[\n" + inner2, "\n" + inner + "]"
+        between = closing + ",\n" + inner + opening
+        runs = (opening + between.join(map((",\n" + inner2).join, map(map, repeat(quote), run)))
+                + closing for _, run in groupby(value, itemgetter(0)))
+        yield "[\n" + inner + next(runs)
+        yield from map((",\n" + inner).__add__, runs)
+        yield "\n" + indent + "]"
+    else:
+        sep = "[\n" + inner
+        for item in value:
+            yield sep
+            yield from _pieces(item, inner, heads)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+
+
+def _composition_pieces(cat: FinCategory, indent: str, heads: _Heads):
     """The pieces of `_copy(cat)`, one row of cat.comp at a time: f then each g
     leaving cod f, in id order; or of `_copy(cat)` if cat.comp has a gap or extra."""
-    comp, mor, ids = cat.comp, cat._mor, sorted(cat._mor)
+    comp, mor, ids, quote = cat.comp, cat._mor, sorted(cat._mor), heads.quote
     outs = {x: sorted(chain.from_iterable(hom.values())) for x, hom in cat._hom.items()}
     try:
         rows = [tuple(map(quote, map(comp.__getitem__, zip(repeat(f), outs.get(mor[f].cod, ())))))
@@ -340,7 +423,7 @@ def _composition_pieces(cat: FinCategory, indent: str, quote):
         rows = None
     # when no composite is missing, an entry more is for a pair that does not compose
     if not comp or rows is None or sum(map(len, rows)) != len(comp):
-        yield from _pieces(_copy(cat), indent, quote)
+        yield from _pieces(_copy(cat), indent, heads)
         return
     inner, inner2 = indent + "  ", indent + "    "
     sep, closing = ",\n" + inner2, "\n" + inner + "]"

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetcat import (FinCategory, HetBifunctor, Morphism, check_nat_trans, hom_bifunctor,
-                    identity_functor, identity_nat_trans)
+from hetcat import (FinCategory, HetBifunctor, Morphism, check_nat_trans, functor_category,
+                    hom_bifunctor, identity_functor, identity_nat_trans)
 from hetcat.documents import (DocumentError, bifunctor_from_payload,
                               bifunctor_to_payload, bundle_from_payload,
                               bundle_to_payload, bundle_view, category_from_payload,
@@ -105,11 +105,23 @@ def _streamed(value) -> str:
 _TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001d11e'), max_size=4)
 _SCALARS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none())
 _STRING_ROWS = st.lists(st.lists(_TEXT, max_size=3), max_size=3)   # empty rows too
+_STRING_DICTS = st.dictionaries(_TEXT, _TEXT, max_size=3)
+_LEAVES = st.one_of(_TEXT, st.lists(_TEXT, max_size=3), _STRING_DICTS)
+
+
+def _records(values):
+    """Non-empty lists of objects that share one key set (none, too), each
+    value drawn from `values`: the lists that are written a list at a time."""
+    return st.lists(_TEXT, max_size=3, unique=True).flatmap(lambda keys: st.lists(
+        st.fixed_dictionaries(dict.fromkeys(keys, values)), min_size=1, max_size=4))
+
+
 _JSON = st.recursive(
-    st.one_of(_SCALARS, _STRING_ROWS, st.dictionaries(_TEXT, _TEXT, max_size=3)),
+    st.one_of(_SCALARS, _STRING_ROWS, _STRING_DICTS, _records(_TEXT), _records(_LEAVES)),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(_TEXT, inner, max_size=4)),
+                            st.dictionaries(_TEXT, inner, max_size=4),
+                            _records(st.one_of(_LEAVES, _SCALARS, inner))),
     max_leaves=20)
 
 
@@ -125,15 +137,50 @@ def test_streamed_document_matches_json_dumps(value):
     assert _streamed(value) == _reference_dumps(value)
 
 
+# the records of one key set that the writer joins a list at a time: its
+# string-only and per-record paths, a value that ends the string-only join or
+# sends one record (or one item) to the general path, and key sets that a
+# cache could confuse
+@pytest.mark.parametrize("value", [
+    [{"id": "f", "dom": "x", "cod": "y"}],
+    [{"elements": ["c0", "c1"], "x": "0"}],
+    [{"mapping": {"c1": "c0"}, "morphism": "f"}],
+    [{}, {}],
+    {"a": [{}], "b": {}},
+    [{"a": "x"}, {"a": 1}, {"a": "z"}],
+    [{"a": "x", "b": ["y"]}, {"a": None, "b": ["y"]}, {"a": "z", "b": []}],
+    [{"a": {"k": "v"}}, {"a": True}, {"a": {}}],
+    [{"a": "x", "b": ["y"]}, {"a": "x", "b": [["y"]]}, {"a": "z", "b": {"k": {}}}],
+    ["a", None, "b", True, 3],
+    {"p": [{"a": "1", "b": "2"}], "q": [{"a": "1", "c": "2"}]},
+    {"p": {"a": "1", "b": "2"}, "q": {"a": "1", "c": "2"}},
+    [{"a": "1", "b": "2"}, {"a": "1", "c": "2"}],
+    {"p": [{"a": "1", "b": "2"}], "q": {"r": [{"b": "3", "a": "4"}], "s": {"a": "5", "b": "6"}}},
+], ids=["one-string-record", "one-record-with-a-list", "one-record-with-a-dict",
+        "empty-records", "empty-record-and-dict", "int-partway", "none-partway",
+        "true-partway", "nested-partway", "scalars-among-strings", "shared-first-key-lists",
+        "shared-first-key-dicts", "two-key-sets-in-one-list", "one-key-set-at-two-indents"])
+def test_record_lists_are_written_byte_for_byte(value):
+    assert dumps_document(value) == _streamed(value) == _reference_dumps(value)
+
+
 def _bundle_documents():
+    """The payload forms the workloads under bench/ write in their set-up, and
+    three demo bundles."""
+    gi = galois_connections({"0": "a", "1": "a", "2": "b"}, ("0", "1", "2"), ("a", "b"))
+    limits = limits_adjunction("parallel-pair", 1)
     colimits = colimits_adjunction("discrete-2", 1)
     prodexp = product_exponential(1, 2)
-    payloads = [bundle_to_payload(colimits.het, colimits.colim.obj_map),
-                bundle_to_payload(prodexp.coreflective_het,
-                                  prodexp.product_functor.obj_map),
-                bundle_to_payload(prodexp.reflective_het)]
-    return [make_document("adjunction-bundle", payload, name="bundle")
-            for payload in payloads]
+    bundles = [(gi.lower_het, gi.direct_image, gi.preimage),
+               (gi.upper_het, gi.preimage, gi.f_star),
+               (limits.het, dict(limits.delta.obj_map), dict(limits.lim.obj_map)),
+               (colimits.het, colimits.colim.obj_map, None),
+               (prodexp.coreflective_het, prodexp.product_functor.obj_map, None),
+               (prodexp.reflective_het, None, None)]
+    diagrams = functor_category(limits.shape, limits.skeleton)
+    return [make_document("adjunction-bundle", bundle_to_payload(*bundle), name="bundle")
+            for bundle in bundles] + [
+        make_document("category", category_to_payload(diagrams), name="diagrams")]
 
 
 def test_dumps_document_matches_json_dumps_on_bundles():
