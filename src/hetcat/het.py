@@ -629,6 +629,17 @@ def compare_right_representation(rep: RightRepresentation, functor: FinFunctor,
     return out
 
 
+def left_representation_from_universals(
+        het: HetBifunctor, functor: FinFunctor, universal: dict[str, str],
+        equivalents: dict[str, tuple[tuple[str, str], ...]]) -> LeftRepresentation:
+    """The left representation that universal elements h_x predict, with
+    psi(g) = h_x.g over each Hom(Fx, a); check_left_representation decides
+    whether it is one. Every h_x must be an element of the het."""
+    psi = {(x, a): _right_row(het, het.a_cat.hom(functor.on_obj(x), a), universal[x])
+           for x in het.x_cat.objects for a in het.a_cat.objects}
+    return LeftRepresentation(het, functor, universal, psi, equivalents)
+
+
 def find_left_representation(
         het: HetBifunctor) -> Union[LeftRepresentation, NonRepresentabilityWitness]:
     """Search every (object, element) candidate for universal elements.
@@ -677,13 +688,9 @@ def find_left_representation(
             raise KernelInvariantError(
                 f"morphism fill-in for {j.id} is not unique ({len(gs)} candidates)")
         mor_map[j.id] = gs[0]
-    fun = FinFunctor(f"F[{het.name}]", het.x_cat, het.a_cat, obj_map, mor_map)
-    psi = {
-        (x, a): _right_row(het, het.a_cat.hom(obj_map[x], a), chosen[x][1])
-        for x in het.x_cat.objects for a in het.a_cat.objects
-    }
-    rep = LeftRepresentation(het, fun, {x: u for x, (_, u) in chosen.items()},
-                             psi, equivalents)
+    rep = left_representation_from_universals(
+        het, FinFunctor(f"F[{het.name}]", het.x_cat, het.a_cat, obj_map, mor_map),
+        {x: u for x, (_, u) in chosen.items()}, equivalents)
     problems = check_left_representation(rep)
     if not problems.ok:
         raise KernelInvariantError(

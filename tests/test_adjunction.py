@@ -650,28 +650,43 @@ def test_four_bifunctor_iso_names_a_missing_transpose(skeleton2):
         four_bifunctor_iso(_with(adj, "right.phi", {("1", "1"): {}}))
 
 
+def test_zigzag_counts_only_anti_diagonals_that_meet_both_triangles(skeleton2):
+    # eta_2 made the swap: F and G are identities, so each o in cell (2, 2)
+    # twists to (o, o); for c = 1_2 the swap meets the upper triangle alone
+    # (eta_2 then o is 1_2) and 1_2 the lower one alone (o then eps_2 is 1_2)
+    bad = _with(ur_adjunction(skeleton2), "unit.components", {"2": "2>2:1,0"})
+    zz = zig_zag_factorize(bad, "2>2:0,1")
+    assert zz.factor_count == 0
+    assert _laws(zz.report) == {"upper-triangle", "zig-zag-action-bottom"}
+
+
 def test_image_squares_report_a_right_adjoint_that_moves_an_identity(skeleton2):
-    # a G that is not a functor breaks both components; the round trip
-    # reports the bifunctor laws its abstract het then fails
+    # a G that is not a functor breaks both components; in the round trip,
+    # u.1_2 = u.swap at the embedded universal u at 2, and the abstract het's
+    # right action is not functorial, which psi-naturality-right reports
     bad = _with(ur_adjunction(skeleton2), "right.functor.mor_map", {"2>2:0,1": "2>2:1,0"})
     seeds = [(a, f) for a in bad.a_cat.objects for x in bad.x_cat.objects
              for f in bad.x_cat.hom(x, bad.G.on_obj(a))]
     assert _square_laws(adjunctive_image_square, bad, seeds) == {
         "image-square-first-component", "image-square-second-component"}
-    assert _laws(representation_roundtrip(bad)) == {"identity-right-action",
-                                                     "right-functoriality"}
+    assert _laws(representation_roundtrip(bad)) == {
+        "psi-bijective", "psi-naturality-left", "psi-naturality-right"}
 
 
 def test_roundtrip_reports_an_abstract_het_without_a_left_adjoint(skeleton2):
     # G constant at 0, with counit the maps out of 0: Hom(x, G-) is empty
-    # for x = 1, so no object of the embedded copy represents it on the left
+    # for x = 1, 2, so no object of the embedded copy represents it on the
+    # left, and the embedded units eta_1 and eta_2, which end at x and not
+    # at GFx = 0, lie in no cell
     adj = ur_adjunction(skeleton2)
     to_zero = dataclasses.replace(adj.G, obj_map={a: "0" for a in skeleton2.objects},
                                   mor_map={m.id: "0>0:" for m in skeleton2.morphisms})
     bad = dataclasses.replace(_with(adj, "counit.components",
                                     {a: f"0>{a}:" for a in skeleton2.objects}),
                               right=dataclasses.replace(adj.right, functor=to_zero))
-    assert _laws(representation_roundtrip(bad)) == {"roundtrip-representability"}
+    assert [(v.law, v.witness[0]) for v in representation_roundtrip(bad).violations] == [
+        ("sending-expected-universal-placement", "(1,1)"),
+        ("sending-expected-universal-placement", "(2,2)")]
 
 
 def test_compare_left_representation_reports_a_misplaced_or_non_universal_element(skeleton2):

@@ -345,7 +345,8 @@ _S3 = {"e" if p == (0, 1, 2) else "".join(map(str, p)): p
                          ids=["Z2-z-first", "Z2-s-first", "S3-e-first", "S3-e-last"])
 def test_adjoint_passes_groups_listed_in_any_order(capsys, tmp_path, perms):
     # the search keeps the first universal in listing order, which may be a
-    # non-identity automorphism; the round trip compares up to that iso
+    # non-identity automorphism; the round trip checks the universals the
+    # embedding predicts, which are universal whichever one it picked
     het = hom_bifunctor(_permutation_group(perms))
     assert representation_roundtrip(build_adjunction(het)).ok
     path = tmp_path / "hom.json"

@@ -565,11 +565,13 @@ def test_broken_nat_trans_component_fails(skeleton2):
 
 
 def test_nat_trans_wrong_shape_component_is_structural(skeleton2):
+    # the domain alone, then the codomain alone, is wrong
     ident = identity_functor(skeleton2)
-    components = {x: skeleton2.id_of(x) for x in skeleton2.objects}
-    components["2"] = "2>1:0,0"
-    with pytest.raises(StructuralError):
-        check_nat_trans(NatTrans("bad", ident, ident, components))
+    for component, found in (("1>2:0", "1 -> 2"), ("2>1:0,0", "2 -> 1")):
+        with pytest.raises(StructuralError,
+                           match=f"component at 2 has type {found}, expected 2 -> 2"):
+            check_nat_trans(NatTrans("bad", ident, ident,
+                                     {**skeleton2.identity, "2": component}))
 
 
 # -- opposite ---------------------------------------------------------------

@@ -224,6 +224,9 @@ def test_degenerate_all_empty_row_is_reported(chain2, terminal_cat):
     assert isinstance(witness, NonRepresentabilityWitness)
     assert witness.degenerate
     assert witness.failures == ()
+    assert witness.describe() == (
+        "left representation fails at 0: no universal element for Het(0, -)\n"
+        "  (degenerate: every cell at this index is empty)")
 
 
 def test_multiple_universals_are_checked_for_isomorphism(skeleton2):
