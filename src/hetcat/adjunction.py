@@ -24,7 +24,7 @@ from .fincat import (FinCategory, FinFunctor, Morphism, NatTrans, check_nat_tran
 from .het import (HetBifunctor, KernelInvariantError, LeftRepresentation,
                   NonRepresentabilityWitness, RightRepresentation, build_het,
                   check_left_representation, find_left_representation,
-                  find_right_representation, left_representation_from_universals)
+                  find_right_representation)
 from .report import LawReport
 
 
@@ -427,26 +427,30 @@ def four_bifunctor_iso(adj: Adjunction) -> LawReport:
     naturality of all three against the actions in both variables. Equal cell
     sizes are not checked apart: psi-bijective and phi-bijective compare
     sorted lists of those sizes, so a size that differs fails them there.
+    phi-bijective compares the image of the dual's psi, g -> e_a.g, with the
+    cell. Where psi or phi misses an element of a cell (a misplaced or not
+    universal h_x or e_a), it has no twist, and the report stops there.
     """
     rep = LawReport(f"four-bifunctor isomorphism of {adj.het.name}")
     het = adj.het
     xc, ac = adj.x_cat, adj.a_cat
-    zb = z_bifunctor(adj)
+    psi, dual_psi = adj.left.psi, adj.right.dual_left.psi
+    onto = True
     for x in xc.objects:
         for a in ac.objects:
             cell = het.cell(x, a)
-            psi, hom = adj.left.psi[(x, a)], ac.hom(adj.F.on_obj(x), a)
-            for g in hom:
-                if g not in psi:
-                    raise StructuralError(f"psi at ({x}, {a}) has no entry for {g!r}")
-            if sorted(map(psi.__getitem__, hom)) != sorted(cell):
+            psi_image, phi_image = psi[(x, a)].values(), dual_psi[(a, x)].values()
+            if sorted(psi_image) != sorted(cell):
                 rep.add("psi-bijective", (x, a), "psi is not onto the cell")
-            phi_values = list(map(adj.f_of, cell))
-            if sorted(phi_values) != sorted(xc.hom(x, adj.G.on_obj(a))):
+            if sorted(phi_image) != sorted(cell):
                 rep.add("phi-bijective", (x, a), "phi is not onto Hom(x, Ga)")
-            pairs = zb.cell(x, a)
-            if len(set(pairs)) != len(cell):
-                rep.add("z-bijective", (x, a), "twist map is not injective on the cell")
+            onto = onto and set(cell) <= set(psi_image) & set(phi_image)
+    if not onto:
+        return rep.normalize()
+    zb = z_bifunctor(adj)
+    for (x, a), pairs in zb.cells.items():
+        if len(set(pairs)) != len(pairs):
+            rep.add("z-bijective", (x, a), "twist map is not injective on the cell")
     # naturality of the twist map against both actions
     for h in xc.morphisms:
         for a in ac.objects:
@@ -696,16 +700,17 @@ def representation_roundtrip(adj: Adjunction) -> LawReport:
     """Check the representation of the abstract het that the embedding predicts.
 
     Each embedded (eta_x, 1_Fx) must lie in cell (x-hat, F-hat x-hat); where
-    all do, check_left_representation decides F-hat with those universals and
-    psi(g) = u.g. A universal element is unique up to a unique isomorphism
-    (Mac Lane, CWM III.1), so a rebuild finds universals canonically
-    isomorphic to these exactly when this check passes: psi-bijective at x-hat
-    says (eta_x, 1_Fx) is universal, and psi-naturality-left that F-hat j is
-    the fill-in. As every element is some u.g, psi-naturality-right gives the
-    right functoriality of the whole het, which a G that is not a functor
-    fails; left functoriality and the bimodule law hold by X's composition. A
-    placed (1_Ga, eps_a) is the pair of 1_Ga, and each (f, f*) is it acted on
-    by f-hat alone, so it is universal (Yoneda) and only its place is checked.
+    all do, check_left_representation decides the LeftRepresentation of F-hat
+    with those universals (psi(g) = u.g). A universal element is unique up to
+    a unique isomorphism (Mac Lane, CWM III.1), so a rebuild finds universals
+    canonically isomorphic to these exactly when this check passes:
+    psi-bijective at x-hat says (eta_x, 1_Fx) is universal, and
+    psi-naturality-left that F-hat j is the fill-in. As every element is some
+    u.g, psi-naturality-right gives the right functoriality of the whole het,
+    which a G that is not a functor fails; left functoriality and the bimodule
+    law hold by X's composition. A placed (1_Ga, eps_a) is the pair of 1_Ga,
+    and each (f, f*) is it acted on by f-hat alone, so it is universal
+    (Yoneda) and only its place, cell (G-hat a-hat, a-hat), is checked.
     """
     rep = LawReport(f"representation round-trip of {adj.het.name}")
     ah = abstract_het(adj)
@@ -718,11 +723,11 @@ def representation_roundtrip(adj: Adjunction) -> LawReport:
                     "expected universal not in cell (x, Fx)")
         universal[x_hat] = u
     if rep.ok:
-        rep.extend(check_left_representation(left_representation_from_universals(
+        rep.extend(check_left_representation(LeftRepresentation(
             ah.het, ah.f_hat, universal, {})))
     for a in ac.objects:
         a_hat, u = ah.embed_a.on_obj(a), pair_id(xc.id_of(adj.G.on_obj(a)), adj.eps(a))
         if cell_of.get(u) != (ah.g_hat.on_obj(a_hat), a_hat):
             rep.add("receiving-expected-universal-placement", (a_hat, u),
-                    "expected universal not in cell (x, Fx)")
+                    "expected universal not in cell (Ga, a)")
     return rep.normalize()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hetcat import (Adjunction, HalfAdjunction, StructuralError, abstract_het,
                     adjunctive_image_square, adjunctive_square,
                     adjunctive_square_from_transpose, build_adjunction, build_het,
-                    check_bifunctor, check_chimera_nat_trans, chimera_counit,
+                    check_bifunctor, check_chimera_nat_trans, chimera_counit, dual,
                     chimera_unit, four_bifunctor_iso, lawvere_iso_check,
                     over_and_back_and_triangles, representation_roundtrip,
                     transpose, transpose_inv, z_bifunctor, zig_zag_factorize)
@@ -538,12 +538,21 @@ def test_law_suites_report_a_corrupted_counit(skeleton2):
     }
 
 
+def _swapped_at(het, side, m, c, image):
+    """het with the actions of m and image on c swapped."""
+    table = getattr(het, side)
+    return dataclasses.replace(het, **{side: {
+        **table, m: {**table[m], c: table[image][c]}, image: {**table[image], c: table[m][c]}}})
+
+
 def test_law_suites_report_a_corrupted_psi(skeleton2):
+    # psi is read off the left representation's own het, whose right action
+    # on h_1 = 1_1 swaps the two maps 1 -> 2; the adjunction's het is intact
     adj = ur_adjunction(skeleton2)
-    psi = adj.left.psi[("1", "2")]
-    g0, g1 = list(psi)[:2]
-    bad = dataclasses.replace(adj, left=dataclasses.replace(adj.left, psi={
-        **adj.left.psi, ("1", "2"): {**psi, g0: psi[g1], g1: psi[g0]}}))
+    moved = _swapped_at(adj.het, "act_right", "1>2:0", "1>1:0", "1>2:1")
+    bad = dataclasses.replace(adj, left=dataclasses.replace(adj.left, het=moved))
+    assert adj.left.psi[("1", "2")] == {"1>2:0": "1>2:0", "1>2:1": "1>2:1"}
+    assert bad.left.psi[("1", "2")] == {"1>2:0": "1>2:1", "1>2:1": "1>2:0"}
     assert _suite_laws(bad) == {
         "four": {"z-naturality-left", "z-naturality-right"},
         "identities": {"factorization-counit"},
@@ -579,17 +588,21 @@ def test_law_suites_report_a_corrupted_unit(skeleton2):
     }
 
 
-def test_law_suites_report_a_non_injective_phi(skeleton2):
-    # both elements of cell (1, 2) sent to 1>2:0
-    bad = _with(ur_adjunction(skeleton2), "right.phi",
-                {("1", "2"): {"1>2:0": "1>2:0", "1>2:1": "1>2:0"}})
+def test_law_suites_report_a_corrupted_phi(skeleton2):
+    # phi is read off the right representation's own het, whose left action
+    # on e_2 = 1_2 swaps the two maps 1 -> 2; the adjunction's het is intact
+    adj = ur_adjunction(skeleton2)
+    moved = _swapped_at(adj.het, "act_left", "1>2:0", "2>2:0,1", "1>2:1")
+    bad = dataclasses.replace(adj, right=RightRepresentation(
+        moved, dataclasses.replace(adj.right.dual_left, het=dual(moved))))
+    assert bad.right.phi[("1", "2")] == {"1>2:0": "1>2:1", "1>2:1": "1>2:0"}
     assert _suite_laws(bad) == {
-        "four": {"phi-bijective", "z-naturality-left", "z-naturality-right"},
+        "four": {"z-naturality-left", "z-naturality-right"},
         "identities": set(),
         "squares": set(),
         "image squares": set(),
         "roundtrip": set(),
-        "lawvere": {"object-bijection"},
+        "lawvere": {"morphism-correspondence", "morphism-bijection"},
         "zigzag": {"right-factorization", "upper-triangle", "lower-triangle",
                    "zig-zag-action-top"},
     }
@@ -615,6 +628,15 @@ def test_law_suites_report_a_left_adjoint_that_moves_an_identity(skeleton2):
             if v.law == "e1-form"] == ["z(e_a) second component is 2>2:1,0, expected identity"]
 
 
+def test_roundtrip_names_the_cell_of_each_misplaced_universal(skeleton2):
+    # the same F: (eta_2, 1_F2) misses cell (x, Fx) and (1_G2, eps_2) misses
+    # cell (Ga, a) of the abstract het, each at the embedded object of 2
+    bad = _with(ur_adjunction(skeleton2), "left.functor.mor_map", {"2>2:0,1": "2>2:1,0"})
+    assert [(v.law, v.detail) for v in representation_roundtrip(bad).violations] == [
+        ("receiving-expected-universal-placement", "expected universal not in cell (Ga, a)"),
+        ("sending-expected-universal-placement", "expected universal not in cell (x, Fx)")]
+
+
 def test_four_bifunctor_iso_reports_cells_the_representations_miss(skeleton2):
     # the functions of rank at most 1 form a sub-bifunctor of Hom; its cell
     # (2, 2) holds the 2 constants of the 4 functions that psi and phi pair
@@ -632,7 +654,7 @@ def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
     # F and G both send 1>2:1 to 1>2:0, so both elements of cell (1, 2) twist
     # to (1>2:0, 1>2:0)
     adj = ur_adjunction(skeleton2)
-    for side in ("left", "right"):
+    for side in ("left", "right.dual_left"):
         adj = _with(adj, f"{side}.functor.mor_map", {"1>2:1": "1>2:0"})
     report = four_bifunctor_iso(adj)
     assert _laws(report) == {"z-bijective", "z-naturality-left", "z-naturality-right"}
@@ -640,14 +662,16 @@ def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
 
 
 def test_four_bifunctor_iso_names_a_missing_transpose(skeleton2):
-    # F moved at 0 makes psi miss every g: F0 -> a; an empty phi table at a
-    # non-empty cell misses its element: each is a StructuralError naming the
-    # cell and the entry, as in the other suites, not a bare KeyError
+    # F moved at 0 leaves h_0 outside cell (0, F0), so psi is empty at 0;
+    # G moved at 1 does the same to e_1 and phi at 1; each cell that the
+    # transposes miss is a bijectivity violation, and no element of it is
+    # twisted
     adj = ur_adjunction(skeleton2)
-    with pytest.raises(StructuralError, match=r"psi at \(0, 1\) has no entry for '1>1:0'"):
-        four_bifunctor_iso(_with(adj, "left.functor.obj_map", {"0": "1"}))
-    with pytest.raises(StructuralError, match=r"phi at \(1, 1\) has no entry for '1>1:0'"):
-        four_bifunctor_iso(_with(adj, "right.phi", {("1", "1"): {}}))
+    for path, obj_map, law, cells in (
+            ("left", {"0": "1"}, "psi-bijective", [("0", a) for a in "012"]),
+            ("right.dual_left", {"1": "2"}, "phi-bijective", [(x, "1") for x in "012"])):
+        report = four_bifunctor_iso(_with(adj, f"{path}.functor.obj_map", obj_map))
+        assert [(v.law, v.witness) for v in report.violations] == [(law, c) for c in cells]
 
 
 def test_zigzag_counts_only_anti_diagonals_that_meet_both_triangles(skeleton2):
@@ -664,7 +688,7 @@ def test_image_squares_report_a_right_adjoint_that_moves_an_identity(skeleton2):
     # a G that is not a functor breaks both components; in the round trip,
     # u.1_2 = u.swap at the embedded universal u at 2, and the abstract het's
     # right action is not functorial, which psi-naturality-right reports
-    bad = _with(ur_adjunction(skeleton2), "right.functor.mor_map", {"2>2:0,1": "2>2:1,0"})
+    bad = _with(ur_adjunction(skeleton2), "right.dual_left.functor.mor_map", {"2>2:0,1": "2>2:1,0"})
     seeds = [(a, f) for a in bad.a_cat.objects for x in bad.x_cat.objects
              for f in bad.x_cat.hom(x, bad.G.on_obj(a))]
     assert _square_laws(adjunctive_image_square, bad, seeds) == {
@@ -678,12 +702,11 @@ def test_roundtrip_reports_an_abstract_het_without_a_left_adjoint(skeleton2):
     # for x = 1, 2, so no object of the embedded copy represents it on the
     # left, and the embedded units eta_1 and eta_2, which end at x and not
     # at GFx = 0, lie in no cell
-    adj = ur_adjunction(skeleton2)
-    to_zero = dataclasses.replace(adj.G, obj_map={a: "0" for a in skeleton2.objects},
-                                  mor_map={m.id: "0>0:" for m in skeleton2.morphisms})
-    bad = dataclasses.replace(_with(adj, "counit.components",
-                                    {a: f"0>{a}:" for a in skeleton2.objects}),
-                              right=dataclasses.replace(adj.right, functor=to_zero))
+    bad = _with(ur_adjunction(skeleton2), "counit.components",
+                {a: f"0>{a}:" for a in skeleton2.objects})
+    bad = _with(bad, "right.dual_left.functor.obj_map", {a: "0" for a in skeleton2.objects})
+    bad = _with(bad, "right.dual_left.functor.mor_map",
+                {m.id: "0>0:" for m in skeleton2.morphisms})
     assert [(v.law, v.witness[0]) for v in representation_roundtrip(bad).violations] == [
         ("sending-expected-universal-placement", "(1,1)"),
         ("sending-expected-universal-placement", "(2,2)")]

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import hetcat
 from hetcat import (Adjunction, FinCategory, FinFunctor, HetBifunctor, LawReport,
-                    NatTrans, StructuralError, build_adjunction, check_bifunctor,
+                    NatTrans, StructuralError, build_adjunction, build_het, check_bifunctor,
                     check_category, check_chimera_nat_trans, check_functor,
                     check_left_representation, check_nat_trans,
-                    check_right_representation, chimera_unit,
+                    chimera_unit,
                     compare_left_representation, compare_right_representation,
                     comma_of_bifunctor,
                     comma_of_functors, constant_functor, four_bifunctor_iso,
@@ -33,7 +33,7 @@ from hetcat.fincat import pair_id
 from hetcat.het import KernelInvariantError
 from hetcat.instances import (finset_skeleton, galois_connections, product_exponential,
                               ur_adjunction)
-from hetcat.instances.finset import function_category
+from hetcat.instances.finset import fn_images, function_category
 from test_adjunction import _suite_laws, _with
 
 # -- the census: every law name in the kernel's source ---------------------------
@@ -82,7 +82,7 @@ def census() -> set[str]:
 SKEL = finset_skeleton(2)
 HOM = hom_bifunctor(SKEL)
 UR = ur_adjunction(SKEL)
-LEFT, RIGHT = UR.left, UR.right
+LEFT = UR.left
 
 
 def _laws(report: LawReport) -> set[str]:
@@ -103,10 +103,15 @@ def _functor(obj_map=None, mor_map=None, drop=None):
     return check_functor(FinFunctor("mutant", SKEL, SKEL, obj_map or base.obj_map, mor_map))
 
 
-def _het(side, m, c, image):
+def _mutant(side, m, c, image):
+    """HOM with one action entry rerouted."""
     tables = {"act_left": dict(HOM.act_left), "act_right": dict(HOM.act_right)}
     tables[side][m] = {**tables[side][m], c: image}
-    return check_bifunctor(HetBifunctor("mutant", SKEL, SKEL, HOM.cells, **tables))
+    return HetBifunctor("mutant", SKEL, SKEL, HOM.cells, **tables)
+
+
+def _het(side, m, c, image):
+    return check_bifunctor(_mutant(side, m, c, image))
 
 
 def _suites(adj) -> set[str]:
@@ -144,17 +149,15 @@ def _relabelled_comma_object():
 
 
 def _g_constant_at_zero():
-    to_zero = dataclasses.replace(UR.G, obj_map={a: "0" for a in SKEL.objects},
-                                  mor_map={m.id: "0>0:" for m in SKEL.morphisms})
-    bad = dataclasses.replace(_with(UR, "counit.components",
-                                    {a: f"0>{a}:" for a in SKEL.objects}),
-                              right=dataclasses.replace(RIGHT, functor=to_zero))
+    bad = _with(UR, "counit.components", {a: f"0>{a}:" for a in SKEL.objects})
+    bad = _with(bad, "right.dual_left.functor.obj_map", {a: "0" for a in SKEL.objects})
+    bad = _with(bad, "right.dual_left.functor.mor_map", {m.id: "0>0:" for m in SKEL.morphisms})
     return _laws(representation_roundtrip(bad))
 
 
 def _twist_not_injective():
     adj = UR
-    for side in ("left", "right"):
+    for side in ("left", "right.dual_left"):
         adj = _with(adj, f"{side}.functor.mor_map", {"1>2:1": "1>2:0"})
     return _laws(four_bifunctor_iso(adj))
 
@@ -164,8 +167,16 @@ def _expected(functor=None, universals=None):
                                              {**LEFT.universal, **(universals or {})}))
 
 
-def _dropped(tables, cell, key):
-    return {**tables, cell: {k: v for k, v in tables[cell].items() if k != key}}
+def _smaller_het():
+    """UR over the functions of rank at most 1, a sub-bifunctor of Hom: its
+    cell (2, 2) holds 2 of the 4 maps that psi and phi pair, so psi and phi
+    miss the other two and the het comma has fewer objects than (F, 1)."""
+    rank_one = build_het(
+        "rank<=1", SKEL, SKEL,
+        lambda x, a: tuple(f for f in SKEL.hom(x, a) if len(set(fn_images(f))) <= 1),
+        SKEL.compose, lambda k, c: SKEL.compose(c, k))
+    adj = dataclasses.replace(UR, het=rank_one)
+    return _laws(four_bifunctor_iso(adj)) | _laws(lawvere_iso_check(adj))
 
 
 def _moved_f(**images):
@@ -226,22 +237,23 @@ CORRUPTIONS = {
         lambda: _laws(check_left_representation(dataclasses.replace(
             LEFT, universal={**LEFT.universal, "1": "1>2:0"}))),
         {"universal-placement"}),
-    "psi-entry-dropped": (
-        lambda: _laws(check_left_representation(dataclasses.replace(
-            LEFT, psi=_dropped(LEFT.psi, ("2", "2"), "2>2:0,0")))),
-        {"psi-domain", "psi-naturality-right"}),
+    # psi is read off the right action at h_x, so an entry is rewired there
     "psi-entry-rewired": (
-        lambda: _laws(check_left_representation(dataclasses.replace(LEFT, psi={
-            **LEFT.psi, ("2", "2"): {**LEFT.psi[("2", "2")], "2>2:0,1": "2>2:0,0"}}))),
-        {"psi-bijective", "psi-formula"}),
+        lambda: _laws(check_left_representation(dataclasses.replace(
+            LEFT, het=_mutant("act_right", "2>2:0,1", "2>2:0,1", "2>2:0,0")))),
+        {"psi-bijective"}),
+    "left-universal-made-constant": (
+        lambda: _laws(check_left_representation(dataclasses.replace(
+            LEFT, universal={**LEFT.universal, "2": "2>2:0,0"}))),
+        {"psi-bijective"}),
+    "left-representation-over-a-rerouted-right-action": (
+        lambda: _laws(check_left_representation(dataclasses.replace(
+            LEFT, het=_mutant("act_right", "2>2:1,0", "2>2:0,1", "2>2:0,0")))),
+        {"psi-naturality-right"}),
     "left-adjoint-image-rewired": (
         lambda: _laws(check_left_representation(dataclasses.replace(
             LEFT, functor=_moved_f(**{"1>2:0": "1>2:1"})))),
         {"psi-naturality-left"}),
-    "phi-entry-dropped": (
-        lambda: _laws(check_right_representation(dataclasses.replace(
-            RIGHT, phi=_dropped(RIGHT.phi, ("2", "2"), "2>2:0,0")))),
-        {"phi-domain"}),
     "expected-universal-in-another-cell": (
         lambda: _expected(universals={"1": "0>1:"}), {"expected-universal-placement"}),
     "expected-universal-factors-one-way": (
@@ -264,7 +276,7 @@ CORRUPTIONS = {
         {"factorization-counit", "e1-form", "chimera-counit-composite",
          "square-second-component", "lower-triangle", "zig-zag-action-top"}),
     "right-adjoint-moves-an-identity": (
-        lambda: _suites(_with(UR, "right.functor.mor_map", {"2>2:0,1": "2>2:0,0"})),
+        lambda: _suites(_with(UR, "right.dual_left.functor.mor_map", {"2>2:0,1": "2>2:0,0"})),
         {"image-square-first-component"}),
     "left-adjoint-moves-an-identity": (
         lambda: _suites(_with(UR, "left.functor.mor_map", {"2>2:0,1": "2>2:0,0"})),
@@ -273,16 +285,18 @@ CORRUPTIONS = {
         lambda: _suites(_with(UR, "left.functor.mor_map", {"1>2:0": "1>2:1"})),
         {"z-naturality-left", "z-naturality-right", "morphism-correspondence",
          "morphism-bijection", "psi-naturality-left"}),
-    "chimera-unit-made-constant": (
-        lambda: _suites(_with(UR, "left.universal", {"2": "2>2:0,0"})),
+    # psi and phi are read off the representations' own het, so a right
+    # (left) action of the adjunction's het that no longer agrees with it
+    # breaks the left (right) factorization
+    "adjunction-het-right-action-rerouted": (
+        lambda: _suites(dataclasses.replace(
+            UR, het=_mutant("act_right", "2>2:1,0", "2>2:0,1", "2>2:0,0"))),
         {"left-factorization"}),
-    "chimera-counit-made-constant": (
-        lambda: _suites(_with(UR, "right.universal", {"2": "2>2:0,0"})),
+    "adjunction-het-left-action-rerouted": (
+        lambda: _suites(dataclasses.replace(
+            UR, het=_mutant("act_left", "2>2:1,0", "2>2:0,1", "2>2:0,0"))),
         {"right-factorization"}),
-    "phi-not-injective": (
-        lambda: _suites(_with(UR, "right.phi",
-                              {("1", "2"): {"1>2:0": "1>2:0", "1>2:1": "1>2:0"}})),
-        {"phi-bijective", "object-bijection"}),
+    "adjunction-over-a-smaller-het": (_smaller_het, {"phi-bijective", "object-bijection"}),
     "twist-not-injective": (_twist_not_injective, {"z-bijective"}),
     "right-adjoint-constant-at-zero": (
         _g_constant_at_zero, {"sending-expected-universal-placement"}),
@@ -307,11 +321,13 @@ def test_corruption_fires_its_laws_by_name(name):
 
 # -- the deleted laws: reference forms that still check them ---------------------
 
+# psi-domain, psi-formula and phi-domain went with the stored psi and phi
+# tables; their reference forms are the all-pairs checks in tests/test_het.py
 DELETED = {"psi-cardinality", "phi-cardinality", "over-and-back-F", "over-and-back-G",
            "receiving-comparison-mediator", "receiving-comparison-iso",
            "receiving-comparison-naturality", "roundtrip-representability",
            "sending-comparison-mediator", "sending-comparison-iso",
-           "sending-comparison-naturality"}
+           "sending-comparison-naturality", "psi-domain", "psi-formula", "phi-domain"}
 
 
 def _reference_four_bifunctor_iso(adj):
@@ -436,9 +452,11 @@ def _reference_representation_roundtrip(adj):
     receiving = compare_right_representation(rebuilt.right, ah.g_hat, {
         ah.embed_a.on_obj(a): pair_id(xc.id_of(adj.G.on_obj(a)), adj.eps(a))
         for a in ac.objects})
-    for prefix, report in (("sending-", sending), ("receiving-", receiving)):
+    # compare_right_representation reads the dual, whose cell (x, Fx) is (Ga, a)
+    for prefix, report, cell in (("sending-", sending, "(x, Fx)"),
+                                 ("receiving-", receiving, "(Ga, a)")):
         for v in report.violations:
-            rep.add(prefix + v.law, v.witness, v.detail)
+            rep.add(prefix + v.law, v.witness, v.detail.replace("(x, Fx)", cell))
     return rep.normalize()
 
 
@@ -463,39 +481,49 @@ def _other(draw, values, current):
     return draw(st.sampled_from([v for v in values if v != current] or [current]))
 
 
+SIDES = {"left": "left", "right": "right.dual_left"}   # the path to each side's fields
+
+
 @st.composite
 def _corrupted(draw):
-    """A base adjunction with one to three of its unit, counit, psi, phi, F
-    and G changed at one entry each: a component, a transpose or a
-    morphism image to another of the same type, or an object image to any
-    object."""
+    """A base adjunction with one to three of its unit, counit, het, the
+    universal elements, F and G changed at one entry each: a component or a
+    morphism image to another of the same type, an action entry to another
+    element of its cell, a universal element to another element of its row
+    (left) or column (right), or an object image to any object. psi and phi
+    are read off the representations' own het, which a het change leaves
+    as it was."""
     adj = BASES[draw(st.sampled_from(sorted(BASES)))]
     for kind in draw(st.lists(st.sampled_from(
-            ["unit", "counit", "psi", "phi", "left", "right"]), min_size=1, max_size=3)):
+            ["unit", "counit", "het", "universal", "left", "right"]), min_size=1, max_size=3)):
         if kind in ("unit", "counit"):
             cat = adj.x_cat if kind == "unit" else adj.a_cat
             key, c = draw(st.sampled_from(sorted(getattr(adj, kind).components.items())))
             adj = _with(adj, f"{kind}.components",
                         {key: _other(draw, cat.hom(cat.dom(c), cat.cod(c)), c)})
-        elif kind in ("psi", "phi"):
-            side = "left" if kind == "psi" else "right"
-            tables = getattr(getattr(adj, side), kind)
-            cell = draw(st.sampled_from(sorted(c for c, t in tables.items() if t)))
-            key = draw(st.sampled_from(sorted(tables[cell])))
-            x, a = cell
-            values = adj.het.cell(x, a) if kind == "psi" else \
-                adj.x_cat.hom(x, adj.G.on_obj(a))
-            adj = _with(adj, f"{side}.{kind}",
-                        {cell: {**tables[cell], key: _other(draw, values, tables[cell][key])}})
+        elif kind == "het":
+            het, side = adj.het, draw(st.sampled_from(["act_left", "act_right"]))
+            tables = getattr(het, side)
+            m = draw(st.sampled_from(sorted(m for m, t in tables.items() if t)))
+            c, image = draw(st.sampled_from(sorted(tables[m].items())))
+            adj = dataclasses.replace(adj, het=dataclasses.replace(het, **{side: {
+                **tables, m: {**tables[m], c: _other(draw, het.cell(*het.cell_of(image)),
+                                                     image)}}}))
+        elif kind == "universal":
+            side = draw(st.sampled_from(sorted(SIDES)))
+            rep = adj.left if side == "left" else adj.right.dual_left
+            x, u = draw(st.sampled_from(sorted(rep.universal.items())))
+            row = [c for b in rep.het.a_cat.objects for c in rep.het.cell(x, b)]
+            adj = _with(adj, f"{SIDES[side]}.universal", {x: _other(draw, row, u)})
         elif draw(st.booleans()):
             fun = getattr(adj, kind).functor
             m, image = draw(st.sampled_from(sorted(fun.mor_map.items())))
             values = fun.target.hom(fun.target.dom(image), fun.target.cod(image))
-            adj = _with(adj, f"{kind}.functor.mor_map", {m: _other(draw, values, image)})
+            adj = _with(adj, f"{SIDES[kind]}.functor.mor_map", {m: _other(draw, values, image)})
         else:
             fun = getattr(adj, kind).functor
             x, image = draw(st.sampled_from(sorted(fun.obj_map.items())))
-            adj = _with(adj, f"{kind}.functor.obj_map",
+            adj = _with(adj, f"{SIDES[kind]}.functor.obj_map",
                         {x: _other(draw, fun.target.objects, image)})
     return adj
 

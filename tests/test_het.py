@@ -408,20 +408,27 @@ def _reference_find_right_representation(het):
             raise KernelInvariantError(
                 f"morphism fill-in for {k.id} is not unique ({len(fs)} candidates)")
         mor_map[k.id] = fs[0]
-    fun = FinFunctor(f"G[{het.name}]", het.a_cat, het.x_cat, obj_map, mor_map)
-    phi = {}
-    for x in het.x_cat.objects:
-        for a in het.a_cat.objects:
-            inverse = {f: het.act_l(f, chosen[a][1])
-                       for f in het.x_cat.hom(x, obj_map[a])}
-            phi[(x, a)] = {c: f for f, c in inverse.items()}
-    rep = RightRepresentation(het, fun, {a: u for a, (_, u) in chosen.items()},
-                              phi, equivalents)
+    d = dual(het)
+    rep = RightRepresentation(het, LeftRepresentation(
+        d, FinFunctor(f"F[{d.name}]", d.x_cat, d.a_cat, obj_map, mor_map),
+        {a: u for a, (_, u) in chosen.items()}, equivalents))
     problems = _reference_check_right_representation(rep)
     if not problems.ok:
         raise KernelInvariantError(
             f"constructed right representation fails its own laws:\n{problems.summary()}")
     return rep
+
+
+def _reference_phi(rep):
+    """phi of a right representation, inverting f -> e_a.f over Hom(x, Ga)."""
+    het, fun = rep.het, rep.functor
+    phi = {}
+    for x in het.x_cat.objects:
+        for a in het.a_cat.objects:
+            inverse = {f: het.act_l(f, rep.universal[a])
+                       for f in het.x_cat.hom(x, fun.on_obj(a))}
+            phi[(x, a)] = {c: f for f, c in inverse.items()}
+    return phi
 
 
 def _pool():
@@ -496,8 +503,7 @@ def test_right_search_matches_reference(name, n_mutations, data):
             assert list(getattr(got.functor, attr).items()) == \
                 list(getattr(want.functor, attr).items())
         assert got.universal == want.universal
-        assert [(k, list(t.items())) for k, t in got.phi.items()] == \
-            [(k, list(t.items())) for k, t in want.phi.items()]
+        assert got.phi == _reference_phi(want)
         assert got.equivalent_universals == want.equivalent_universals
 
 
@@ -508,27 +514,25 @@ def _draw_other(data, current, preferred, fallback):
     return data.draw(st.sampled_from(options))
 
 
+def _right_rep(het, fun, universal, equivalents):
+    """The right representation of het with G's tables and universals."""
+    d = dual(het)
+    return RightRepresentation(het, LeftRepresentation(
+        d, FinFunctor(fun.name, d.x_cat, d.a_cat, fun.obj_map, fun.mor_map),
+        universal, equivalents))
+
+
 def _corrupt_right(rep, data):
     """One corruption that changes the rep; rewired entries keep their types
     where they can, so that most corruptions are law violations rather than
-    undefined lookups."""
+    undefined lookups. phi is read off the het, so an action entry moved
+    within its cell ("het") changes it."""
     het, fun = rep.het, rep.functor
     xc, mids = het.x_cat, [m.id for m in het.x_cat.morphisms]
-    kind = data.draw(st.sampled_from(
-        ("phi-rewire", "phi-drop", "phi-extra", "universal", "functor-mor", "functor-obj")))
-    phi = {cell: dict(t) for cell, t in rep.phi.items()}
+    kind = data.draw(st.sampled_from(("het", "universal", "functor-mor", "functor-obj")))
     universal, obj_map, mor_map = dict(rep.universal), dict(fun.obj_map), dict(fun.mor_map)
-    entries = sorted((cell, c) for cell, t in phi.items() for c in t)
-    if kind == "phi-rewire" and entries:
-        (x, a), c = data.draw(st.sampled_from(entries))
-        phi[(x, a)][c] = _draw_other(data, phi[(x, a)][c], xc.hom(x, fun.on_obj(a)), mids)
-    elif kind == "phi-drop" and entries:
-        cell, c = data.draw(st.sampled_from(entries))
-        del phi[cell][c]
-    elif kind == "phi-extra" and het.elements:
-        cell = data.draw(st.sampled_from(sorted(phi)))
-        phi[cell][data.draw(st.sampled_from(sorted(het.elements)))] = \
-            data.draw(st.sampled_from(mids))
+    if kind == "het":
+        het = _reroute_action(het, data)
     elif kind == "universal":
         a = data.draw(st.sampled_from(sorted(universal)))
         universal[a] = _draw_other(
@@ -543,7 +547,7 @@ def _corrupt_right(rep, data):
         a = data.draw(st.sampled_from(sorted(obj_map)))
         obj_map[a] = _draw_other(data, obj_map[a], xc.objects, ())
     corrupted = FinFunctor(fun.name, fun.source, fun.target, obj_map, mor_map)
-    return RightRepresentation(het, corrupted, universal, phi, rep.equivalent_universals)
+    return _right_rep(het, corrupted, universal, rep.equivalent_universals)
 
 
 def _verdict(check, rep):
@@ -566,8 +570,14 @@ def test_right_checks_match_reference_on_corrupted_reps(name, n_corruptions, dat
     want_ok, want = _verdict(_reference_check_right_representation, rep)
     assert got_ok == want_ok
     if got and want:
-        assert [v for v in got.violations if v.law == "phi-domain"] == \
-            [v for v in want.violations if v.law == "phi-domain"]
+        # phi-domain, which the kernel no longer checks: phi inverts
+        # f -> e_a.f, so it misses an element of cell (x, a) only where e_a
+        # is misplaced or that map is not onto the cell, which is the dual's
+        # psi-bijective at (a, x)
+        misplaced = {v.witness[0] for v in got.violations if v.law == "universal-placement"}
+        not_onto = {v.witness[::-1] for v in got.violations if v.law == "psi-bijective"}
+        assert all(v.witness[1] in misplaced or v.witness in not_onto
+                   for v in want.violations if v.law == "phi-domain")
     got_ok, got = _verdict(lambda r: compare_right_representation(
         r, found.functor, found.universal), rep)
     want_ok, want = _verdict(lambda r: _reference_compare_right_representation(
@@ -597,6 +607,8 @@ def _reference_check_left_representation(rep):
     # pairs that compose; elsewhere, and on a miss, `compose` raises its error
     hom_keyed = set()
     for x in het.x_cat.objects:
+        if x in misplaced:
+            continue            # psi is empty there; the placement names the fault
         for a in a_cat.objects:
             table = rep.psi[(x, a)]
             homs = a_cat.hom(fun.on_obj(x), a)
@@ -608,8 +620,6 @@ def _reference_check_left_representation(rep):
             if sorted(images) != sorted(het.cell(x, a)):
                 out.add("psi-bijective", (x, a),
                         f"psi image {sorted(images)} != cell {sorted(het.cell(x, a))}")
-            if x in misplaced:
-                continue        # u.g may be undefined; the placement names the fault
             u = rep.universal[x]
             for g, c in table.items():
                 if (act_right.get(g, {}).get(u) or het.act_r(g, u)) != c:
@@ -632,7 +642,7 @@ def _reference_check_left_representation(rep):
         x2, x, row = h.dom, h.cod, het.act_left.get(h.id, {})
         for a in a_cat.objects:
             table = rep.psi[(x, a)]
-            if not table:
+            if not table or x2 in misplaced:
                 continue
             fh = fun.on_mor(h.id)
             direct = (x, a) in hom_keyed and a_cat.cod(fh) == fun.on_obj(x)
@@ -652,26 +662,16 @@ LEFT_REPS = {name: rep for name, het in POOL.items()
 
 
 def _corrupt_left(rep, data):
-    """One corruption that changes the rep, as _corrupt_right does for phi:
-    rewired entries keep their types where they can. "cell-extra" puts a new
+    """One corruption that changes the rep, as _corrupt_right does: rewired
+    entries keep their types where they can. "cell-extra" puts a new
     element, with no actions, in an empty cell of the het."""
     het, fun = rep.het, rep.functor
     ac, mids = het.a_cat, [m.id for m in het.a_cat.morphisms]
-    kind = data.draw(st.sampled_from(("psi-rewire", "psi-drop", "psi-extra", "universal",
-                                      "functor-mor", "functor-obj", "cell-extra")))
-    psi = {cell: dict(t) for cell, t in rep.psi.items()}
+    kind = data.draw(st.sampled_from(("het", "universal", "functor-mor", "functor-obj",
+                                      "cell-extra")))
     universal, obj_map, mor_map = dict(rep.universal), dict(fun.obj_map), dict(fun.mor_map)
-    entries = sorted((cell, g) for cell, t in psi.items() for g in t)
-    if kind == "psi-rewire" and entries:
-        cell, g = data.draw(st.sampled_from(entries))
-        psi[cell][g] = _draw_other(data, psi[cell][g], het.cell(*cell), sorted(het.elements))
-    elif kind == "psi-drop" and entries:
-        cell, g = data.draw(st.sampled_from(entries))
-        del psi[cell][g]
-    elif kind == "psi-extra" and het.elements:
-        cell = data.draw(st.sampled_from(sorted(psi)))
-        psi[cell][data.draw(st.sampled_from(mids))] = \
-            data.draw(st.sampled_from(sorted(het.elements)))
+    if kind == "het":
+        het = _reroute_action(het, data)
     elif kind == "universal":
         x = data.draw(st.sampled_from(sorted(universal)))
         universal[x] = _draw_other(
@@ -689,7 +689,7 @@ def _corrupt_left(rep, data):
         cells[data.draw(st.sampled_from(empty))] = (f"extra{len(het.elements)}",)
         het = HetBifunctor(het.name, het.x_cat, ac, cells, het.act_left, het.act_right)
     corrupted = FinFunctor(fun.name, fun.source, fun.target, obj_map, mor_map)
-    return LeftRepresentation(het, corrupted, universal, psi, rep.equivalent_universals)
+    return LeftRepresentation(het, corrupted, universal, rep.equivalent_universals)
 
 
 def _left_report(check, rep):
@@ -703,6 +703,9 @@ def _left_report(check, rep):
 @settings(deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(LEFT_REPS)), st.integers(0, 2), st.data())
 def test_left_check_matches_reference_on_corrupted_reps(name, n_corruptions, data):
+    """The reference still checks psi-domain and psi-formula, which the
+    kernel dropped: equal reports show that psi, read off the universals,
+    never breaks them."""
     rep = LEFT_REPS[name]
     for _ in range(n_corruptions):
         rep = _corrupt_left(rep, data)
@@ -1150,18 +1153,30 @@ def _homomorphisms(m, n):
     return found
 
 
+def _group_het(m, n, phi):
+    """Hom_N(phi-, -) over the groups m and n, for a homomorphism phi."""
+    source, target = _group_category(m), _group_category(n)
+    return build_het(f"Hom_{n}(phi-,-)", source, target, lambda x, a: target.hom("*", "*"),
+                     lambda h, c: target.compose(phi[h], c), lambda k, c: target.compose(c, k))
+
+
+@st.composite
+def _group_hets(draw):
+    """(m, n, phi): N is M half the time, so that automorphisms come up."""
+    m = draw(st.sampled_from(sorted(GROUPS)))
+    n = draw(st.just(m) | st.sampled_from(sorted(GROUPS)))
+    return m, n, draw(st.sampled_from(_homomorphisms(m, n)))
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(st.sampled_from(sorted(GROUPS)), st.data())
-def test_group_hom_along_a_homomorphism_is_left_represented_by_it(m, data):
+@given(_group_hets(), st.data())
+def test_group_hom_along_a_homomorphism_is_left_represented_by_it(group_het, data):
     # Hom_N(phi-, -) is left represented by phi with universal 1_N (Yoneda);
     # it is right represented at * exactly when m -> phi(m) then e is a
-    # bijection M -> N for some e, that is, when phi is bijective. N is M
-    # half the time, so that automorphisms come up
-    n = data.draw(st.just(m) | st.sampled_from(sorted(GROUPS)))
-    phi = data.draw(st.sampled_from(_homomorphisms(m, n)))
-    source, target = _group_category(m), _group_category(n)
-    het = build_het(f"Hom_{n}(phi-,-)", source, target, lambda x, a: target.hom("*", "*"),
-                    lambda h, c: target.compose(phi[h], c), lambda k, c: target.compose(c, k))
+    # bijection M -> N for some e, that is, when phi is bijective
+    m, n, phi = group_het
+    het = _group_het(m, n, phi)
+    source, target = het.x_cat, het.a_cat
     fun = FinFunctor("phi", source, target, {"*": "*"}, dict(phi))
     assert check_functor(fun).ok and check_bifunctor(het).ok
     result = build_adjunction(het)
@@ -1169,6 +1184,42 @@ def test_group_hom_along_a_homomorphism_is_left_represented_by_it(m, data):
     bijective = len(set(phi.values())) == len(phi) == len(target.morphisms)
     assert isinstance(result.right, RightRepresentation) == bijective
     _assert_relabelling_keeps_the_verdict(het, data.draw(st.integers(0, 5)))
+
+
+# -- duality: the right side is the left side of the dual ----------------------
+
+def _assert_duality(het):
+    """build_adjunction(dual(het)) is G^op -| F^op on the tables: each side
+    is the other side of het, with the same object and morphism maps and
+    universal elements, or the same witness, and the unit and counit swap.
+    The right search's representation is a left one of the dual."""
+    found, dualised = build_adjunction(het), build_adjunction(dual(het))
+    for side, other in (("left", "right"), ("right", "left")):
+        got, want = getattr(dualised, side), getattr(found, other)
+        if isinstance(want, NonRepresentabilityWitness):
+            assert got == replace(want, side=side)
+            continue
+        assert isinstance(got, LeftRepresentation if side == "left" else RightRepresentation)
+        assert (got.functor.obj_map, got.functor.mor_map, got.universal) == \
+            (want.functor.obj_map, want.functor.mor_map, want.universal)
+    if isinstance(found, Adjunction):
+        assert dualised.unit.components == found.counit.components
+        assert dualised.counit.components == found.unit.components
+    right = find_right_representation(het)
+    if isinstance(right, RightRepresentation):
+        assert right.dual_left.het.name == f"{het.name}^op"
+        assert check_left_representation(right.dual_left).ok
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_dual_het_has_the_opposite_adjunction(name):
+    _assert_duality(POOL[name])
+
+
+@settings(deadline=None, derandomize=True, max_examples=20)
+@given(_group_hets())
+def test_dual_group_het_has_the_opposite_adjunction(group_het):
+    _assert_duality(_group_het(*group_het))
 
 
 # -- negative controls for the representation checkers ------------------------
@@ -1185,17 +1236,42 @@ def hom_reps(skeleton2):
     return het, left, right
 
 
+def _replace_right(rep, **changes):
+    """rep with fields of its dual left representation changed."""
+    return replace(rep, dual_left=replace(rep.dual_left, **changes))
+
+
 def test_rewired_transpose_entry_is_reported(hom_reps):
+    # the action of 1_2 on the universal 1_2 made the constant at 0: psi
+    # (phi) sends 1_2 to it
     het, left, right = hom_reps
-    psi = {cell: dict(t) for cell, t in left.psi.items()}
-    psi[("2", "2")]["2>2:0,1"] = "2>2:0,0"
-    assert {"psi-bijective", "psi-formula"} <= _laws(
-        check_left_representation(replace(left, psi=psi)))
-    phi = {cell: dict(t) for cell, t in right.phi.items()}
-    phi[("2", "2")]["2>2:0,1"] = "2>2:0,0"
-    report = check_right_representation(replace(right, phi=phi))
-    assert not report.ok
-    assert "phi-domain" not in _laws(report)
+    for side, check, rep in (("act_right", check_left_representation, left),
+                             ("act_left", check_right_representation, right)):
+        tables = {s: {m: dict(t) for m, t in getattr(het, s).items()}
+                  for s in ("act_left", "act_right")}
+        tables[side]["2>2:0,1"]["2>2:0,1"] = "2>2:0,0"
+        moved = HetBifunctor(het.name, het.x_cat, het.a_cat, dict(het.cells), **tables)
+        bad = replace(left, het=moved) if rep is left else \
+            RightRepresentation(moved, replace(right.dual_left, het=dual(moved)))
+        assert "psi-bijective" in _laws(check(bad))
+
+
+def test_right_representation_is_over_the_dual_of_its_het(hom_reps):
+    # an action entry moved on either side, or a cell reordered, leaves
+    # dual_left over another het than dual(het)
+    het, _, right = hom_reps
+    tables = {s: {m: dict(t) for m, t in getattr(het, s).items()}
+              for s in ("act_left", "act_right")}
+    tables["act_left"]["2>2:0,1"]["2>2:0,1"] = "2>2:0,0"
+    moved = HetBifunctor(het.name, het.x_cat, het.a_cat, dict(het.cells), **tables)
+    reordered = HetBifunctor(het.name, het.x_cat, het.a_cat,
+                             {**het.cells, ("2", "2"): het.cells[("2", "2")][::-1]},
+                             het.act_left, het.act_right)
+    for bad in (lambda: replace(right, het=moved),
+                lambda: _replace_right(right, het=dual(moved)),
+                lambda: replace(right, het=reordered)):
+        with pytest.raises(StructuralError, match=r"dual_left is not over dual\(Hom_"):
+            bad()
 
 
 def test_universal_in_another_cell_is_reported(hom_reps):
@@ -1206,7 +1282,7 @@ def test_universal_in_another_cell_is_reported(hom_reps):
         check_left_representation(replace(left, universal=moved)))
     moved = {**right.universal, "2": "2>1:0,0"}
     assert "universal-placement" in _laws(
-        check_right_representation(replace(right, universal=moved)))
+        check_right_representation(_replace_right(right, universal=moved)))
 
 
 def test_left_universal_off_its_column_is_reported(hom_reps):
@@ -1222,7 +1298,7 @@ def test_right_universal_off_its_row_is_reported(hom_reps):
     het, left, right = hom_reps
     # e_1 moved from cell (1, 1) to (2, 1): e.f is undefined for f into 1
     moved = {**right.universal, "1": "2>1:0,0"}
-    report = check_right_representation(replace(right, universal=moved))
+    report = check_right_representation(_replace_right(right, universal=moved))
     assert [(v.law, v.witness) for v in report.violations] == [
         ("universal-placement", ("1", "2>1:0,0"))]
 
@@ -1230,34 +1306,56 @@ def test_right_universal_off_its_row_is_reported(hom_reps):
 def test_rewired_functor_image_is_reported(hom_reps):
     het, left, right = hom_reps
     for rep, check in ((left, check_left_representation),
-                       (right, check_right_representation)):
+                       (right.dual_left, check_right_representation)):
         fun = rep.functor
         bad = FinFunctor(fun.name, fun.source, fun.target, fun.obj_map,
                          {**fun.mor_map, "2>2:0,1": "2>2:1,0"})
-        report = check(replace(rep, functor=bad))
+        bad = replace(rep, functor=bad)
+        report = check(bad if rep is left else replace(right, dual_left=bad))
         assert "composition-preservation" in _laws(report)
         assert {"psi-naturality-left", "psi-naturality-right"} & _laws(report)
 
 
 def test_stray_composition_entry_does_not_hide_an_uncomposable_pair(chain2):
-    """The naturality checks read A's composition table directly only for
-    pairs that compose; an entry recorded for a pair that does not compose
-    still ends in compose's error."""
+    """The naturality check in x reads A's composition table directly only
+    where Fh ends at Fx; an entry recorded for a pair that does not compose
+    still ends in compose's error, and so does a composite the table lacks."""
     stray = FinCategory("chain2+", chain2.objects, chain2.morphisms, chain2.identity,
-                        {**chain2.comp, ("le", "i0"): "le", ("le", "le"): "le",
-                         ("i0", "i1"): "i0"})
+                        {**chain2.comp, ("i0", "i1"): "i0"})
     hom = hom_bifunctor(chain2)
     het = HetBifunctor(hom.name, chain2, stray, hom.cells, hom.act_left, hom.act_right)
     left = replace(find_left_representation(hom), het=het)
-    psi = {cell: dict(t) for cell, t in left.psi.items()}
-    psi[("0", "0")] = {"le": "i0"}          # defined off Hom(0, 0)
-    with pytest.raises(StructuralError, match="le and i0 are not composable"):
-        check_left_representation(replace(left, psi=psi))
     fun = left.functor
     bad = FinFunctor(fun.name, fun.source, fun.target, fun.obj_map,
                      {**fun.mor_map, "le": "i0"})
     with pytest.raises(StructuralError, match="i0 and i1 are not composable"):
         check_left_representation(replace(left, functor=bad))
+    # nor does a composite missing from the table pass unseen: over Hom(0, -)
+    # on the one-object X, only naturality in a reads the pair (le, i1)
+    point = FinCategory("point", ("0",), (Morphism("e", "0", "0"),), {"0": "e"},
+                        {("e", "e"): "e"})
+    het = build_het("Hom(0,-)", point, chain2, lambda x, a: chain2.hom("0", a),
+                    lambda h, c: c, lambda k, c: chain2.compose(c, k))
+    missing = FinCategory("chain2-", chain2.objects, chain2.morphisms, chain2.identity,
+                          {fg: h for fg, h in chain2.comp.items() if fg != ("le", "i1")})
+    rep = find_left_representation(het)
+    with pytest.raises(StructuralError, match=r"composition table missing \(le, i1\)"):
+        check_left_representation(replace(rep, het=replace(het, a_cat=missing)))
+
+
+@pytest.mark.parametrize("side", ["act_left", "act_right"])
+def test_missing_action_entry_in_a_naturality_square_is_structural(hom_reps, side):
+    """psi is read off the right action at each h_x only; an entry that only
+    a naturality square reads, here the swap of 2 acting on itself, ends in
+    the action's error when it is missing, not in a law violation."""
+    het, left, right = hom_reps
+    tables = {s: dict(getattr(het, s)) for s in ("act_left", "act_right")}
+    tables[side]["2>2:1,0"] = {c: d for c, d in tables[side]["2>2:1,0"].items()
+                               if c != "2>2:1,0"}
+    bad = HetBifunctor(het.name, het.x_cat, het.a_cat, het.cells, **tables)
+    with pytest.raises(StructuralError, match=f"{side[4:]} action of '2>2:1,0' undefined "
+                                              "at '2>2:1,0'"):
+        check_left_representation(replace(left, het=bad))
 
 
 def test_expected_functor_without_inverse_mediator_is_reported(hom_reps):
