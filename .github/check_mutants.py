@@ -6,7 +6,9 @@ Usage, from the repository root:
     python .github/check_mutants.py FUNCTION [FUNCTION ...]
 
 A FUNCTION is the name of a function or method defined anywhere in
-src/hetcat. The operator catalogue is fixed, one change per mutant:
+src/hetcat, or Class.method for a method that shares its name with others
+(Adjunction.__post_init__). The operator catalogue is fixed, one change per
+mutant:
 - comparison swaps: == and !=, < and >=, > and <=, in and not in, is and
   is not;
 - `and` and `or`;
@@ -16,9 +18,13 @@ src/hetcat. The operator catalogue is fixed, one change per mutant:
 The mutants run one at a time in a copy of the repository made under
 `tempfile`'s directory (TMPDIR chooses it); the tree itself is never
 changed. The copy first runs the unmutated suite, which must pass. Each
-mutant then runs Tier-1 with `-x`, less the tests named _UNATTAINABLE,
-with a timeout of TIMEOUT_FACTOR times the unmutated run; a failing run or
-a timeout kills it.
+mutant then runs the test file of its module with `-x` (tests/test_het.py
+for het.py, tests/test_instances.py for a module of instances/), and,
+where that passes, the whole of Tier-1 with `-x`; both leave out the tests
+named _UNATTAINABLE, and each run times out at TIMEOUT_FACTOR times the
+unmutated run. A failing run or a timeout kills the mutant. The module's
+own file comes first because most kills are there, and pytest runs the
+files of one command in its own order.
 
 A mutant is keyed by its function and its mutated source text: the first
 line of the statement that holds the change, as `ast.unparse` writes it
@@ -93,19 +99,33 @@ def _mutate(fn, k):
     return ast.unparse(holder).splitlines()[0]
 
 
+def _defs(tree, name):
+    """The functions of tree called name: a function or method anywhere, or
+    for Class.method, the method in the body of the class."""
+    owner, _, fname = name.rpartition(".")
+    nodes = (n for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == owner
+             for n in c.body) if owner else ast.walk(tree)
+    return [n for n in nodes if isinstance(n, FUNCTIONS) and n.name == fname]
+
+
 def _find(name):
     """(module path, source text) of the one src/hetcat function called name."""
     found = [(path, text) for path in sorted(SRC.rglob("*.py"))
-             for text in [path.read_text()]
-             for node in ast.walk(ast.parse(text))
-             if isinstance(node, FUNCTIONS) and node.name == name]
+             for text in [path.read_text()] for _ in _defs(ast.parse(text), name)]
     if len(found) != 1:
         raise SystemExit(f"{name}: {len(found)} definitions in src/hetcat, expected 1")
     return found[0]
 
 
 def _function(tree, name):
-    return next(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS) and n.name == name)
+    return _defs(tree, name)[0]
+
+
+def _own_tests(rel):
+    """The test file of the module at rel, relative to ROOT: tests/test_<module>.py,
+    else tests/test_<package>.py; None where neither exists."""
+    paths = [Path("tests") / f"test_{stem}.py" for stem in (rel.stem, rel.parent.name)]
+    return next((path for path in paths if (ROOT / path).exists()), None)
 
 
 def mutants(name):
@@ -129,11 +149,12 @@ def _copy(into: Path) -> Path:
         ".git", "__pycache__", ".pytest_cache", ".hypothesis")))
 
 
-def _tier1(copy: Path, timeout=None):
-    """(passed, seconds, timed out) of Tier-1 in the copy."""
+def _tier1(copy: Path, timeout=None, *tests):
+    """(passed, seconds, timed out) of Tier-1 in the copy, or of the named
+    test files alone."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "-k", "not _UNATTAINABLE"]
+               "-k", "not _UNATTAINABLE", *map(str, tests)]
     start = time.perf_counter()
     try:
         status = subprocess.run(command, cwd=copy, env=env, timeout=timeout,
@@ -161,9 +182,14 @@ def main(argv) -> int:
         print(f"unmutated suite passes in {seconds:.1f} s; timeout {timeout:.0f} s", flush=True)
         for name, key, rel, text in work:
             original = (copy / rel).read_text()
+            own = _own_tests(rel)
             try:
                 (copy / rel).write_text(text)
-                passed, seconds, timed_out = _tier1(copy, timeout)
+                passed, seconds, timed_out = _tier1(copy, timeout, own) if own else \
+                    (True, 0.0, False)
+                if passed:
+                    passed, more, timed_out = _tier1(copy, timeout)
+                    seconds += more
             finally:
                 (copy / rel).write_text(original)
             outcome = ("timed out" if timed_out else "killed") if not passed else \

@@ -137,9 +137,11 @@ def comma_of_functors(left: FinFunctor, right: FinFunctor,
         lhs = then[src[2]](right_mor(h))
         rhs = then[lk](dst[2]) if lk is not None else None
         if lhs is None or rhs is None:
-            # a missing image or composite: the checked calls raise
-            return target.compose(src[2], right.on_mor(h)) == \
-                target.compose(left.on_mor(k), dst[2])
+            # a missing image or composite raises in the checked calls; a
+            # square whose sides cannot be composed is no morphism
+            lk, rh = left.on_mor(k), right.on_mor(h)
+            return target.cod(src[2]) == target.dom(rh) and target.cod(lk) == target.dom(dst[2]) \
+                and target.compose(src[2], rh) == target.compose(lk, dst[2])
         return lhs == rhs
 
     return _tabulate(f"({left.name},{right.name})",

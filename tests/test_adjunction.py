@@ -34,6 +34,19 @@ def test_ur_adjunction_is_identity(terminal_cat, chain2, skeleton2):
         assert all(adj.eps(a) == cat.id_of(a) for a in cat.objects)
 
 
+def test_a_right_representation_over_another_het_is_refused(skeleton2):
+    # an adjunction is its two representations over one het object; an equal
+    # copy of the het is another
+    adj = ur_adjunction(skeleton2)
+    assert [f.name for f in dataclasses.fields(Adjunction)] == ["left", "right"]
+    assert adj.het is adj.left.het is adj.right.het
+    copy = dataclasses.replace(adj.het)
+    for left, right in ((adj.left, RightRepresentation(copy, adj.right.dual_left)),
+                        (dataclasses.replace(adj.left, het=copy), adj.right)):
+        with pytest.raises(StructuralError, match="right representation over another het"):
+            Adjunction(left, right)
+
+
 def test_galois_build_recovers_image_functors(galois, galois_lower_adj):
     adj = galois_lower_adj
     assert adj.F.obj_map == galois.direct_image
@@ -521,23 +534,6 @@ def _suite_laws(adj):
     }
 
 
-def test_law_suites_report_a_corrupted_counit(skeleton2):
-    adj = ur_adjunction(skeleton2)
-    bad = dataclasses.replace(adj, counit=dataclasses.replace(
-        adj.counit, components={**adj.counit.components, "2": "2>2:0,0"}))
-    assert _suite_laws(bad) == {
-        "four": set(),
-        "identities": {"factorization-unit", "factorization-over-across-f",
-                       "factorization-counit", "triangular-identity-F",
-                       "triangular-identity-G", "e1-form", "chimera-counit-composite"},
-        "squares": {"square-first-component", "square-second-component"},
-        "image squares": {"image-square-second-component"},
-        "roundtrip": {"sending-expected-universal-placement"},
-        "lawvere": set(),
-        "zigzag": {"lower-triangle", "zig-zag-action-top"},
-    }
-
-
 def _swapped_at(het, side, m, c, image):
     """het with the actions of m and image on c swapped."""
     table = getattr(het, side)
@@ -545,12 +541,45 @@ def _swapped_at(het, side, m, c, image):
         **table, m: {**table[m], c: table[image][c]}, image: {**table[image], c: table[m][c]}}})
 
 
-def test_law_suites_report_a_corrupted_psi(skeleton2):
-    # psi is read off the left representation's own het, whose right action
-    # on h_1 = 1_1 swaps the two maps 1 -> 2; the adjunction's het is intact
+def _over(adj, het):
+    """adj with its one het replaced by `het`, on both sides."""
+    return Adjunction(dataclasses.replace(adj.left, het=het), RightRepresentation(
+        het, dataclasses.replace(adj.right.dual_left, het=dual(het))))
+
+
+# what every suite reports where the unit or the counit is made constant at 2
+_CONSTANT_AT_2 = {
+    "four": {"z-naturality-left", "z-naturality-right"},
+    "squares": {"square-first-component", "square-second-component"},
+    "image squares": {"image-square-second-component"},
+    "roundtrip": {"sending-expected-universal-placement"},
+    "lawvere": {"morphism-correspondence", "morphism-bijection"},
+    "zigzag": {"upper-triangle", "lower-triangle", "zig-zag-action-top",
+               "zig-zag-action-bottom"},
+}
+
+
+def test_law_suites_report_a_corrupted_counit(skeleton2):
+    # eps_2 = psi^-1(e_2) is read from the right action at h_2 = 1_2: with
+    # the right actions of 1_2 and of the constant 0,0 on it swapped, eps_2
+    # is that constant, and psi^-1(h_2) too, which h2-form reports
     adj = ur_adjunction(skeleton2)
-    moved = _swapped_at(adj.het, "act_right", "1>2:0", "1>1:0", "1>2:1")
-    bad = dataclasses.replace(adj, left=dataclasses.replace(adj.left, het=moved))
+    bad = _over(adj, _swapped_at(adj.het, "act_right", "2>2:0,0", "2>2:0,1", "2>2:0,1"))
+    assert bad.counit.components == {**adj.counit.components, "2": "2>2:0,0"}
+    assert bad.unit.components == adj.unit.components
+    assert _suite_laws(bad) == {
+        **_CONSTANT_AT_2,
+        "identities": {"factorization-unit", "factorization-over-across-f",
+                       "factorization-counit", "triangular-identity-F",
+                       "triangular-identity-G", "h2-form"},
+    }
+
+
+def test_law_suites_report_a_corrupted_psi(skeleton2):
+    # psi is read off the right action at h_1 = 1_1, which swaps the two
+    # maps 1 -> 2 in the one het
+    adj = ur_adjunction(skeleton2)
+    bad = _over(adj, _swapped_at(adj.het, "act_right", "1>2:0", "1>1:0", "1>2:1"))
     assert adj.left.psi[("1", "2")] == {"1>2:0": "1>2:0", "1>2:1": "1>2:1"}
     assert bad.left.psi[("1", "2")] == {"1>2:0": "1>2:1", "1>2:1": "1>2:0"}
     assert _suite_laws(bad) == {
@@ -560,7 +589,7 @@ def test_law_suites_report_a_corrupted_psi(skeleton2):
         "image squares": set(),
         "roundtrip": set(),
         "lawvere": {"morphism-correspondence", "morphism-bijection"},
-        "zigzag": {"left-factorization", "upper-triangle", "lower-triangle",
+        "zigzag": {"upper-triangle", "lower-triangle", "zig-zag-action-top",
                    "zig-zag-action-bottom"},
     }
 
@@ -574,37 +603,36 @@ def _with(value, path, entries):
 
 
 def test_law_suites_report_a_corrupted_unit(skeleton2):
-    bad = _with(ur_adjunction(skeleton2), "unit.components", {"2": "2>2:0,0"})
+    # eta_2 = phi(h_2) is read from the left action at e_2 = 1_2: with the
+    # left actions of 1_2 and of the constant 0,0 on it swapped, eta_2 is
+    # that constant, and phi(e_2) too, which e1-form reports
+    adj = ur_adjunction(skeleton2)
+    bad = _over(adj, _swapped_at(adj.het, "act_left", "2>2:0,0", "2>2:0,1", "2>2:0,1"))
+    assert bad.unit.components == {**adj.unit.components, "2": "2>2:0,0"}
+    assert bad.counit.components == adj.counit.components
     assert _suite_laws(bad) == {
-        "four": set(),
+        **_CONSTANT_AT_2,
         "identities": {"factorization-unit", "factorization-over-across-f",
-                       "factorization-over-across-g", "triangular-identity-F",
-                       "triangular-identity-G", "h2-form", "chimera-unit-composite"},
-        "squares": {"square-first-component"},
-        "image squares": {"image-square-second-component"},
-        "roundtrip": {"sending-expected-universal-placement"},
-        "lawvere": set(),
-        "zigzag": {"upper-triangle", "zig-zag-action-bottom"},
+                       "factorization-over-across-g", "factorization-counit",
+                       "triangular-identity-F", "triangular-identity-G", "e1-form"},
     }
 
 
 def test_law_suites_report_a_corrupted_phi(skeleton2):
-    # phi is read off the right representation's own het, whose left action
-    # on e_2 = 1_2 swaps the two maps 1 -> 2; the adjunction's het is intact
+    # phi is read off the left action at e_2 = 1_2, which swaps the two maps
+    # 1 -> 2 in the one het
     adj = ur_adjunction(skeleton2)
-    moved = _swapped_at(adj.het, "act_left", "1>2:0", "2>2:0,1", "1>2:1")
-    bad = dataclasses.replace(adj, right=RightRepresentation(
-        moved, dataclasses.replace(adj.right.dual_left, het=dual(moved))))
+    bad = _over(adj, _swapped_at(adj.het, "act_left", "1>2:0", "2>2:0,1", "1>2:1"))
     assert bad.right.phi[("1", "2")] == {"1>2:0": "1>2:1", "1>2:1": "1>2:0"}
     assert _suite_laws(bad) == {
         "four": {"z-naturality-left", "z-naturality-right"},
-        "identities": set(),
-        "squares": set(),
+        "identities": {"factorization-counit"},
+        "squares": {"square-second-component"},
         "image squares": set(),
         "roundtrip": set(),
         "lawvere": {"morphism-correspondence", "morphism-bijection"},
-        "zigzag": {"right-factorization", "upper-triangle", "lower-triangle",
-                   "zig-zag-action-top"},
+        "zigzag": {"upper-triangle", "lower-triangle", "zig-zag-action-top",
+                   "zig-zag-action-bottom"},
     }
 
 
@@ -638,16 +666,18 @@ def test_roundtrip_names_the_cell_of_each_misplaced_universal(skeleton2):
 
 
 def test_four_bifunctor_iso_reports_cells_the_representations_miss(skeleton2):
-    # the functions of rank at most 1 form a sub-bifunctor of Hom; its cell
-    # (2, 2) holds the 2 constants of the 4 functions that psi and phi pair
+    # the functions of rank at most 1 form a sub-bifunctor of Hom, without
+    # h_2 = e_2 = 1_2: psi is empty on row 2 and phi on column 2, and each
+    # non-empty cell there is missed
     adj = ur_adjunction(skeleton2)
     rank_one = build_het(
         "rank<=1", skeleton2, skeleton2,
         lambda x, a: tuple(f for f in skeleton2.hom(x, a) if len(set(fn_images(f))) <= 1),
         skeleton2.compose, lambda k, c: skeleton2.compose(c, k))
-    report = four_bifunctor_iso(dataclasses.replace(adj, het=rank_one))
-    assert {(v.law, v.witness) for v in report.violations} == {
-        (law, ("2", "2")) for law in ("psi-bijective", "phi-bijective")}
+    report = four_bifunctor_iso(_over(adj, rank_one))
+    assert [(v.law, v.witness) for v in report.violations] == [
+        *(("phi-bijective", (x, "2")) for x in "012"),
+        *(("psi-bijective", ("2", a)) for a in "12")]
 
 
 def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
@@ -675,12 +705,14 @@ def test_four_bifunctor_iso_names_a_missing_transpose(skeleton2):
 
 
 def test_zigzag_counts_only_anti_diagonals_that_meet_both_triangles(skeleton2):
-    # eta_2 made the swap: F and G are identities, so each o in cell (2, 2)
-    # twists to (o, o); for c = 1_2 the swap meets the upper triangle alone
-    # (eta_2 then o is 1_2) and 1_2 the lower one alone (o then eps_2 is 1_2)
-    bad = _with(ur_adjunction(skeleton2), "unit.components", {"2": "2>2:1,0"})
-    zz = zig_zag_factorize(bad, "2>2:0,1")
-    assert zz.factor_count == 0
+    # e_2 made the swap s: eta_2 = phi(1_2) and eps_2 = psi^-1(s) are s, and
+    # F and G are identities, so each o in cell (2, 2) twists to (o, o then
+    # s); for c the constant 0, f(c) = c then s is the constant 1, which
+    # meets the upper triangle (s then o) alone, and c the lower one alone
+    bad = _with(ur_adjunction(skeleton2), "right.dual_left.universal", {"2": "2>2:1,0"})
+    assert bad.eta("2") == bad.eps("2") == "2>2:1,0"
+    zz = zig_zag_factorize(bad, "2>2:0,0")
+    assert (zz.f, zz.g, zz.factor_count) == ("2>2:1,1", "2>2:0,0", 0)
     assert _laws(zz.report) == {"upper-triangle", "zig-zag-action-bottom"}
 
 
@@ -697,19 +729,25 @@ def test_image_squares_report_a_right_adjoint_that_moves_an_identity(skeleton2):
         "psi-bijective", "psi-naturality-left", "psi-naturality-right"}
 
 
-def test_roundtrip_reports_an_abstract_het_without_a_left_adjoint(skeleton2):
-    # G constant at 0, with counit the maps out of 0: Hom(x, G-) is empty
-    # for x = 1, 2, so no object of the embedded copy represents it on the
-    # left, and the embedded units eta_1 and eta_2, which end at x and not
-    # at GFx = 0, lie in no cell
-    bad = _with(ur_adjunction(skeleton2), "counit.components",
-                {a: f"0>{a}:" for a in skeleton2.objects})
-    bad = _with(bad, "right.dual_left.functor.obj_map", {a: "0" for a in skeleton2.objects})
-    bad = _with(bad, "right.dual_left.functor.mor_map",
-                {m.id: "0>0:" for m in skeleton2.morphisms})
-    assert [(v.law, v.witness[0]) for v in representation_roundtrip(bad).violations] == [
-        ("sending-expected-universal-placement", "(1,1)"),
-        ("sending-expected-universal-placement", "(2,2)")]
+def _g_constant_at_zero(cat):
+    """ur_adjunction(cat) with G constant at 0 and e_a the map 0 -> a, so
+    that the counit is the maps out of 0."""
+    bad = _with(ur_adjunction(cat), "right.dual_left.universal",
+                {a: f"0>{a}:" for a in cat.objects})
+    bad = _with(bad, "right.dual_left.functor.obj_map", {a: "0" for a in cat.objects})
+    return _with(bad, "right.dual_left.functor.mor_map", {m.id: "0>0:" for m in cat.morphisms})
+
+
+def test_a_right_adjoint_with_no_unit_makes_the_roundtrip_raise(skeleton2):
+    # G constant at 0: Hom(x, G-) is empty for x = 1, 2, so phi misses each
+    # cell (x, a) there, and h_x = 1_x has no transpose eta_x; the round
+    # trip reads eta, and four_bifunctor_iso reports the cells phi misses
+    bad = _g_constant_at_zero(skeleton2)
+    assert bad.counit.components == {a: f"0>{a}:" for a in skeleton2.objects}
+    with pytest.raises(StructuralError, match="phi at \\(1, 1\\) has no entry for '1>1:0'"):
+        representation_roundtrip(bad)
+    assert [(v.law, v.witness) for v in four_bifunctor_iso(bad).violations] == [
+        ("phi-bijective", (x, a)) for x in "12" for a in "12"]
 
 
 def test_compare_left_representation_reports_a_misplaced_or_non_universal_element(skeleton2):

@@ -19,7 +19,8 @@ from hetcat import (FinCategory, FinFunctor, GuardExceeded, LawReport, Morphism,
 from hetcat.comma import _comma_iso
 from hetcat.het import LeftRepresentation, find_left_representation
 from hetcat.instances import (finset_skeleton, galois_connections,
-                              pointed_free_forgetful)
+                              pointed_free_forgetful, ur_adjunction)
+from test_adjunction import _with
 from test_census import _corrupted, _other
 
 
@@ -242,22 +243,57 @@ def test_functor_comma_raises_on_missing_images_and_composites(skeleton1):
     ident = identity_functor(skeleton1)
     partial = FinFunctor("partial", skeleton1, skeleton1, ident.obj_map,
                          {m: g for m, g in ident.mor_map.items() if m != "1>1:0"})
-    with pytest.raises(StructuralError, match="partial: morphism map not total at '1>1:0'"):
-        comma_of_functors(ident, partial)
-    comp = {pair: h for pair, h in skeleton1.comp.items() if pair != ("0>1:", "1>1:0")}
-    broken = FinCategory("broken", skeleton1.objects, skeleton1.morphisms,
-                         skeleton1.identity, comp)
-    with pytest.raises(StructuralError,
-                       match=r"broken: composition table missing \(0>1:, 1>1:0\)"):
-        comma_of_functors(identity_functor(broken), identity_functor(broken))
-    # an entry for a non-composable pair is not a composite either
-    stray = FinCategory("stray", skeleton1.objects, skeleton1.morphisms, skeleton1.identity,
-                        {**skeleton1.comp, ("0>1:", "0>1:"): "0>1:",
-                         ("1>1:0", "0>1:"): "0>1:"})
-    ident = identity_functor(stray)
-    bent = FinFunctor("bent", stray, stray, ident.obj_map, {**ident.mor_map, "1>1:0": "0>1:"})
-    with pytest.raises(StructuralError, match="stray: 0>1: and 0>1: are not composable"):
-        comma_of_functors(ident, bent)
+    for left, right in ((ident, partial), (partial, ident)):
+        with pytest.raises(StructuralError, match="partial: morphism map not total at '1>1:0'"):
+            comma_of_functors(left, right)
+    for pair, right in ((("0>1:", "1>1:0"), identity_functor),
+                        # G constant at 1 sends each h to 1_1, so the square
+                        # reads (1_0, 0>1:) on the side "k then m'" alone
+                        (("0>0:", "0>1:"), lambda cat: constant_functor(cat, cat, "1"))):
+        comp = {p: h for p, h in skeleton1.comp.items() if p != pair}
+        broken = FinCategory("broken", skeleton1.objects, skeleton1.morphisms,
+                             skeleton1.identity, comp)
+        missing = f"broken: composition table missing ({', '.join(pair)})"
+        with pytest.raises(StructuralError, match=re.escape(missing)):
+            comma_of_functors(identity_functor(broken), right(broken))
+    # an entry for a non-composable pair is not a composite either: a square
+    # whose sides cannot be composed is no morphism, as over the table
+    # without the stray entries
+    commas = []
+    for comp in ({**skeleton1.comp, ("0>1:", "0>1:"): "0>1:", ("1>1:0", "0>1:"): "0>1:"},
+                 skeleton1.comp):
+        cat = FinCategory("stray", skeleton1.objects, skeleton1.morphisms,
+                          skeleton1.identity, comp)
+        ident = identity_functor(cat)
+        bent = FinFunctor("bent", cat, cat, ident.obj_map, {**ident.mor_map, "1>1:0": "0>1:"})
+        commas.append(comma_of_functors(ident, bent))
+    stray, clean = commas
+    assert comma_mod._TABLES(stray) == comma_mod._TABLES(clean)
+    for i, j, k, h in zip(stray.dom, stray.cod, stray.ks, stray.hs):
+        assert skeleton1.cod(stray.triples[i][2]) == skeleton1.dom(bent.on_mor(h))
+        assert skeleton1.cod(k) == skeleton1.dom(stray.triples[j][2])
+
+
+def test_lawvere_checks_on_a_left_adjoint_that_moves_an_object(skeleton1, skeleton2):
+    # F0 moved to 1 leaves F(1_0) = 1_0 off F0: the squares whose sides do
+    # not compose are no morphisms of (F, 1), so the comma builds, and
+    # check_functor names the fault
+    bad = _with(ur_adjunction(skeleton1), "left.functor.obj_map", {"0": "1"})
+    assert "dom-cod-preservation" in {v.law for v in check_functor(bad.F).violations}
+    comma = comma_of_functors(bad.F, identity_functor(skeleton1))
+    assert list(zip(comma.dom, comma.cod, comma.ks, comma.hs)) == [(1, 1, "1>1:0", "1>1:0")]
+    # h_0 = 1_0 is no element of cell (0, F0), so psi, and with it the het
+    # comma's object map into (F, 1), misses cell (0, 0)
+    for check in (lawvere_iso_check, lambda adj: half_lawvere_iso_check(adj.het, adj.left)):
+        with pytest.raises(StructuralError, match=r"psi not surjective at \(0, 0\)"):
+            check(bad)
+    # F1 moved to 2 with h_1 moved along into cell (1, 2): psi at 1 is onto
+    # each cell but not one-to-one, so (F, 1) has more objects than the het
+    # comma, and both checks report it
+    bad = _with(_with(ur_adjunction(skeleton2), "left.functor.obj_map", {"1": "2"}),
+                "left.universal", {"1": "1>2:0"})
+    for report in (lawvere_iso_check(bad), half_lawvere_iso_check(bad.het, bad.left)):
+        assert [(v.law, v.witness) for v in report.violations] == [("object-bijection", ())]
 
 
 def test_functor_comma_needs_one_target(skeleton1, skeleton2):

@@ -426,6 +426,12 @@ def test_lookups_and_constructions_name_what_does_not_fit(skeleton1, skeleton2, 
 def test_strings_and_comparisons_with_other_types(skeleton2):
     assert str(Morphism("f", "0", "1")) == "f: 0 -> 1"
     assert LawReport("category C").summary() == "category C: all laws hold"
+    report = LawReport("category C")
+    report.add("naturality", ("f", "1"), "mismatch")
+    report.add("associativity", ("f", "g", "h"))
+    assert report.summary() == ("category C: 2 violation(s)\n"
+                                "  - associativity at (f, g, h)\n"
+                                "  - naturality at (f, 1): mismatch")
     one = identity_functor(skeleton2)
     for value in (skeleton2, one, identity_nat_trans(one)):
         assert value.__eq__("x") is NotImplemented

@@ -27,6 +27,7 @@ from hetcat.instances import (colimits_adjunction, finset_skeleton,
                               pointed_free_forgetful, preorder_adjunction_chain,
                               product_exponential)
 from hetcat.report import LawReport
+from test_adjunction import _extremum, _poset_category, _posets
 from test_fincat import _relabelled, _swapped
 
 
@@ -1205,6 +1206,13 @@ def _assert_duality(het):
     if isinstance(found, Adjunction):
         assert dualised.unit.components == found.counit.components
         assert dualised.counit.components == found.unit.components
+        # read off the universals, the unit and counit are the ones built
+        # from phi and psi at the cells the functors name
+        F, G, left, right = found.F, found.G, found.left, found.right
+        assert found.unit.components == {x: right.phi[(x, F.on_obj(x))][left.universal[x]]
+                                         for x in het.x_cat.objects}
+        assert found.counit.components == {a: left.psi_inv(G.on_obj(a), a, right.universal[a])
+                                           for a in het.a_cat.objects}
     right = find_right_representation(het)
     if isinstance(right, RightRepresentation):
         assert right.dual_left.het.name == f"{het.name}^op"
@@ -1220,6 +1228,54 @@ def test_dual_het_has_the_opposite_adjunction(name):
 @given(_group_hets())
 def test_dual_group_het_has_the_opposite_adjunction(group_het):
     _assert_duality(_group_het(*group_het))
+
+
+# -- a second poset generator: Hom_Q(f-, -) along a monotone f ---------------
+
+@st.composite
+def _monotone_maps(draw):
+    """(P, Q, f): Q a random poset, f a random map from at most 5 points
+    into it, and P's order drawn among the pairs f keeps in order, closed
+    transitively, so that f is monotone."""
+    qs, q_leq = draw(_posets("q"))
+    n = draw(st.integers(1, 5))
+    names = draw(st.permutations([f"p{i}" for i in range(n)]))
+    f = dict(zip(names, draw(st.lists(st.sampled_from(qs), min_size=n, max_size=n))))
+    below = {(i, i) for i in range(n)}
+    below |= {(i, j) for i in range(n) for j in range(i + 1, n)
+              if (f[names[i]], f[names[j]]) in q_leq and draw(st.booleans())}
+    for k in range(n):      # Warshall: add every path through k
+        below |= {(i, j) for i in range(n) for j in range(n)
+                  if (i, k) in below and (k, j) in below}
+    p_leq = {(names[i], names[j]) for i, j in below}
+    return (names, p_leq), (qs, q_leq), f
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(_monotone_maps(), st.integers(0, 5))
+def test_hom_along_a_monotone_map_is_left_represented_by_it(maps, seed):
+    # Hom_Q(f-, -) is left represented by f with universal p R f(p) (Yoneda);
+    # it is right represented exactly when each {p : f(p) <= a} has a
+    # greatest element, G(a), the column oracle
+    (ps, p_leq), (qs, q_leq), f = maps
+    source, target = _poset_category("P", ps, p_leq), _poset_category("Q", qs, q_leq)
+    rel = {(p, a) for p in ps for a in qs if (f[p], a) in q_leq}
+    pair = {f"{p}R{a}": (p, a) for p, a in rel}
+    het = build_het("Hom_Q(f-,-)", source, target,
+                    lambda p, a: (f"{p}R{a}",) if (p, a) in rel else (),
+                    lambda h, c: f"{source.dom(h)}R{pair[c][1]}",
+                    lambda k, c: f"{pair[c][0]}R{target.cod(k)}")
+    fun = FinFunctor("f", source, target, f,
+                     {h.id: f"{f[h.dom]}<={f[h.cod]}" for h in source.morphisms})
+    assert check_functor(fun).ok and check_bifunctor(het).ok
+    result = build_adjunction(het)
+    assert compare_left_representation(result.left, fun, {p: f"{p}R{f[p]}" for p in ps}).ok
+    right = {a: _extremum([p for p in ps if (p, a) in rel], p_leq, False) for a in qs}
+    assert isinstance(result.right, RightRepresentation) == (None not in right.values())
+    if isinstance(result.right, RightRepresentation):
+        assert result.right.functor.obj_map == right
+    _assert_relabelling_keeps_the_verdict(het, seed)
+    _assert_duality(het)
 
 
 # -- negative controls for the representation checkers ------------------------
