@@ -22,7 +22,9 @@ mutant then runs the test file of its module with `-x` (tests/test_het.py
 for het.py, tests/test_instances.py for a module of instances/), and,
 where that passes, the whole of Tier-1 with `-x`; both leave out the tests
 named _UNATTAINABLE, and each run times out at TIMEOUT_FACTOR times the
-unmutated run. A failing run or a timeout kills the mutant. The module's
+unmutated run. A failing run or a timeout kills the mutant. Both run with
+the hypothesis profile "mutants" of tests/conftest.py, which does not
+shrink a failing example: the first one kills. The module's
 own file comes first because most kills are there, and pytest runs the
 files of one command in its own order.
 
@@ -154,7 +156,7 @@ def _tier1(copy: Path, timeout=None, *tests):
     test files alone."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               "-k", "not _UNATTAINABLE", *map(str, tests)]
+               "--hypothesis-profile", "mutants", "-k", "not _UNATTAINABLE", *map(str, tests)]
     start = time.perf_counter()
     try:
         status = subprocess.run(command, cwd=copy, env=env, timeout=timeout,

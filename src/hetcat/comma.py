@@ -227,15 +227,14 @@ def _comma_iso(first: CommaCategory, second: CommaCategory,
 
 
 def _iso_along(first: CommaCategory, second: CommaCategory,
-               datum: Callable[[str, str, str], str], subject: str) -> LawReport:
+               datum: Callable[[str, str, str], str | None], subject: str) -> LawReport:
     """`_comma_iso` for the object map sending (x, a, d) of `first` to
-    (x, a, datum(x, a, d)) of `second`."""
-    keys = [(x, a, datum(x, a, d)) for x, a, d in first.triples]
-    omap = list(map({t: i for i, t in enumerate(second.triples)}.get, keys))
-    if None in omap:
-        raise StructuralError("comma category has no object ({}, {}, {})".format(
-            *keys[omap.index(None)]))
-    return _comma_iso(first, second, omap, subject)
+    (x, a, datum(x, a, d)) of `second`. An object whose datum is None, or
+    names no object of `second`, has no image, and `_comma_iso` reports
+    object-bijection."""
+    index = {t: i for i, t in enumerate(second.triples)}.get
+    return _comma_iso(first, second, [index((x, a, datum(x, a, d))) for x, a, d in first.triples],
+                      subject)
 
 
 def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
@@ -243,10 +242,10 @@ def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
     comma category of the het over the projections, hence to each other.
 
     The direct iso (F, 1_A) -> (1_X, G), g -> phi(psi(g)), is not checked: it
-    is c -> f(c) after the inverse of c -> g(c) = psi_inv(c). Once the latter
-    passes, psi is injective on each Hom(Fx, a), so psi_inv(c) = g exactly
-    when psi(g) = c; all three map morphisms by their (k, h), and composites
-    of isomorphisms over the projections are such.
+    is c -> f(c) after the inverse of c -> g(c) = psi_inv(c). psi is a
+    bijection on each cell (Adjunction refuses the rest), so psi_inv(c) = g
+    exactly when psi(g) = c; all three map morphisms by their (k, h), and
+    composites of isomorphisms over the projections are such.
     """
     rep = LawReport(f"comma-category equivalence of {adj.het.name}")
     left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat), guard)
@@ -263,7 +262,8 @@ def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
 
 def half_lawvere_iso_check(het: HetBifunctor, left_rep, guard: int = 10_000) -> LawReport:
     """One-sided form: a left representation alone makes the het comma
-    isomorphic to (F, 1_A) over the projections."""
+    isomorphic to (F, 1_A) over the projections. An element that psi misses
+    has no image, which object-bijection reports, as where psi doubles one."""
     left_comma = comma_of_functors(left_rep.functor, identity_functor(het.a_cat), guard)
     return _iso_along(comma_of_bifunctor(het, guard), left_comma,
                       left_rep.psi_inv, f"het comma ~ (F,1) for {het.name}")

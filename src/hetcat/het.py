@@ -448,11 +448,9 @@ class LeftRepresentation:
         return {cell: {c: g for g, c in reversed(table.items())}
                 for cell, table in self.psi.items()}
 
-    def psi_inv(self, x: str, a: str, c: str) -> str:
-        g = self._psi_inv[(x, a)].get(c)
-        if g is None:
-            raise StructuralError(f"psi not surjective at ({x}, {a}): {c!r} has no preimage")
-        return g
+    def psi_inv(self, x: str, a: str, c: str) -> str | None:
+        """The g with psi(g) = c, or None where psi misses c."""
+        return self._psi_inv[(x, a)].get(c)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ and some (the diagram categories) are expensive to tabulate."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from hetcat import (Adjunction, FinCategory, Morphism, build_adjunction,
                     hom_bifunctor)
@@ -12,6 +13,12 @@ from hetcat.instances import (colimits_adjunction, finset_skeleton,
                               pointed_free_forgetful, preorder_adjunction_chain,
                               product_exponential)
 from hetcat.instances.galois import powerset_poset
+
+# `.github/check_mutants.py` runs with this profile: a mutant is killed by
+# the first failing example, so the shrink phase, and the explain phase
+# that follows it, are left out
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                                             Phase.target])
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 zig-zags, the four-bifunctor isomorphism, identities, and the round-trip."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from hetcat.adjunction import AbstractHet, ChimeraNatTrans
 from hetcat.fincat import (FinCategory, FinFunctor, Morphism, identity_functor,
                            pair_id)
 from hetcat.het import (HetBifunctor, LeftRepresentation, RightRepresentation,
-                        compare_left_representation, compare_right_representation,
-                        hom_bifunctor)
+                        check_right_representation, compare_left_representation,
+                        compare_right_representation, hom_bifunctor)
 from hetcat.instances import ur_adjunction
 from hetcat.instances.finset import fn_images
 
@@ -541,10 +542,16 @@ def _swapped_at(het, side, m, c, image):
         **table, m: {**table[m], c: table[image][c]}, image: {**table[image], c: table[m][c]}}})
 
 
+def _reps_over(left, right, het):
+    """The representations left and right with their one het replaced by
+    `het`, on both sides."""
+    return dataclasses.replace(left, het=het), RightRepresentation(
+        het, dataclasses.replace(right.dual_left, het=dual(het)))
+
+
 def _over(adj, het):
     """adj with its one het replaced by `het`, on both sides."""
-    return Adjunction(dataclasses.replace(adj.left, het=het), RightRepresentation(
-        het, dataclasses.replace(adj.right.dual_left, het=dual(het))))
+    return Adjunction(*_reps_over(adj.left, adj.right, het))
 
 
 # what every suite reports where the unit or the counit is made constant at 2
@@ -665,19 +672,17 @@ def test_roundtrip_names_the_cell_of_each_misplaced_universal(skeleton2):
         ("sending-expected-universal-placement", "expected universal not in cell (x, Fx)")]
 
 
-def test_four_bifunctor_iso_reports_cells_the_representations_miss(skeleton2):
+def test_an_adjunction_over_a_het_without_its_universals_is_refused(skeleton2):
     # the functions of rank at most 1 form a sub-bifunctor of Hom, without
-    # h_2 = e_2 = 1_2: psi is empty on row 2 and phi on column 2, and each
-    # non-empty cell there is missed
+    # h_2 = e_2 = 1_2; X's objects are walked first, so h_2 is named
     adj = ur_adjunction(skeleton2)
     rank_one = build_het(
         "rank<=1", skeleton2, skeleton2,
         lambda x, a: tuple(f for f in skeleton2.hom(x, a) if len(set(fn_images(f))) <= 1),
         skeleton2.compose, lambda k, c: skeleton2.compose(c, k))
-    report = four_bifunctor_iso(_over(adj, rank_one))
-    assert [(v.law, v.witness) for v in report.violations] == [
-        *(("phi-bijective", (x, "2")) for x in "012"),
-        *(("psi-bijective", ("2", a)) for a in "12")]
+    with pytest.raises(StructuralError,
+                       match=re.escape("rank<=1: h_2 = '2>2:0,1' is not in cell (2, 2)")):
+        _over(adj, rank_one)
 
 
 def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
@@ -691,17 +696,23 @@ def test_four_bifunctor_iso_reports_a_twist_that_is_not_injective(skeleton2):
     assert [v.witness for v in report.violations if v.law == "z-bijective"] == [("1", "2")]
 
 
-def test_four_bifunctor_iso_names_a_missing_transpose(skeleton2):
-    # F moved at 0 leaves h_0 outside cell (0, F0), so psi is empty at 0;
-    # G moved at 1 does the same to e_1 and phi at 1; each cell that the
-    # transposes miss is a bijectivity violation, and no element of it is
-    # twisted
+def test_adjunction_refuses_a_missing_transpose(skeleton2):
+    # F moved at 0 leaves h_0 outside cell (0, F0), and G moved at 1 leaves
+    # e_1 outside cell (G1, 1); each names its object and the cell it misses
     adj = ur_adjunction(skeleton2)
-    for path, obj_map, law, cells in (
-            ("left", {"0": "1"}, "psi-bijective", [("0", a) for a in "012"]),
-            ("right.dual_left", {"1": "2"}, "phi-bijective", [(x, "1") for x in "012"])):
-        report = four_bifunctor_iso(_with(adj, f"{path}.functor.obj_map", obj_map))
-        assert [(v.law, v.witness) for v in report.violations] == [(law, c) for c in cells]
+    for path, obj_map, message in (
+            ("left", {"0": "1"}, "h_0 = '0>0:' is not in cell (0, 1)"),
+            ("right.dual_left", {"1": "2"}, "e_1 = '1>1:0' is not in cell (2, 1)")):
+        with pytest.raises(StructuralError, match=re.escape(f"Hom_FinSet<=2: {message}")):
+            _with(adj, f"{path}.functor.obj_map", obj_map)
+    # a constant universal kept in its cell is no universal: h_2 then g, or
+    # f then e_2, is constant, so psi misses cell (2, 2) and phi cell (1, 2)
+    for path, entries, message in (
+            ("left.universal", {"2": "2>2:0,0"}, "psi is not a bijection at cell (2, 2)"),
+            ("right.dual_left.universal", {"2": "2>2:1,1"},
+             "phi is not a bijection at cell (1, 2)")):
+        with pytest.raises(StructuralError, match=re.escape(f"Hom_FinSet<=2: {message}")):
+            _with(adj, path, entries)
 
 
 def test_zigzag_counts_only_anti_diagonals_that_meet_both_triangles(skeleton2):
@@ -730,24 +741,26 @@ def test_image_squares_report_a_right_adjoint_that_moves_an_identity(skeleton2):
 
 
 def _g_constant_at_zero(cat):
-    """ur_adjunction(cat) with G constant at 0 and e_a the map 0 -> a, so
-    that the counit is the maps out of 0."""
-    bad = _with(ur_adjunction(cat), "right.dual_left.universal",
-                {a: f"0>{a}:" for a in cat.objects})
-    bad = _with(bad, "right.dual_left.functor.obj_map", {a: "0" for a in cat.objects})
-    return _with(bad, "right.dual_left.functor.mor_map", {m.id: "0>0:" for m in cat.morphisms})
+    """The representations of ur_adjunction(cat), with G constant at 0 and
+    e_a the map 0 -> a."""
+    adj = ur_adjunction(cat)
+    right = _with(adj.right, "dual_left.universal", {a: f"0>{a}:" for a in cat.objects})
+    right = _with(right, "dual_left.functor.obj_map", {a: "0" for a in cat.objects})
+    return adj.left, _with(right, "dual_left.functor.mor_map",
+                           {m.id: "0>0:" for m in cat.morphisms})
 
 
-def test_a_right_adjoint_with_no_unit_makes_the_roundtrip_raise(skeleton2):
-    # G constant at 0: Hom(x, G-) is empty for x = 1, 2, so phi misses each
-    # cell (x, a) there, and h_x = 1_x has no transpose eta_x; the round
-    # trip reads eta, and four_bifunctor_iso reports the cells phi misses
-    bad = _g_constant_at_zero(skeleton2)
-    assert bad.counit.components == {a: f"0>{a}:" for a in skeleton2.objects}
-    with pytest.raises(StructuralError, match="phi at \\(1, 1\\) has no entry for '1>1:0'"):
-        representation_roundtrip(bad)
-    assert [(v.law, v.witness) for v in four_bifunctor_iso(bad).violations] == [
-        ("phi-bijective", (x, a)) for x in "12" for a in "12"]
+def test_a_right_adjoint_with_no_unit_is_refused(skeleton2):
+    # G constant at 0: each e_a = 0 -> a lies in cell (Ga, a), but Hom(x, G-)
+    # is empty for x = 1, 2, so phi misses cell (1, 1) first, and h_1 = 1_1
+    # would have no transpose eta_1; the right side's own check reports it
+    # as its dual's psi-bijective
+    left, right = _g_constant_at_zero(skeleton2)
+    with pytest.raises(StructuralError, match=re.escape(
+            "Hom_FinSet<=2: phi is not a bijection at cell (1, 1)")):
+        Adjunction(left, right)
+    assert [(v.law, v.witness) for v in check_right_representation(right).violations] == [
+        ("psi-bijective", (a, x)) for a in "12" for x in "12"]
 
 
 def test_compare_left_representation_reports_a_misplaced_or_non_universal_element(skeleton2):

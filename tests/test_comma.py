@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcat.comma as comma_mod
-from hetcat import (FinCategory, FinFunctor, GuardExceeded, LawReport, Morphism,
+from hetcat import (Adjunction, FinCategory, FinFunctor, GuardExceeded, LawReport, Morphism,
                     StructuralError, build_adjunction, build_het, check_category,
                     check_functor, comma_of_bifunctor, comma_of_functors,
                     constant_functor, half_lawvere_iso_check, hom_bifunctor,
@@ -98,14 +98,18 @@ def test_half_lawvere_on_pointed(pointed2):
     assert half_lawvere_iso_check(pointed2.het, rep).ok
 
 
-def test_iso_along_a_datum_with_no_object_is_structural(galois_lower_adj):
+def test_iso_along_a_datum_with_no_object_reports_object_bijection(galois_lower_adj):
+    # a datum that names no object of the second comma, or is None, as where
+    # psi misses an element, leaves its object with no image
     adj = galois_lower_adj
     het_comma = comma_of_bifunctor(adj.het)
     left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat))
-    x, a, _ = het_comma.triples[0]
-    with pytest.raises(StructuralError,
-                       match=re.escape(f"comma category has no object ({x}, {a}, nowhere)")):
-        comma_mod._iso_along(het_comma, left_comma, lambda x, a, c: "nowhere", "datum")
+    first = het_comma.triples[0][2]
+    for missing in ("nowhere", None):
+        report = comma_mod._iso_along(het_comma, left_comma,
+                                      lambda x, a, c: missing if c == first else adj.g_of(c),
+                                      "datum")
+        assert [(v.law, v.witness) for v in report.violations] == [("object-bijection", ())]
 
 
 def test_comma_guard(galois_lower_adj):
@@ -278,22 +282,27 @@ def test_lawvere_checks_on_a_left_adjoint_that_moves_an_object(skeleton1, skelet
     # F0 moved to 1 leaves F(1_0) = 1_0 off F0: the squares whose sides do
     # not compose are no morphisms of (F, 1), so the comma builds, and
     # check_functor names the fault
-    bad = _with(ur_adjunction(skeleton1), "left.functor.obj_map", {"0": "1"})
-    assert "dom-cod-preservation" in {v.law for v in check_functor(bad.F).violations}
-    comma = comma_of_functors(bad.F, identity_functor(skeleton1))
+    adj = ur_adjunction(skeleton1)
+    bad = _with(adj.left, "functor.obj_map", {"0": "1"})
+    assert "dom-cod-preservation" in {v.law for v in check_functor(bad.functor).violations}
+    comma = comma_of_functors(bad.functor, identity_functor(skeleton1))
     assert list(zip(comma.dom, comma.cod, comma.ks, comma.hs)) == [(1, 1, "1>1:0", "1>1:0")]
-    # h_0 = 1_0 is no element of cell (0, F0), so psi, and with it the het
-    # comma's object map into (F, 1), misses cell (0, 0)
-    for check in (lawvere_iso_check, lambda adj: half_lawvere_iso_check(adj.het, adj.left)):
-        with pytest.raises(StructuralError, match=r"psi not surjective at \(0, 0\)"):
-            check(bad)
+    # h_0 = 1_0 is no element of cell (0, F0), so no adjunction has this
+    # left side; psi is empty at 0, so the het comma's object 1_0 has no
+    # image in (F, 1), which the half check reports
+    with pytest.raises(StructuralError, match=re.escape("h_0 = '0>0:' is not in cell (0, 1)")):
+        Adjunction(bad, adj.right)
+    report = half_lawvere_iso_check(adj.het, bad)
+    assert [(v.law, v.witness) for v in report.violations] == [("object-bijection", ())]
     # F1 moved to 2 with h_1 moved along into cell (1, 2): psi at 1 is onto
-    # each cell but not one-to-one, so (F, 1) has more objects than the het
-    # comma, and both checks report it
-    bad = _with(_with(ur_adjunction(skeleton2), "left.functor.obj_map", {"1": "2"}),
-                "left.universal", {"1": "1>2:0"})
-    for report in (lawvere_iso_check(bad), half_lawvere_iso_check(bad.het, bad.left)):
-        assert [(v.law, v.witness) for v in report.violations] == [("object-bijection", ())]
+    # each cell but not one-to-one, so no adjunction has this left side, and
+    # (F, 1) has more objects than the het comma
+    adj = ur_adjunction(skeleton2)
+    bad = _with(_with(adj.left, "functor.obj_map", {"1": "2"}), "universal", {"1": "1>2:0"})
+    with pytest.raises(StructuralError, match=re.escape("psi is not a bijection at cell (1, 2)")):
+        Adjunction(bad, adj.right)
+    report = half_lawvere_iso_check(adj.het, bad)
+    assert [(v.law, v.witness) for v in report.violations] == [("object-bijection", ())]
 
 
 def test_functor_comma_needs_one_target(skeleton1, skeleton2):

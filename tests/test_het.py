@@ -8,7 +8,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hetcat import (Adjunction, CandidateFailure, FinCategory, FinFunctor, HetBifunctor,
@@ -1228,6 +1228,47 @@ def test_dual_het_has_the_opposite_adjunction(name):
 @given(_group_hets())
 def test_dual_group_het_has_the_opposite_adjunction(group_het):
     _assert_duality(_group_het(*group_het))
+
+
+# -- neither thin nor a group: submonoids of the transformation monoid T_n ----
+
+def _then(f, g):
+    # maps of {0, .., n-1} as image strings; "f then g" is g after f
+    return "".join(g[int(i)] for i in f)
+
+
+@st.composite
+def _transformation_monoids(draw):
+    """A submonoid of T_n, n = 2 or 3, as a one-object category: the
+    closure of the identity under one to three maps, the first of them not
+    a bijection, so that it is neither thin nor a group. Those of more than
+    12 elements are left out: their comma checks exceed the suites' guard."""
+    n = draw(st.sampled_from([2, 3]))
+    maps = ["".join(p) for p in itertools.product("012"[:n], repeat=n)]
+    gens = [draw(st.sampled_from([f for f in maps if len(set(f)) < n])),
+            *draw(st.lists(st.sampled_from(maps), max_size=2))]
+    elements = ["012"[:n]]
+    for f in elements:      # grows as it is walked
+        elements += [g for g in dict.fromkeys(_then(f, g) for g in gens) if g not in elements]
+    assume(len(elements) <= 12)
+    return FinCategory(f"T{n}<{','.join(gens)}>", ("*",),
+                       tuple(Morphism(f, "*", "*") for f in elements), {"*": elements[0]},
+                       {(f, g): _then(f, g) for f in elements for g in elements})
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(_transformation_monoids(), st.integers(0, 5))
+def test_transformation_monoid_hom_keeps_its_adjunction_relabelled_and_dualised(cat, seed):
+    # Hom of a monoid is birepresented by the identity functor, its
+    # universals the invertible elements; Adjunction's check of the two
+    # representations passes on the found, the relabelled and the dual one
+    one, elements = cat.id_of("*"), [m.id for m in cat.morphisms]
+    assert len(elements) > 1 and any(all(cat.compose(f, g) != one for g in elements)
+                                     for f in elements)
+    het = hom_bifunctor(cat)
+    assert isinstance(build_adjunction(het), Adjunction)
+    _assert_relabelling_keeps_the_verdict(het, seed)
+    _assert_duality(het)
 
 
 # -- a second poset generator: Hom_Q(f-, -) along a monotone f ---------------
