@@ -8,21 +8,25 @@ componentwise, so its keys are its whole structure: no composition table is
 stored. The comma isomorphisms map objects by int and morphisms by key, and
 are checked on the int tables alone, naming each witness `o{i}`/`m{n}`; two
 commas numbered alike are compared with no lookup. `lawvere_iso_check`
-checks the two isomorphisms out of the het comma; the third is their
-composite.
+checks the two isomorphisms out of the het comma (the third is their
+composite) on counts of the het comma's candidate squares, tabulating no
+comma; it builds the three commas only for a report the counts cannot make.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter, getitem, itemgetter, mul
 from typing import Callable
-from operator import attrgetter
 
 from .adjunction import Adjunction
 from .errors import GuardExceeded, StructuralError
 # check_functor stays importable: bench/tracing.py rebinds hetcat.comma.check_functor
-from .fincat import FinCategory, FinFunctor, _row_getters, check_functor, identity_functor
+from .fincat import (FinCategory, FinFunctor, _row_getters, check_functor, identity_functor,
+                     opposite)
 from .het import HetBifunctor, hom_bifunctor
 from .report import LawReport
 
@@ -241,12 +245,130 @@ def lawvere_iso_check(adj: Adjunction, guard: int = 10_000) -> LawReport:
     """The comma categories (F, 1_A) and (1_X, G) are each isomorphic to the
     comma category of the het over the projections, hence to each other.
 
+    Decided on the het comma's candidate squares, with no comma tabulated.
+    A candidate is a source element c in cell (x, a), a destination c' in
+    cell (x', a'), j: x -> x' and k: a -> a', as `_tabulate` reaches them.
+    It carries three squares:
+    - P, the het square: k.c = c'.j;
+    - L, the (F, 1_A) square at the mapped objects: g(c);k = Fj;g(c');
+    - R, the (1_X, G) square at the mapped objects: f(c);Gk = j;f(c').
+    These are exactly the instances that `_comma_iso` checks along
+    c -> (x, a, g(c)) and c -> (x, a, f(c)):
+    - Adjunction refuses a psi or phi that is not a bijection on some cell;
+      psi is defined on exactly Hom(Fx, a), and phi on exactly Hom(x, Ga)
+      when its dual representation is over the kept X^op. So both object
+      maps are bijections onto the commas' objects that keep (x, a), and
+      neither object-bijection nor projection-compatibility can fire.
+    - Between mapped objects every comma has the same candidates
+      hom(x, x') x hom(a, a'), and the morphism map keeps (j, k). So the
+      het comma's morphisms are the candidates with P, those of (F, 1_A)
+      and (1_X, G) are the candidates with L and with R, and a het comma
+      morphism has an image exactly where L (R) holds.
+    The report is therefore empty exactly when P, L and R hold on the same
+    candidates: when count(P), count(L), count(R) and the count with all
+    three are one number. The destination side of a square, (c'.j,
+    Fj;g(c'), j;f(c')), depends on c' and j alone, and the source side,
+    (k.c, g(c);k, f(c);Gk), on c and k alone; a candidate is one entry of
+    each side with the same (x, a'). So each count is a sum of products
+    over equal keys, read off entries as many as the action tables have.
+
     The direct iso (F, 1_A) -> (1_X, G), g -> phi(psi(g)), is not checked: it
-    is c -> f(c) after the inverse of c -> g(c) = psi_inv(c). psi is a
-    bijection on each cell (Adjunction refuses the rest), so psi_inv(c) = g
-    exactly when psi(g) = c; all three map morphisms by their (k, h), and
-    composites of isomorphisms over the projections are such.
+    is c -> f(c) after the inverse of c -> g(c), and composites of
+    isomorphisms over the projections are such.
+
+    Every exit is that of `_lawvere_on_commas`, the three commas compared.
+    Their object counts are equal, so too many objects raise the guard of
+    (F, 1_A); too many squares with L, R or P raise that of (F, 1_A),
+    (1_X, G) or the het comma, the order the commas are built in. The
+    three commas make the report where the counts cannot: a failing
+    report, whose witnesses they name; a functor over other categories
+    than the het's, or a right side over another dual; and a lookup that
+    misses (an action entry, a functor image or a composite), as the
+    entries read more of the tables than the commas do.
     """
+    het, F, G = adj.het, adj.F, adj.G
+    X, A = het.x_cat, het.a_cat
+    if F.source is not X or F.target is not A or \
+            adj.right.dual_left.het.a_cat is not opposite(X):
+        return _lawvere_on_commas(adj, guard)
+    left_name = f"({F.name},1_{A.name})"
+    n_objects = sum(map(len, het.cells.values()))
+    if n_objects > guard:
+        raise GuardExceeded(f"{left_name}: {n_objects} objects exceeds guard {guard}", n_objects)
+    sides = _square_sides(adj)
+    if sides is None:
+        return _lawvere_on_commas(adj, guard)
+    n_p, n_l, n_r, n_all = (_agreeing(*sides, at) for at in ((2,), (3,), (4,), (2, 3, 4)))
+    for name, n in ((left_name, n_l), (f"(1_{X.name},{G.name})", n_r),
+                    (f"comma[{het.name}]", n_p)):
+        if n > guard:
+            raise GuardExceeded(f"{name}: morphism count exceeds guard {guard}", guard + 1)
+    if n_p == n_l == n_r == n_all:
+        return LawReport(f"comma-category equivalence of {het.name}")
+    return _lawvere_on_commas(adj, guard)
+
+
+def _square_sides(adj: Adjunction) -> tuple[list[tuple], list[tuple]] | None:
+    """The two sides of every candidate square of `lawvere_iso_check`: for
+    each j: x -> x' and destination c' in cell (x', a'), the entry
+    (x, a', c'.j, Fj;g(c'), j;f(c')); for each source c in cell (x, a) and
+    k: a -> a', the entry (x, a', k.c, g(c);k, f(c);Gk). None where a lookup
+    misses."""
+    het, F, G = adj.het, adj.F, adj.G
+    X, A = het.x_cat, het.a_cat
+    act_left, act_right, f_mor, g_mor = het.act_left, het.act_right, F.mor_map, G.mor_map
+    then_a, then_x = _row_getters(A), _row_getters(X)
+    # the elements over each x, as columns a, c, g(c), f(c)
+    over: dict[str, tuple[list, list, list, list]] = {x: ([], [], [], []) for x in X.objects}
+    for (x, a), cell in het.cells.items():
+        a_s, c_s, g_s, f_s = over[x]
+        a_s += repeat(a, len(cell))
+        c_s += cell
+        g_s += map(adj.left.psi_inv, repeat(x), repeat(a), cell)
+        f_s += map(adj.right.phi[(x, a)].__getitem__, cell)
+    # each a's out-homs as the columns k, cod k
+    outs = {a: (list(chain.from_iterable(hom.values())),
+                [a2 for a2, ks in hom.items() for _ in ks]) for a, hom in A._hom.items()}
+    ends: list[tuple] = []
+    starts: list[tuple] = []
+    try:
+        for j in X.morphisms:
+            a_s, c_s, g_s, f_s = over[j.cod]
+            ends += zip(repeat(j.dom), a_s, map(act_left[j.id].__getitem__, c_s),
+                        _found(map(then_a[f_mor[j.id]], g_s)), _found(map(then_x[j.id], f_s)))
+        for x, columns in over.items():
+            for a, c, g, f in zip(*columns):
+                ks, cods = outs.get(a, ((), ()))
+                starts += zip(repeat(x), cods, map(getitem, map(act_right.__getitem__, ks),
+                                                   repeat(c)),
+                              _found(map(then_a[g], ks)),
+                              _found(map(then_x[f], map(g_mor.__getitem__, ks))))
+    except KeyError:
+        return None
+    return ends, starts
+
+
+def _found(composites) -> list[str]:
+    """Composites read by row getters, as a list; KeyError where one misses."""
+    out = list(composites)
+    if None in out:
+        raise KeyError(None)
+    return out
+
+
+def _agreeing(ends: list[tuple], starts: list[tuple], at: tuple[int, ...]) -> int:
+    """How many candidates agree on the components `at` of their two sides:
+    a destination-side and a source-side entry are one candidate where their
+    (x, a') agree."""
+    pick = itemgetter(0, 1, *at)
+    by_end, by_start = Counter(map(pick, ends)), Counter(map(pick, starts))
+    common = by_end.keys() & by_start.keys()
+    return sum(map(mul, map(by_end.__getitem__, common), map(by_start.__getitem__, common)))
+
+
+def _lawvere_on_commas(adj: Adjunction, guard: int) -> LawReport:
+    """`lawvere_iso_check` on the three tabulated commas, compared along the
+    transposes by `_iso_along`."""
     rep = LawReport(f"comma-category equivalence of {adj.het.name}")
     left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat), guard)
     right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard)

@@ -516,8 +516,10 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
     in cell (x, Fx), psi is empty and universal-placement names the fault;
     nothing that reads psi at x is reported. Every g runs Fx -> a, so
     naturality in a reads A's composition table directly; naturality in x
-    does so where Fh ends at Fx, and on a miss `compose` raises its error.
-    Both walk the non-empty psi tables only, indexed once per x.
+    does so at each h: x' -> x whose Fh ends at Fx, and skips the others,
+    where Fh and g do not compose and check_functor reports
+    dom-cod-preservation. On a miss `compose` raises its error. Both walk
+    the non-empty psi tables only, indexed once per x.
     """
     het, fun = rep.het, rep.functor
     out = LawReport(f"left representation of {het.name}")
@@ -559,12 +561,12 @@ def check_left_representation(rep: LeftRepresentation) -> LawReport:
         if not tables[x] or x2 in misplaced:
             continue
         fh = fun.on_mor(h.id)
-        direct = a_cat.cod(fh) == fun.on_obj(x)
+        if a_cat.cod(fh) != fun.on_obj(x):
+            continue            # check_functor reports dom-cod-preservation at h
         for a, table in tables[x]:
             target = psi[(x2, a)]
             for g, c in table.items():
-                fhg = comp.get((fh, g)) if direct else None
-                lhs = target.get(fhg or a_cat.compose(fh, g))
+                lhs = target.get(comp.get((fh, g)) or a_cat.compose(fh, g))
                 rhs = row.get(c) or het.act_l(h.id, c)
                 if lhs != rhs:
                     out.add("psi-naturality-left", (h.id, a, g),

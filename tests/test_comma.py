@@ -17,11 +17,12 @@ from hetcat import (Adjunction, FinCategory, FinFunctor, GuardExceeded, LawRepor
                     constant_functor, half_lawvere_iso_check, hom_bifunctor,
                     hom_comma_equivalence, identity_functor, lawvere_iso_check)
 from hetcat.comma import _comma_iso
-from hetcat.het import LeftRepresentation, find_left_representation
+from hetcat.het import LeftRepresentation, RightRepresentation, dual, find_left_representation
 from hetcat.instances import (finset_skeleton, galois_connections,
                               pointed_free_forgetful, ur_adjunction)
-from test_adjunction import _with
-from test_census import _corrupted, _other
+from test_adjunction import _reps_over, _with
+from test_census import _assembled, _corrupted, _other
+from test_het import POOL
 
 
 def test_identity_comma_on_terminal(terminal_cat):
@@ -387,6 +388,22 @@ def _twisted_het():
                      act_right_fn=lambda k, c: skeleton2.compose(c, k))
 
 
+def _reference_lawvere_iso_check(adj, guard=10_000):
+    """lawvere_iso_check as the three tabulated commas, compared along the
+    transposes by `_iso_along`."""
+    rep = LawReport(f"comma-category equivalence of {adj.het.name}")
+    left_comma = comma_of_functors(adj.F, identity_functor(adj.a_cat), guard)
+    right_comma = comma_of_functors(identity_functor(adj.x_cat), adj.G, guard)
+    het_comma = comma_of_bifunctor(adj.het, guard)
+    # het comma -> (F, 1_A) by the receiving-side transpose g(c)
+    rep.extend(comma_mod._iso_along(het_comma, left_comma, lambda x, a, c: adj.g_of(c),
+                                    "het comma ~ (F,1) over the projections"))
+    # het comma -> (1_X, G) by the sending-side transpose f(c)
+    rep.extend(comma_mod._iso_along(het_comma, right_comma, lambda x, a, c: adj.f_of(c),
+                                    "het comma ~ (1,G) over the projections"))
+    return rep.normalize()
+
+
 @functools.lru_cache(maxsize=None)
 def _recorded_isos():
     """Every (first, second, object map, subject) the comma checks compare."""
@@ -401,8 +418,8 @@ def _recorded_isos():
     comma_mod._comma_iso = recording
     try:
         gi = galois_connections({"0": "a", "1": "a", "2": "b"}, ("0", "1", "2"), ("a", "b"))
-        assert lawvere_iso_check(build_adjunction(gi.lower_het)).ok
-        assert lawvere_iso_check(build_adjunction(_twisted_het())).ok
+        assert _reference_lawvere_iso_check(build_adjunction(gi.lower_het)).ok
+        assert _reference_lawvere_iso_check(build_adjunction(_twisted_het())).ok
         pointed = pointed_free_forgetful(1)
         assert half_lawvere_iso_check(pointed.het,
                                       find_left_representation(pointed.het)).ok
@@ -514,23 +531,17 @@ def test_numbered_alike_isos_need_no_index():
     assert alike and relabelled
 
 
-@pytest.mark.parametrize("het, built", [("galois", 0), ("twisted", 2)])
-def test_lawvere_iso_check_builds_an_index_only_to_relabel(monkeypatch, galois_lower_adj,
-                                                           het, built):
-    # numbered-alike commas are compared with no lookup; the twisted het
-    # comma's objects are out of the other two's order, so each of those
-    # two builds its index
+@pytest.mark.parametrize("het", ["galois", "twisted"])
+def test_lawvere_iso_check_tabulates_no_comma(monkeypatch, galois_lower_adj, het):
+    # the counts decide a passing check: no comma is tabulated and the
+    # three-comma form is not called, also where the transposes permute the
+    # objects out of order (twisted)
     adj = galois_lower_adj if het == "galois" else build_adjunction(_twisted_het())
-    commas = []
-
-    def recording(*args):
-        commas.append(_TABULATE(*args))
-        return commas[-1]
-
-    monkeypatch.setattr(comma_mod, "_tabulate", recording)
+    calls = []
+    monkeypatch.setattr(comma_mod, "_tabulate", lambda *args: calls.append(args))
+    monkeypatch.setattr(comma_mod, "_lawvere_on_commas", lambda *args: calls.append(args))
     assert lawvere_iso_check(adj).ok
-    assert len(commas) == 3
-    assert sum("index" in vars(cc) for cc in commas) == built
+    assert calls == []
 
 
 def test_lawvere_iso_check_builds_each_row_getter_once(monkeypatch):
@@ -546,8 +557,8 @@ def test_lawvere_iso_check_builds_each_row_getter_once(monkeypatch):
 
     monkeypatch.setattr(comma_mod, "_row_getters", recording)
     assert lawvere_iso_check(adj).ok
-    # each functor comma decides its squares on its target's rows: A for
-    # (F, 1_A), X for (1_X, G); the het comma reads the actions
+    # the squares of (F, 1_A) compose in A, those of (1_X, G) in X; the het
+    # squares read the actions
     assert [cat for cat, _ in calls] == [adj.a_cat, adj.x_cat]
     assert calls[0][1] is getters(adj.a_cat) and calls[1][1] is getters(adj.x_cat)
 
@@ -640,10 +651,160 @@ def test_iso_checks_match_the_parent_form_less_the_implied_laws(data):
     else:
         check, args = half_lawvere_iso_check, data.draw(_corrupted_het())
     new = _violations(check, *args)
-    # the parent form: the same commas, compared by the string check
+    # the parent form: the three commas, compared by the string check
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(comma_mod, "_comma_iso", _reference_comma_iso)
-        old = _violations(check, *args)
+        old = _violations(_reference_lawvere_iso_check if check is lawvere_iso_check else check,
+                          *args)
     if isinstance(old, list):
         old = [v for v in old if v.law not in IMPLIED]
     assert new == old
+
+
+# -- the square counts against the three-comma form --------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _whole_adjunctions():
+    """The adjunctions of the twisted het and of the pool's hets."""
+    adjs = map(build_adjunction, [_twisted_het(), *POOL.values()])
+    return tuple(adj for adj in adjs if isinstance(adj, Adjunction))
+
+
+def _over_categories(adj, x_cat, a_cat):
+    """adj with X and A replaced by categories on the same ids: its het, F,
+    and the dual representation of its right side."""
+    het = dataclasses.replace(adj.het, x_cat=x_cat, a_cat=a_cat)
+    d, dual_left = dual(het), adj.right.dual_left
+    return Adjunction(
+        dataclasses.replace(adj.left, het=het,
+                            functor=dataclasses.replace(adj.F, source=x_cat, target=a_cat)),
+        RightRepresentation(het, dataclasses.replace(
+            dual_left, het=d,
+            functor=dataclasses.replace(dual_left.functor, source=d.x_cat, target=d.a_cat))))
+
+
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+@st.composite
+def _missing_lookup(draw):
+    """A whole adjunction with one entry the squares read removed: an
+    action entry, an image of F or G, or a composite of X or A. None where
+    Adjunction refuses it, as where psi or phi reads the action entry."""
+    adj = draw(st.sampled_from(_whole_adjunctions()))
+    het = adj.het
+    kind = draw(st.sampled_from(["act_left", "act_right", "F", "G", "x_cat", "a_cat"]))
+    if kind.startswith("act"):
+        tables = getattr(het, kind)
+        m = draw(st.sampled_from(sorted(m for m, t in tables.items() if t) or [None]))
+        if m is None:
+            return None
+        c = draw(st.sampled_from(sorted(tables[m])))
+        return _assembled(_reps_over(adj.left, adj.right, dataclasses.replace(
+            het, **{kind: {**tables, m: _without(tables[m], c)}})))
+    if kind == "F":
+        m = draw(st.sampled_from(sorted(adj.F.mor_map)))
+        return Adjunction(dataclasses.replace(adj.left, functor=dataclasses.replace(
+            adj.F, mor_map=_without(adj.F.mor_map, m))), adj.right)
+    if kind == "G":
+        fun = adj.right.dual_left.functor
+        m = draw(st.sampled_from(sorted(fun.mor_map)))
+        return Adjunction(adj.left, RightRepresentation(het, dataclasses.replace(
+            adj.right.dual_left, functor=dataclasses.replace(
+                fun, mor_map=_without(fun.mor_map, m)))))
+    cat = getattr(het, kind)
+    pair = draw(st.sampled_from(sorted(cat.comp)))
+    broken = FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity,
+                         _without(cat.comp, pair))
+    return _over_categories(adj, *((broken, het.a_cat) if kind == "x_cat"
+                                   else (het.x_cat, broken)))
+
+
+def _outcome(check, adj, guard=10_000):
+    """The violations of a check, or its error's text and guard estimate."""
+    try:
+        return check(adj, guard).violations
+    except GuardExceeded as exc:
+        return str(exc), exc.estimate
+    except StructuralError as exc:
+        return str(exc)
+
+
+def _guards(adj):
+    """count - 1, count and count + 1 for the objects and for each comma's
+    morphisms, as far as the three commas build."""
+    counts = {sum(map(len, adj.het.cells.values()))}
+    try:
+        counts.update(len(comma.dom) for comma in (
+            comma_of_functors(adj.F, identity_functor(adj.a_cat), 10**9),
+            comma_of_functors(identity_functor(adj.x_cat), adj.G, 10**9),
+            comma_of_bifunctor(adj.het, 10**9)))
+    except StructuralError:
+        pass
+    return sorted({n + d for n in counts for d in (-1, 0, 1)})
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(st.one_of(_corrupted(), st.sampled_from(_whole_adjunctions()),
+                 _missing_lookup().filter(lambda adj: adj is not None)))
+def test_lawvere_iso_check_matches_the_three_comma_form(adj):
+    # the same report, witnesses and details included, and at every guard
+    # around a comma's size the same error text and estimate
+    for guard in [10_000, *_guards(adj)]:
+        assert _outcome(lawvere_iso_check, adj, guard) == \
+            _outcome(_reference_lawvere_iso_check, adj, guard), guard
+
+
+def test_lawvere_guards_fire_in_the_order_the_commas_are_built(skeleton2):
+    # F, then G as well, sends 2>2:0,0 to 2>2:0,1: (F, 1) has ten morphisms
+    # fewer than the het comma's 249, then (1, G) too, so a guard of 240
+    # passes the first comma, then the first two, and raises at the next
+    adj = ur_adjunction(skeleton2)
+    bent = {"2>2:0,0": "2>2:0,1"}
+    left = Adjunction(_with(adj.left, "functor.mor_map", bent), adj.right)
+    both = Adjunction(left.left, _with(adj.right, "dual_left.functor.mor_map", bent))
+    for bad, name in ((left, "(1_FinSet<=2,G[Hom_FinSet<=2])"), (both, "comma[Hom_FinSet<=2]")):
+        assert _outcome(lawvere_iso_check, bad, 240) == \
+            (f"{name}: morphism count exceeds guard 240", 241) == \
+            _outcome(_reference_lawvere_iso_check, bad, 240)
+
+
+def _copy(cat):
+    return FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity, cat.comp)
+
+
+def test_lawvere_iso_check_takes_the_three_commas_only_where_the_counts_cannot_decide(
+        monkeypatch, skeleton2):
+    calls = []
+    on_commas = comma_mod._lawvere_on_commas
+    monkeypatch.setattr(comma_mod, "_lawvere_on_commas",
+                        lambda *args: calls.append(args) or on_commas(*args))
+    adj = ur_adjunction(skeleton2)
+    # every whole adjunction passes on the counts, also over copied categories
+    # that its het, its functors and its dual share
+    for whole in (*_whole_adjunctions(), _over_categories(adj, _copy(adj.x_cat),
+                                                          _copy(adj.a_cat))):
+        assert lawvere_iso_check(whole).ok
+    assert calls == []
+    dual_left = adj.right.dual_left
+    undecided = [
+        # F over a copy of X, and a right side over a dual on a copy of X^op
+        Adjunction(dataclasses.replace(adj.left, functor=dataclasses.replace(
+            adj.F, source=_copy(adj.x_cat))), adj.right),
+        Adjunction(adj.left, RightRepresentation(adj.het, dataclasses.replace(
+            dual_left, het=dataclasses.replace(dual_left.het,
+                                               a_cat=_copy(dual_left.het.a_cat))))),
+        # a composite the squares read is missing, and F sends 2>2:0,0 off
+        # its type, so that Fj;g(c') does not compose
+        _over_categories(adj, adj.x_cat, FinCategory(
+            "broken", skeleton2.objects, skeleton2.morphisms, skeleton2.identity,
+            _without(skeleton2.comp, ("0>2:", "2>2:0,1")))),
+        Adjunction(_with(adj.left, "functor.mor_map", {"2>2:0,0": "0>2:"}), adj.right),
+        # a failing report, whose witnesses the counts cannot name
+        Adjunction(_with(adj.left, "functor.mor_map", {"2>2:0,0": "2>2:0,1"}), adj.right),
+    ]
+    for bad in undecided:
+        calls.clear()
+        assert _outcome(lawvere_iso_check, bad) == _outcome(_reference_lawvere_iso_check, bad)
+        assert len(calls) == 1

@@ -646,7 +646,9 @@ def _reference_check_left_representation(rep):
             if not table or x2 in misplaced:
                 continue
             fh = fun.on_mor(h.id)
-            direct = (x, a) in hom_keyed and a_cat.cod(fh) == fun.on_obj(x)
+            if a_cat.cod(fh) != fun.on_obj(x):
+                continue        # Fh and g do not compose: dom-cod-preservation
+            direct = (x, a) in hom_keyed
             target = rep.psi[(x2, a)]
             for g, c in table.items():
                 fhg = comp.get((fh, g)) if direct else None
@@ -1414,9 +1416,10 @@ def test_rewired_functor_image_is_reported(hom_reps):
 
 
 def test_stray_composition_entry_does_not_hide_an_uncomposable_pair(chain2):
-    """The naturality check in x reads A's composition table directly only
-    where Fh ends at Fx; an entry recorded for a pair that does not compose
-    still ends in compose's error, and so does a composite the table lacks."""
+    """The naturality check in x reads A's composition table only at an h
+    whose Fh ends at Fx; an entry recorded for a pair that does not compose
+    is not read, and the report keeps check_functor's laws for the moved
+    Fh. A composite the table lacks still ends in compose's error."""
     stray = FinCategory("chain2+", chain2.objects, chain2.morphisms, chain2.identity,
                         {**chain2.comp, ("i0", "i1"): "i0"})
     hom = hom_bifunctor(chain2)
@@ -1425,8 +1428,10 @@ def test_stray_composition_entry_does_not_hide_an_uncomposable_pair(chain2):
     fun = left.functor
     bad = FinFunctor(fun.name, fun.source, fun.target, fun.obj_map,
                      {**fun.mor_map, "le": "i0"})
-    with pytest.raises(StructuralError, match="i0 and i1 are not composable"):
-        check_left_representation(replace(left, functor=bad))
+    report = check_left_representation(replace(left, functor=bad))
+    assert [(v.law, v.witness, v.detail) for v in report.violations] == [
+        ("composition-preservation", ("le", "i1"), "F(f then g) = i0 but Ff then Fg = None"),
+        ("dom-cod-preservation", ("le",), "image has type 0 -> 0, expected 0 -> 1")]
     # nor does a composite missing from the table pass unseen: over Hom(0, -)
     # on the one-object X, only naturality in a reads the pair (le, i1)
     point = FinCategory("point", ("0",), (Morphism("e", "0", "0"),), {"0": "e"},
@@ -1438,6 +1443,12 @@ def test_stray_composition_entry_does_not_hide_an_uncomposable_pair(chain2):
     rep = find_left_representation(het)
     with pytest.raises(StructuralError, match=r"composition table missing \(le, i1\)"):
         check_left_representation(replace(rep, het=replace(het, a_cat=missing)))
+    # and where F0 = 1 and Fe = le: 0 -> 1 ends at F0 from no F-image, only
+    # naturality in x reads the pair (le, i1)
+    moved = FinFunctor(rep.functor.name, point, chain2, {"0": "1"}, {"e": "le"})
+    with pytest.raises(StructuralError, match=r"composition table missing \(le, i1\)"):
+        check_left_representation(replace(rep, het=replace(het, a_cat=missing), functor=moved,
+                                          universal={"0": "le"}))
 
 
 @pytest.mark.parametrize("side", ["act_left", "act_right"])
