@@ -12,17 +12,29 @@ and counit are read off their universals.
 Anti-diagonal cells are stored as twist-image pairs (G g(c), F f(c)) indexed
 by their originating cell; they are defined only on functor images, never on
 arbitrary object pairs.
+
+The four-bifunctor isomorphism and the round trip are decided on the
+adjunction's own tables: psi inverted, phi, the functors' maps, the two
+composition tables and the het's actions, each read in a few passes at C
+speed. The suite's docstring proves that where its decider holds, the form
+that builds Z (`_four_iso_on_z`) or the abstract het
+(`_roundtrip_on_abstract_het`) returns the empty report without raising.
+Everywhere else, a missing entry included, the suite hands over to that
+form, the only one that makes failing reports, witnesses and errors.
+Neither decider keeps anything between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from typing import Union
 
 from .errors import StructuralError
-from .fincat import (FinCategory, FinFunctor, Morphism, NatTrans, check_nat_trans,
-                     compose_functors, identity_functor, pair_id)
+from .fincat import (FinCategory, FinFunctor, Morphism, NatTrans, _rows, check_functor,
+                     check_nat_trans, compose_functors, identity_functor, opposite, pair_id)
 from .het import (HetBifunctor, KernelInvariantError, LeftRepresentation,
                   NonRepresentabilityWitness, RightRepresentation, build_het,
                   check_left_representation, find_left_representation,
@@ -452,7 +464,92 @@ def four_bifunctor_iso(adj: Adjunction) -> LawReport:
     that z is injective on every cell and natural against the actions in
     both variables; psi's naturality is check_left_representation's, and
     phi's that of the dual.
+
+    Decided by `_twist_natural` on the tables; where it does not hold,
+    `_four_iso_on_z` tabulates Z and makes the report. The decider holds
+    exactly where that form returns the empty report without raising, as
+    it reads what the form reads, in the same tables:
+    - z(c) for every c, through psi inverted, phi and the maps of G and F;
+      where an image is missing, `on_mor` raises as Z is built;
+    - z-bijective: the same count of distinct pairs on each cell;
+    - z-naturality-left along the row cod h of each h: z(c.h) against the
+      composites (GFh then u, Fh then v) of z(c) = (u, v), and
+      z-naturality-right along the column dom k of each k: z(k.c) against
+      (u then Gk, v then FGk). `_composites` reads them as `compose` does:
+      None for a missing composite, and no list at all where an image is
+      missing or a pair is not composable, where `on_mor` or `compose`
+      raises. No twist pair holds None, and an action entry that is
+      missing, or is no element, has no twist, so a miss on either side
+      makes the two sides differ.
     """
+    if _twist_natural(adj):
+        return LawReport(f"four-bifunctor isomorphism of {adj.het.name}")
+    return _four_iso_on_z(adj)
+
+
+def _twist_natural(adj: Adjunction) -> bool:
+    """`four_bifunctor_iso` holds, decided on the tables (proof there), each
+    naturality side read in one pass over all its instances."""
+    het, F, G = adj.het, adj.F, adj.G
+    X, A = het.x_cat, het.a_cat
+    fm, gm, cell_of = F.mor_map, G.mor_map, het._cell_of
+    # g(c) and f(c) for every c: psi inverted and phi, one table per cell, joined
+    g_of, f_of = (dict(chain.from_iterable(map(dict.items, tables.values())))
+                  for tables in (adj.left._psi_inv, adj.right.phi))
+    cs = list(cell_of)
+    try:
+        us = list(map(gm.__getitem__, map(g_of.__getitem__, cs)))
+        vs = list(map(fm.__getitem__, map(f_of.__getitem__, cs)))
+    except KeyError:
+        return False
+    if len(set(zip(map(cell_of.__getitem__, cs), us, vs))) != len(cs):
+        return False
+    z, u_of, v_of = dict(zip(cs, zip(us, vs))), dict(zip(cs, us)).get, dict(zip(cs, vs)).get
+    rows: dict[str, list[str]] = {x: [] for x in X.objects}
+    columns: dict[str, list[str]] = {a: [] for a in A.objects}
+    for (x, a), cell in het.cells.items():
+        rows[x] += cell
+        columns[a] += cell
+    hs, ks = X.morphisms, A.morphisms
+    fhs, gks = [fm.get(h.id) for h in hs], [gm.get(k.id) for k in ks]
+    line, spread = _lined([rows[h.cod] for h in hs])
+    acted = list(map(z.get, map(dict.get, spread([het.act_left.get(h.id, {}) for h in hs]), line)))
+    left = (_composites(X, spread(map(gm.get, fhs)), map(u_of, line)),
+            _composites(A, spread(fhs), map(v_of, line)))
+    if None in left or acted != list(zip(*left)):
+        return False
+    line, spread = _lined([columns[k.dom] for k in ks])
+    acted = list(map(z.get, map(dict.get, spread([het.act_right.get(k.id, {}) for k in ks]), line)))
+    right = (_composites(X, map(u_of, line), spread(gks)),
+             _composites(A, map(v_of, line), spread(map(fm.get, gks))))
+    return None not in right and acted == list(zip(*right))
+
+
+def _composites(cat: FinCategory, firsts, seconds) -> list[str | None] | None:
+    """The composites "f then g" of the pairs (f, g), read from the table as
+    `compose` reads them, None for a missing one; None in place of the list
+    where `compose` raises first: some f or g is no morphism, or f does not
+    end where its g starts."""
+    firsts, seconds, mor = list(firsts), list(seconds), cat._mor
+    try:
+        ends = list(map(attrgetter("cod"), map(mor.__getitem__, firsts)))
+        starts = list(map(attrgetter("dom"), map(mor.__getitem__, seconds)))
+    except KeyError:
+        return None
+    return list(map(cat.comp.get, zip(firsts, seconds))) if ends == starts else None
+
+
+def _lined(lines: list[list[str]]):
+    """The lines joined into one list, and a spread: each line's value
+    repeated as often as its line is long, in one iterator."""
+    counts = list(map(len, lines))
+    return (list(chain.from_iterable(lines)),
+            lambda values: chain.from_iterable(map(repeat, values, counts)))
+
+
+def _four_iso_on_z(adj: Adjunction) -> LawReport:
+    """`four_bifunctor_iso` on the tabulated twist bifunctor Z, naming every
+    witness."""
     rep = LawReport(f"four-bifunctor isomorphism of {adj.het.name}")
     het = adj.het
     xc, ac = adj.x_cat, adj.a_cat
@@ -707,7 +804,122 @@ def representation_roundtrip(adj: Adjunction) -> LawReport:
     law hold by X's composition. A placed (1_Ga, eps_a) is the pair of 1_Ga,
     and each (f, f*) is it acted on by f-hat alone, so it is universal
     (Yoneda) and only its place, cell (G-hat a-hat, a-hat), is checked.
+
+    Decided by `_transposes_round_trip` on the adjunction's tables; where it
+    does not hold, `_roundtrip_on_abstract_het` builds the abstract het and
+    makes the report. Write t(x, g) = eta_x;Gg for g: Fx -> a, and read
+    t(x, -) as the table over Hom(Fx, a) only, None elsewhere. The
+    preconditions are:
+    - F runs from the het's X to its A, and the dual is over X^op itself,
+      so eta_x = phi(h_x): x -> GFx and eps_a = psi^-1(e_a): FGa -> a;
+    - the rows of X and A are total and well typed (`fincat._rows`), X and
+      A record every identity, check_functor(F) is empty and G is `_typed`;
+    - X's object ids and its morphism ids are each `_comma_free`, so
+      pair_id is injective on every pair the abstract het builds, all of
+      whose first ids are X's.
+    Under them the abstract het builds without raising: every F and G
+    image, identity and composite it reads is recorded; each pair it
+    composes is composable, as F and G keep types; each composite ends
+    where transpose_inv expects; and its objects, morphisms and elements
+    (f, Ff;eps_a) have distinct ids, as composites keep their cods. The
+    embeddings are bijections on ids, f-hat is F renamed, so
+    check_functor(f-hat) is empty, and the element (f, f*) of cell
+    (x-hat, a-hat) is f, for f: x -> Ga. Read back through them, the
+    report is empty exactly where these hold:
+    1. F(eta_x);eps_Fx = 1_Fx: (eta_x, 1_Fx) is the element eta_x of cell
+       (x-hat, F-hat x-hat), sending-expected-universal-placement. psi is
+       then read as psi(g-hat) = t(x, g) over Hom(Fx, a), no act_r missing;
+    2. t(x, -) is a bijection Hom(Fx, a) -> Hom(x, Ga), the cell:
+       psi-bijective;
+    3. t(x, g;k) = t(x, g);Gk, which is psi-naturality-right at (x, k, g):
+       psi(g;k), looked up over Hom(Fx, a'), against k.psi(g);
+    4. t(x', Fj;g) = j;t(x, g), which is psi-naturality-left at (j, a, g):
+       psi(Fj;g), looked up over Hom(Fx', a), against psi(g).j, F-hat j
+       ending at F-hat x;
+    5. 1_Ga: Ga -> Ga and F(1_Ga);eps_a = eps_a: (1_Ga, eps_a) is the
+       element 1_Ga of cell (G-hat a-hat, a-hat), the receiving placement.
+    Each holds both ways, as f -> (f, f*) is injective. The decider reads
+    the composites with `.get`; those that 1-5 compare with are recorded
+    (the rows are total), so a None looked up over a Hom fails its
+    condition, as the form reports it.
     """
+    if _transposes_round_trip(adj):
+        return LawReport(f"representation round-trip of {adj.het.name}")
+    return _roundtrip_on_abstract_het(adj)
+
+
+def _typed(fun: FinFunctor, source: FinCategory, target: FinCategory) -> bool:
+    """Does fun send every morphism of source to a morphism of target running
+    between the images of its ends?"""
+    objs, mors, mor = fun.obj_map, fun.mor_map, target._mor
+    for m in source.morphisms:
+        image = mor.get(mors.get(m.id))
+        if image is None or (image.dom, image.cod) != (objs.get(m.dom), objs.get(m.cod)):
+            return False
+    return True
+
+
+def _comma_free(ids) -> bool:
+    """Is no id another one followed by a comma and more? Then pair_id is
+    injective on the pairs whose first ids are among these: "(p,q)" =
+    "(p',q')" with p shorter than p' makes p' start with "p,"."""
+    ids = set(ids)
+    return ids.isdisjoint(chain.from_iterable(
+        accumulate(i.split(",")[:-1], "{},{}".format) for i in ids))
+
+
+def _transposes_round_trip(adj: Adjunction) -> bool:
+    """`representation_roundtrip` holds, decided on the tables: its
+    preconditions and its conditions 1-5 (proof there)."""
+    het, F, G = adj.het, adj.F, adj.G
+    X, A = het.x_cat, het.a_cat
+    if F.source is not X or F.target is not A or \
+            adj.right.dual_left.het.a_cat is not opposite(X):
+        return False
+    ar = _rows(A)
+    if not (_rows(X).typed and ar.typed and X.identity.keys() >= set(X.objects)
+            and A.identity.keys() >= set(A.objects) and _typed(G, A, X)
+            and _comma_free(X.objects) and _comma_free(X._mor) and check_functor(F).ok):
+        return False
+    fo, fm, go, gm = F.obj_map, F.mor_map, G.obj_map, G.mor_map
+    xcomp, acomp = X.comp.get, A.comp.get
+    eta = {x: adj.right.phi[(x, fo[x])][adj.left.universal[x]] for x in X.objects}
+    eps = {a: adj.left._psi_inv[(go[a], a)][adj.right.universal[a]] for a in A.objects}
+    for a in A.objects:                                             # 5
+        one = X._mor[X.identity[go[a]]]
+        if (one.dom, one.cod, acomp((fm[one.id], eps[a]))) != (go[a], go[a], eps[a]):
+            return False
+    for x in X.objects:                                             # 1
+        if acomp((fm[eta[x]], eps[fo[x]])) != A.identity[fo[x]]:
+            return False
+    # 2: t(x, g) for every g leaving Fx, in the order of A's rows; the
+    # triples (x, cod g, t(x, g)) are one to one onto the (x, a, f: x -> Ga)
+    outs = {x: ar.out.get(fo[x], []) for x in X.objects}
+    t_row = {x: list(map(xcomp, zip(repeat(eta[x]), map(gm.__getitem__, out))))
+             for x, out in outs.items()}
+    xs = [x for x, out in outs.items() for _ in out]
+    gs, ts = (list(chain.from_iterable(d.values())) for d in (outs, t_row))
+    onto = [(x, a, f) for x in X.objects for a in A.objects
+            for f in X._hom.get(x, {}).get(go[a], ())]
+    if sorted(zip(xs, map(ar.cod.__getitem__, gs), ts)) != sorted(onto):
+        return False
+    t = dict(zip(zip(xs, gs), ts)).get
+    # 3: t(x, g;k) = t(x, g);Gk for every k leaving cod g, along g's row of A
+    line, spread = _lined(list(map(ar.then.__getitem__, gs)))
+    gk = {a: list(map(gm.__getitem__, ar.out.get(a, ()))) for a in A.objects}
+    if list(map(t, zip(spread(xs), line))) != list(map(xcomp, zip(
+            spread(ts), chain.from_iterable(map(gk.__getitem__, map(ar.cod.__getitem__, gs)))))):
+        return False
+    # 4: t(x', Fj;g) = j;t(x, g) for j: x' -> x and every g leaving Fx, along
+    # Fj's row of A, which leaves Fx in the order of t(x, -)
+    js = X.morphisms
+    line, spread = _lined([ar.then[fm[j.id]] for j in js])
+    return list(map(t, zip(spread([j.dom for j in js]), line))) == list(map(xcomp, zip(
+        spread([j.id for j in js]), chain.from_iterable(t_row[j.cod] for j in js))))
+
+
+def _roundtrip_on_abstract_het(adj: Adjunction) -> LawReport:
+    """`representation_roundtrip` on the abstract het, naming every witness."""
     rep = LawReport(f"representation round-trip of {adj.het.name}")
     ah = abstract_het(adj)
     xc, ac, cell_of = adj.x_cat, adj.a_cat, ah.het._cell_of

@@ -820,21 +820,35 @@ def _extremum(points, leq, least):
     return None
 
 
+@st.composite
+def _relations(draw):
+    """Two random posets, each as its points and order, and a relation
+    between them, down-closed in X and up-closed in A: the closure of a
+    drawn seed set of pairs."""
+    xs, x_leq = draw(_posets("x"))
+    as_, a_leq = draw(_posets("a"))
+    seed = draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(as_))))
+    rel = {(x, a) for x in xs for a in as_
+           if any((x, x2) in x_leq and (a2, a) in a_leq for x2, a2 in seed)}
+    return (xs, x_leq), (as_, a_leq), rel
+
+
+def _relation_het(xs, as_, rel):
+    """The het of a relation of `_relations`: cell (x, a) holds xRa where x
+    is related to a, and is empty elsewhere."""
+    x_cat, a_cat = _poset_category("X", *xs), _poset_category("A", *as_)
+    pair = {f"{x}R{a}": (x, a) for x, a in rel}
+    return build_het("R", x_cat, a_cat,
+                     lambda x, a: (f"{x}R{a}",) if (x, a) in rel else (),
+                     lambda h, c: f"{x_cat.dom(h)}R{pair[c][1]}",
+                     lambda k, c: f"{pair[c][0]}R{a_cat.cod(k)}")
+
+
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(st.data())
 def test_poset_relation_hets_match_the_closed_form_oracle(data):
-    xs, x_leq = data.draw(_posets("x"))
-    as_, a_leq = data.draw(_posets("a"))
-    # a relation down-closed in X and up-closed in A: the closure of a seed set
-    seed = data.draw(st.sets(st.tuples(st.sampled_from(xs), st.sampled_from(as_))))
-    rel = {(x, a) for x in xs for a in as_
-           if any((x, x2) in x_leq and (a2, a) in a_leq for x2, a2 in seed)}
-    x_cat, a_cat = _poset_category("X", xs, x_leq), _poset_category("A", as_, a_leq)
-    pair = {f"{x}R{a}": (x, a) for x, a in rel}
-    het = build_het("R", x_cat, a_cat,
-                    lambda x, a: (f"{x}R{a}",) if (x, a) in rel else (),
-                    lambda h, c: f"{x_cat.dom(h)}R{pair[c][1]}",
-                    lambda k, c: f"{pair[c][0]}R{a_cat.cod(k)}")
+    (xs, x_leq), (as_, a_leq), rel = relation = data.draw(_relations())
+    het = _relation_het(*relation)
     # F(x) is the least a with x R a; G(a) the greatest x with x R a
     left = {x: _extremum([a for a in as_ if (x, a) in rel], a_leq, True) for x in xs}
     right = {a: _extremum([x for x in xs if (x, a) in rel], x_leq, False) for a in as_}

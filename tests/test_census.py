@@ -9,6 +9,7 @@ imply it, and a reference form below that still checks it.
 
 import ast
 import dataclasses
+import functools
 import pathlib
 import re
 
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hetcat
-from hetcat import (Adjunction, FinCategory, FinFunctor, HetBifunctor, LawReport,
+import hetcat.adjunction as adjunction_mod
+from hetcat import (Adjunction, FinCategory, FinFunctor, HetBifunctor, LawReport, Morphism,
                     NatTrans, StructuralError, build_adjunction, build_het, check_bifunctor,
                     check_category, check_chimera_nat_trans, check_functor,
                     check_left_representation, check_nat_trans,
@@ -33,12 +35,13 @@ from hetcat.adjunction import (abstract_het, adjunctive_image_square, adjunctive
                                factorization_failures, transpose_inv)
 from hetcat.comma import _comma_iso, _iso_along
 from hetcat.fincat import pair_id
-from hetcat.het import KernelInvariantError
+from hetcat.het import KernelInvariantError, LeftRepresentation, RightRepresentation, dual
 from hetcat.instances import (finset_skeleton, galois_connections, product_exponential,
                               ur_adjunction)
 from hetcat.instances.finset import fn_images, function_category
-from test_adjunction import (_g_constant_at_zero, _over, _reps_over, _suite_laws, _swapped_at,
-                             _with)
+from test_adjunction import (_g_constant_at_zero, _over, _relation_het, _relations, _reps_over,
+                             _suite_laws, _swapped_at, _with)
+from test_het import POOL, _transformation_monoids
 
 # -- the census: every law name in the kernel's source ---------------------------
 
@@ -584,9 +587,150 @@ def _assembled(pair):
         return None
 
 
+# Hom of the finite sets 0, 1 and 1': an object image can move between the
+# isomorphic 1 and 1' with its universal element, psi staying a bijection
+ISO_BASE = build_adjunction(hom_bifunctor(function_category(
+    "FinSet{0,1,1'}", {"0": 0, "1": 1, "1'": 1}, lambda d, c: f"{d}>{c}")))
+
+
+def _bijective(rep):
+    """Does the check of one side's representation (the right one's dual)
+    report neither universal-placement nor psi-bijective?"""
+    return not _laws(check_left_representation(rep)) & TRANSPOSE_LAWS
+
+
+def _moved(rep, x, u):
+    """rep with the object image of x moved to the cell of u, its universal
+    element there: the images of the morphisms at x are carried along the
+    isomorphism s with h_x.s = u, so that the functor keeps their types.
+    None where there is no one such s with an inverse."""
+    fun, cat = rep.functor, rep.het.a_cat
+    b0, b = fun.obj_map[x], rep.het.cell_of(u)[1]
+    isos = [(s, t) for s, c in rep.psi[(x, b)].items() if c == u for t in cat.hom(b, b0)
+            if cat.compose(s, t) == cat.id_of(b0) and cat.compose(t, s) == cat.id_of(b)]
+    if len(isos) != 1:
+        return None
+    (s, t), = isos
+    mor_map = {m.id: cat.compose_many(*([t] if m.dom == x else []), fun.mor_map[m.id],
+                                      *([s] if m.cod == x else []))
+               for m in fun.source.morphisms}
+    return dataclasses.replace(rep, universal={**rep.universal, x: u}, functor=dataclasses.replace(
+        fun, obj_map={**fun.obj_map, x: b}, mor_map=mor_map))
+
+
+@st.composite
+def _corrupted_built(draw):
+    """`_corrupted_pair`'s changes, to a base adjunction or ISO_BASE, each
+    drawn among the changes that move an entry to another value: an action
+    entry within a cell of more than one element, a morphism image within a
+    hom-set of more than one, a universal element among those that keep its
+    side's transposes bijections, and an object image among the moves, with
+    the universal element and through an isomorphism (`_moved`), that do.
+    A change with no such move is left out. The pair, assembled, or None
+    where Adjunction refuses it, as a het change can make it."""
+    bases = {**BASES, "iso": ISO_BASE}
+    adj = bases[draw(st.sampled_from(sorted(bases)))]
+    reps = {"left": adj.left, "right": adj.right}
+    for kind in draw(st.lists(st.sampled_from(
+            ["het", "universal", "left", "right"]), min_size=1, max_size=3)):
+        if kind == "het":
+            het, side = reps["left"].het, draw(st.sampled_from(["act_left", "act_right"]))
+            tables = getattr(het, side)
+            moves = [(m, c, other) for m, table in sorted(tables.items())
+                     for c, image in sorted(table.items())
+                     for other in het.cell(*het.cell_of(image)) if other != image]
+            if moves:
+                m, c, other = draw(st.sampled_from(moves))
+                reps = dict(zip(reps, _reps_over(*reps.values(), dataclasses.replace(
+                    het, **{side: {**tables, m: {**tables[m], c: other}}}))))
+        elif kind == "universal" or not draw(st.booleans()):
+            side = draw(st.sampled_from(sorted(SIDES))) if kind == "universal" else kind
+            rep = reps["left"] if side == "left" else reps["right"].dual_left
+            het, fun = rep.het, rep.functor
+            moves = [_with(rep, "universal", {x: u2}) if kind == "universal" else _moved(rep, x, u2)
+                     for x, u in sorted(rep.universal.items()) for b in het.a_cat.objects
+                     if (b == fun.obj_map[x]) == (kind == "universal")
+                     for u2 in het.cell(x, b) if u2 != u]
+            moves = [moved for moved in moves if moved is not None and _bijective(moved)]
+            if moves:
+                moved = draw(st.sampled_from(moves))
+                reps[side] = moved if side == "left" else \
+                    dataclasses.replace(reps["right"], dual_left=moved)
+        else:
+            fun = reps[kind].functor
+            hom = fun.target.hom
+            moves = [(m, other) for m, image in sorted(fun.mor_map.items())
+                     for other in hom(fun.target.dom(image), fun.target.cod(image))
+                     if other != image]
+            if moves:
+                m, other = draw(st.sampled_from(moves))
+                reps[kind] = _with(reps[kind], SIDES[kind] + "functor.mor_map", {m: other})
+    return _assembled(tuple(reps.values()))
+
+
 def _corrupted():
-    """The corrupted pairs that assemble, as adjunctions."""
-    return _corrupted_pair().map(_assembled).filter(lambda adj: adj is not None)
+    """The corrupted adjunctions of `_corrupted_built` that assemble."""
+    return _corrupted_built().filter(lambda adj: adj is not None)
+
+
+def _over_categories(adj, x_cat, a_cat):
+    """adj with X and A replaced by categories on the same ids: its het, F,
+    and the dual representation of its right side."""
+    het = dataclasses.replace(adj.het, x_cat=x_cat, a_cat=a_cat)
+    d, dual_left = dual(het), adj.right.dual_left
+    return Adjunction(
+        dataclasses.replace(adj.left, het=het,
+                            functor=dataclasses.replace(adj.F, source=x_cat, target=a_cat)),
+        RightRepresentation(het, dataclasses.replace(
+            dual_left, het=d,
+            functor=dataclasses.replace(dual_left.functor, source=d.x_cat, target=d.a_cat))))
+
+
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+LOOKUPS = ("act_left", "act_right", "F", "G", "x_cat", "a_cat")
+
+
+@st.composite
+def _missing_lookup(draw, adjunctions, kinds=LOOKUPS):
+    """One of `adjunctions()` with one entry a suite reads removed: an
+    action entry, an image of F or G, a composite of X or A, or, of the
+    kinds "x_identity" and "a_identity", an identity of X or A. None where
+    Adjunction refuses it, as where psi or phi reads the action entry."""
+    adj = draw(st.sampled_from(adjunctions()))
+    het = adj.het
+    kind = draw(st.sampled_from(list(kinds)))
+    if kind.startswith("act"):
+        tables = getattr(het, kind)
+        m = draw(st.sampled_from(sorted(m for m, t in tables.items() if t) or [None]))
+        if m is None:
+            return None
+        c = draw(st.sampled_from(sorted(tables[m])))
+        return _assembled(_reps_over(adj.left, adj.right, dataclasses.replace(
+            het, **{kind: {**tables, m: _without(tables[m], c)}})))
+    if kind == "F":
+        m = draw(st.sampled_from(sorted(adj.F.mor_map)))
+        return Adjunction(dataclasses.replace(adj.left, functor=dataclasses.replace(
+            adj.F, mor_map=_without(adj.F.mor_map, m))), adj.right)
+    if kind == "G":
+        fun = adj.right.dual_left.functor
+        m = draw(st.sampled_from(sorted(fun.mor_map)))
+        return Adjunction(adj.left, RightRepresentation(het, dataclasses.replace(
+            adj.right.dual_left, functor=dataclasses.replace(
+                fun, mor_map=_without(fun.mor_map, m)))))
+    cat = getattr(het, kind[0] + "_cat")
+    if kind.endswith("identity"):
+        x = draw(st.sampled_from(cat.objects))
+        broken = FinCategory(cat.name, cat.objects, cat.morphisms,
+                             _without(cat.identity, x), cat.comp)
+    else:
+        pair = draw(st.sampled_from(sorted(cat.comp)))
+        broken = FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity,
+                             _without(cat.comp, pair))
+    return _over_categories(adj, *((broken, het.a_cat) if kind[0] == "x"
+                                   else (het.x_cat, broken)))
 
 
 def _run(suite, adj):
@@ -661,3 +805,243 @@ def test_suites_match_their_references_less_the_deleted_laws(adj):
             _assert_roundtrip_matches(old, new)
         else:
             assert new.violations == kept, suite.__name__
+
+
+# -- the decided suites against their forms on Z and on the abstract het ---------
+
+def _reference_four_iso_on_z(adj):
+    """four_bifunctor_iso before it was decided on the tables: Z tabulated."""
+    rep = LawReport(f"four-bifunctor isomorphism of {adj.het.name}")
+    het = adj.het
+    xc, ac = adj.x_cat, adj.a_cat
+    zb = z_bifunctor(adj)
+    for (x, a), pairs in zb.cells.items():
+        if len(set(pairs)) != len(pairs):
+            rep.add("z-bijective", (x, a), "twist map is not injective on the cell")
+    for h in xc.morphisms:
+        for a in ac.objects:
+            for c in het.cell(h.cod, a):
+                lhs = zb.of_het[het.act_l(h.id, c)]
+                rhs = zb.act_l(h.id, zb.of_het[c])
+                if lhs != rhs:
+                    rep.add("z-naturality-left", (h.id, a, c),
+                            f"z(c.h) = {lhs}, twist(h) acting on z(c) = {rhs}")
+    for k in ac.morphisms:
+        for x in xc.objects:
+            for c in het.cell(x, k.dom):
+                lhs = zb.of_het[het.act_r(k.id, c)]
+                rhs = zb.act_r(k.id, zb.of_het[c])
+                if lhs != rhs:
+                    rep.add("z-naturality-right", (k.id, x, c),
+                            f"z(k.c) = {lhs}, twist(k) acting on z(c) = {rhs}")
+    return rep.normalize()
+
+
+def _reference_roundtrip_on_abstract_het(adj):
+    """representation_roundtrip before it was decided on the tables: the
+    abstract het built and its predicted representation checked."""
+    rep = LawReport(f"representation round-trip of {adj.het.name}")
+    ah = abstract_het(adj)
+    xc, ac, cell_of = adj.x_cat, adj.a_cat, ah.het._cell_of
+    universal = {}
+    for x in xc.objects:
+        x_hat, u = ah.embed_x.on_obj(x), pair_id(adj.eta(x), ac.id_of(adj.F.on_obj(x)))
+        if cell_of.get(u) != (x_hat, ah.f_hat.on_obj(x_hat)):
+            rep.add("sending-expected-universal-placement", (x_hat, u),
+                    "expected universal not in cell (x, Fx)")
+        universal[x_hat] = u
+    if rep.ok:
+        rep.extend(check_left_representation(LeftRepresentation(
+            ah.het, ah.f_hat, universal, {})))
+    for a in ac.objects:
+        a_hat, u = ah.embed_a.on_obj(a), pair_id(xc.id_of(adj.G.on_obj(a)), adj.eps(a))
+        if cell_of.get(u) != (ah.g_hat.on_obj(a_hat), a_hat):
+            rep.add("receiving-expected-universal-placement", (a_hat, u),
+                    "expected universal not in cell (Ga, a)")
+    return rep.normalize()
+
+
+DECIDED = {"four": (four_bifunctor_iso, _reference_four_iso_on_z, "_four_iso_on_z"),
+           "roundtrip": (representation_roundtrip, _reference_roundtrip_on_abstract_het,
+                         "_roundtrip_on_abstract_het")}
+
+
+def _result(suite, adj):
+    """A suite's violations, laws, witnesses and details, or its error's text."""
+    try:
+        return suite(adj).violations
+    except StructuralError as exc:
+        return str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool_adjunctions():
+    return tuple(adj for adj in map(build_adjunction, POOL.values())
+                 if isinstance(adj, Adjunction))
+
+
+def _birepresented(het):
+    adj = build_adjunction(het)
+    return adj if isinstance(adj, Adjunction) else None
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(st.one_of(
+    _corrupted(), st.sampled_from(_pool_adjunctions()),
+    _transformation_monoids().map(hom_bifunctor).map(build_adjunction),
+    _relations().map(lambda relation: _birepresented(_relation_het(*relation))).filter(
+        lambda adj: adj is not None),
+    _missing_lookup(_pool_adjunctions, (*LOOKUPS, "x_identity", "a_identity")).filter(
+        lambda adj: adj is not None)))
+def test_decided_suites_match_their_forms_on_z_and_the_abstract_het(adj):
+    # the same violations, witnesses and details included, or the same error
+    for suite, reference, _ in DECIDED.values():
+        assert _result(suite, adj) == _result(reference, adj), suite.__name__
+
+
+def _spied(monkeypatch, *names):
+    """Replace each named function of hetcat.adjunction with one that records
+    its name and calls it; the list of names recorded."""
+    calls = []
+    for name in names:
+        original = getattr(adjunction_mod, name)
+        monkeypatch.setattr(adjunction_mod, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    return calls
+
+
+def test_decided_suites_build_neither_z_nor_the_abstract_het(monkeypatch):
+    six = tuple("012345")
+    galois = galois_connections(dict(zip(six, "aaaabb")), six, ("a", "b", "c"),
+                                s_guard=6, t_guard=3)
+    adjs = [*_pool_adjunctions(), *map(build_adjunction, (galois.lower_het, galois.upper_het))]
+    calls = _spied(monkeypatch, "z_bifunctor", "abstract_het", "_four_iso_on_z",
+                   "_roundtrip_on_abstract_het")
+    for adj in adjs:
+        assert four_bifunctor_iso(adj).ok and representation_roundtrip(adj).ok
+    assert calls == []
+
+
+def _copy(cat, identity=None, drop=None):
+    """cat as a new category on the same ids, with identities updated by
+    `identity` and the composite of the pair `drop` left out."""
+    return FinCategory(cat.name, cat.objects, cat.morphisms, {**cat.identity, **(identity or {})},
+                       _without(cat.comp, drop))
+
+
+SWAP = "2>2:1,0"
+
+
+def _conjugated_by_the_swap():
+    """UR with F conjugated by the swap of 2: a morphism's image is it with
+    the swap before it if it starts at 2 and after it if it ends there. F
+    is still a functor, but eta is no longer natural against it."""
+    def at(o):
+        return [SWAP] if o == "2" else []
+    mor_map = {m.id: SKEL.compose_many(*at(m.dom), m.id, *at(m.cod)) for m in SKEL.morphisms}
+    return Adjunction(_with(LEFT, "functor.mor_map", mor_map), UR.right)
+
+
+def _image_dropped(adj, side, m):
+    """adj with the image of m under F (side "left") or G ("right") removed."""
+    rep = adj.left if side == "left" else adj.right.dual_left
+    rep = dataclasses.replace(rep, functor=dataclasses.replace(
+        rep.functor, mor_map=_without(rep.functor.mor_map, m)))
+    return Adjunction(rep, adj.right) if side == "left" else \
+        Adjunction(adj.left, dataclasses.replace(adj.right, dual_left=rep))
+
+
+def _colliding_pair_ids():
+    """An isomorphism of discrete categories, a |-> b,c and a,b |-> c: the
+    abstract het's objects pair_id(a, b,c) and pair_id(a,b, c) are one id,
+    so building it raises, and the round trip with it."""
+    def discrete(name, objects):
+        ones = {o: f"1{o}" for o in objects}
+        return FinCategory(name, objects, tuple(Morphism(i, o, o) for o, i in ones.items()),
+                           ones, {(i, i): i for i in ones.values()})
+    cells = {("a", "b,c"): "e1", ("a,b", "c"): "e2"}
+    return build_adjunction(build_het(
+        "iso", discrete("X", ("a", "a,b")), discrete("A", ("b,c", "c")),
+        lambda x, a: (cells[(x, a)],) if (x, a) in cells else (),
+        lambda h, c: c, lambda k, c: c))
+
+
+def _ids_with_a_comma_prefix():
+    """The identity adjunction of a category whose identity ids are i and
+    i,y, so that pair_id need not be injective on its ids: the round trip
+    hands over, and its abstract het builds, as no two of its ids meet."""
+    cat = FinCategory("ids", ("x", "y"), (Morphism("i", "x", "x"), Morphism("i,y", "y", "y"),
+                                          Morphism("f", "x", "y")),
+                      {"x": "i", "y": "i,y"},
+                      {("i", "i"): "i", ("i,y", "i,y"): "i,y", ("i", "f"): "f",
+                       ("f", "i,y"): "f"})
+    return build_adjunction(hom_bifunctor(cat))
+
+
+# each entry: an adjunction on which a decider leaves by the branch named,
+# and the suites that hand over to their forms on Z or on the abstract het
+HAND_OVERS = {
+    "dual-over-a-copy-of-X^op": (
+        lambda: Adjunction(LEFT, RightRepresentation(UR.het, dataclasses.replace(
+            UR.right.dual_left, het=dataclasses.replace(
+                UR.right.dual_left.het, a_cat=_copy(UR.right.dual_left.het.a_cat))))),
+        {"roundtrip"}),
+    "G-image-missing": (lambda: _image_dropped(UR, "right", "1>2:0"), {"four", "roundtrip"}),
+    # {} <= {0} is no transpose, as {0} is no image of G: the twists build,
+    # and z-naturality-left reads F's image of it
+    "F-image-missing-off-the-transposes": (
+        lambda: _image_dropped(BASES["galois-lower"], "left", "{}<={0}"),
+        {"four", "roundtrip"}),
+    "F-image-of-the-wrong-type": (
+        lambda: Adjunction(_with(LEFT, "functor.mor_map", {"2>2:0,0": "0>2:"}), UR.right),
+        {"four", "roundtrip"}),
+    "G-image-of-the-wrong-type": (
+        lambda: _with(UR, "right.dual_left.functor.mor_map", {"2>2:0,0": "0>2:"}),
+        {"four", "roundtrip"}),
+    "twist-not-injective": (
+        lambda: _with(_with(UR, "left.functor.mor_map", {"1>2:1": "1>2:0"}),
+                      "right.dual_left.functor.mor_map", {"1>2:1": "1>2:0"}),
+        {"four", "roundtrip"}),
+    "z-naturality-left": (
+        lambda: _over(UR, _mutant("act_left", "1>1:0", "1>2:0", "1>2:1")), {"four"}),
+    "z-naturality-right": (
+        lambda: _over(UR, _mutant("act_right", "1>2:0", "2>1:0,0", "2>2:0,1")), {"four"}),
+    "F-over-a-copy-of-X-without-a-composite": (
+        lambda: Adjunction(dataclasses.replace(LEFT, functor=dataclasses.replace(
+            LEFT.functor, source=_copy(SKEL, drop=("0>2:", "2>2:0,1")))), UR.right),
+        {"roundtrip"}),
+    "X-without-a-composite": (
+        lambda: _over_categories(UR, _copy(SKEL, drop=("0>2:", "2>2:0,1")), SKEL),
+        {"four", "roundtrip"}),
+    "X-without-an-identity": (
+        lambda: _over_categories(UR, FinCategory(SKEL.name, SKEL.objects, SKEL.morphisms,
+                                                 _without(SKEL.identity, "0"), SKEL.comp), SKEL),
+        {"roundtrip"}),
+    "ids-with-a-comma-prefix": (_ids_with_a_comma_prefix, {"roundtrip"}),
+    "pair-ids-that-collide": (_colliding_pair_ids, {"roundtrip"}),
+    "F-not-a-functor": (
+        lambda: _with(UR, "left.functor.mor_map", {"1>2:0": "1>2:1"}), {"four", "roundtrip"}),
+    "receiving-placement": (
+        lambda: _over_categories(UR, *[_copy(SKEL, identity={"2": SWAP})] * 2), {"roundtrip"}),
+    "sending-placement": (
+        lambda: _over(UR, _swapped_at(HOM, "act_left", "2>2:0,0", "2>2:0,1", "2>2:0,1")),
+        {"four", "roundtrip"}),
+    "psi-bijective": (
+        lambda: _with(UR, "right.dual_left.functor.mor_map", {"1>2:0": "1>2:1"}),
+        {"four", "roundtrip"}),
+    "psi-naturality-right": (
+        lambda: _with(UR, "right.dual_left.functor.mor_map",
+                      {"1>2:0": "1>2:1", "1>2:1": "1>2:0"}),
+        {"four", "roundtrip"}),
+    "psi-naturality-left": (_conjugated_by_the_swap, {"four", "roundtrip"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_OVERS))
+def test_each_branch_hands_over_to_the_form_that_reports(monkeypatch, name):
+    build, handed_over = HAND_OVERS[name]
+    adj = build()
+    calls = _spied(monkeypatch, *(present for _, _, present in DECIDED.values()))
+    for suite, reference, _ in DECIDED.values():
+        assert _result(suite, adj) == _result(reference, adj), suite.__name__
+    assert {key for key, (_, _, present) in DECIDED.items() if present in calls} == handed_over

@@ -17,11 +17,12 @@ from hetcat import (Adjunction, FinCategory, FinFunctor, GuardExceeded, LawRepor
                     constant_functor, half_lawvere_iso_check, hom_bifunctor,
                     hom_comma_equivalence, identity_functor, lawvere_iso_check)
 from hetcat.comma import _comma_iso
-from hetcat.het import LeftRepresentation, RightRepresentation, dual, find_left_representation
+from hetcat.het import LeftRepresentation, RightRepresentation, find_left_representation
 from hetcat.instances import (finset_skeleton, galois_connections,
                               pointed_free_forgetful, ur_adjunction)
-from test_adjunction import _reps_over, _with
-from test_census import _assembled, _corrupted, _other
+from test_adjunction import _with
+from test_census import (_copy, _corrupted, _missing_lookup, _other, _over_categories,
+                         _without)
 from test_het import POOL
 
 
@@ -670,57 +671,6 @@ def _whole_adjunctions():
     return tuple(adj for adj in adjs if isinstance(adj, Adjunction))
 
 
-def _over_categories(adj, x_cat, a_cat):
-    """adj with X and A replaced by categories on the same ids: its het, F,
-    and the dual representation of its right side."""
-    het = dataclasses.replace(adj.het, x_cat=x_cat, a_cat=a_cat)
-    d, dual_left = dual(het), adj.right.dual_left
-    return Adjunction(
-        dataclasses.replace(adj.left, het=het,
-                            functor=dataclasses.replace(adj.F, source=x_cat, target=a_cat)),
-        RightRepresentation(het, dataclasses.replace(
-            dual_left, het=d,
-            functor=dataclasses.replace(dual_left.functor, source=d.x_cat, target=d.a_cat))))
-
-
-def _without(table, key):
-    return {k: v for k, v in table.items() if k != key}
-
-
-@st.composite
-def _missing_lookup(draw):
-    """A whole adjunction with one entry the squares read removed: an
-    action entry, an image of F or G, or a composite of X or A. None where
-    Adjunction refuses it, as where psi or phi reads the action entry."""
-    adj = draw(st.sampled_from(_whole_adjunctions()))
-    het = adj.het
-    kind = draw(st.sampled_from(["act_left", "act_right", "F", "G", "x_cat", "a_cat"]))
-    if kind.startswith("act"):
-        tables = getattr(het, kind)
-        m = draw(st.sampled_from(sorted(m for m, t in tables.items() if t) or [None]))
-        if m is None:
-            return None
-        c = draw(st.sampled_from(sorted(tables[m])))
-        return _assembled(_reps_over(adj.left, adj.right, dataclasses.replace(
-            het, **{kind: {**tables, m: _without(tables[m], c)}})))
-    if kind == "F":
-        m = draw(st.sampled_from(sorted(adj.F.mor_map)))
-        return Adjunction(dataclasses.replace(adj.left, functor=dataclasses.replace(
-            adj.F, mor_map=_without(adj.F.mor_map, m))), adj.right)
-    if kind == "G":
-        fun = adj.right.dual_left.functor
-        m = draw(st.sampled_from(sorted(fun.mor_map)))
-        return Adjunction(adj.left, RightRepresentation(het, dataclasses.replace(
-            adj.right.dual_left, functor=dataclasses.replace(
-                fun, mor_map=_without(fun.mor_map, m)))))
-    cat = getattr(het, kind)
-    pair = draw(st.sampled_from(sorted(cat.comp)))
-    broken = FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity,
-                         _without(cat.comp, pair))
-    return _over_categories(adj, *((broken, het.a_cat) if kind == "x_cat"
-                                   else (het.x_cat, broken)))
-
-
 def _outcome(check, adj, guard=10_000):
     """The violations of a check, or its error's text and guard estimate."""
     try:
@@ -747,7 +697,7 @@ def _guards(adj):
 
 @settings(deadline=None, derandomize=True, max_examples=120)
 @given(st.one_of(_corrupted(), st.sampled_from(_whole_adjunctions()),
-                 _missing_lookup().filter(lambda adj: adj is not None)))
+                 _missing_lookup(_whole_adjunctions).filter(lambda adj: adj is not None)))
 def test_lawvere_iso_check_matches_the_three_comma_form(adj):
     # the same report, witnesses and details included, and at every guard
     # around a comma's size the same error text and estimate
@@ -768,10 +718,6 @@ def test_lawvere_guards_fire_in_the_order_the_commas_are_built(skeleton2):
         assert _outcome(lawvere_iso_check, bad, 240) == \
             (f"{name}: morphism count exceeds guard 240", 241) == \
             _outcome(_reference_lawvere_iso_check, bad, 240)
-
-
-def _copy(cat):
-    return FinCategory(cat.name, cat.objects, cat.morphisms, cat.identity, cat.comp)
 
 
 def test_lawvere_iso_check_takes_the_three_commas_only_where_the_counts_cannot_decide(
